@@ -16,8 +16,7 @@ from .ldpc import (BalancedDecodeResult, BpResult, LdpcCode, balanced_decode,
                    balanced_decode_bsc, balanced_decode_soft, balanced_encode,
                    bp_decode, bsc_llr,
                    build_gallager, candidate_inversions, encode, lambda_scores,
-                   lambda_scores_incremental, lambda_scores_scratch, load_code,
-                   save_code, syndrome)
+                   load_code, save_code, syndrome)
 from .bec import (BecResult, bec_decode, check_interval_sets, genie_peel)
 from .mlc import (BalancingTrace, bits_to_balanced, balanced_to_bits,
                   knuth_q_balance, knuth_q_unbalance, min_balanced_length,

@@ -302,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"balmod: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

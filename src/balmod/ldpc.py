@@ -11,13 +11,14 @@ shift score: the sum over checks of the product of tanh(m/2) over the
 check's incoming variable messages after a fixed small number of
 message-passing rounds.  At depth 1 the messages are the channel LLRs and
 the score reduces exactly to (number of checks) - 2 * (unsatisfied checks).
-Scores for all n prefix shifts are maintained incrementally: flipping one
-more variable only re-propagates messages inside its depth-neighborhood.
+All n prefix shifts are scored at once: a message changes with the shift
+only where the shift passes a variable in its depth-neighborhood, so each
+message is evaluated once per such step rather than once per shift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,6 +96,8 @@ class LdpcCode:
     var_nbrs: np.ndarray         # (n, a) check indices per variable, ascending
     edge_var: np.ndarray         # (r*b,) variable of each check-major edge
     var_edge_ids: np.ndarray     # (n, a) check-major edge ids per variable
+    # shift-scorer plans by depth, built on first use (see _ScorePlan)
+    _score_plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -162,8 +165,11 @@ def build_gallager(n: int, a: int, b: int, seed: int, max_retries: int = 32) -> 
 
 
 def syndrome(code: LdpcCode, bits) -> np.ndarray:
+    """Parity of each check; uint8 sums wrap mod 256, which keeps parity."""
     word = np.asarray(bits, dtype=np.uint8)
-    return code.H @ word % 2
+    if word.shape != (code.n,):
+        raise ValueError(f"word shape {word.shape} != ({code.n},)")
+    return word[code.check_nbrs].sum(axis=1, dtype=np.uint8) % 2
 
 
 def encode(code: LdpcCode, u) -> BitWord:
@@ -262,138 +268,118 @@ def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
 # Shift scores
 
 
-class _ScoreState:
-    """Message arrays for the shift score: m[l] are variable-to-check messages
-    of round l, rc[l] the check replies computed from them, prod the per-check
-    products entering the score."""
-
-    __slots__ = ("mv", "m", "rc", "prod")
-
-    def __init__(self, code: LdpcCode, mv: np.ndarray, depth: int):
-        edges = code.r * code.b
-        self.mv = mv
-        self.m = {l: np.empty(edges) for l in range(1, depth + 1)}
-        self.rc = {l: np.empty(edges) for l in range(1, depth)}
-        self.prod = np.empty(code.r)
-
-
-def _var_kernel(code: LdpcCode, st: _ScoreState, l: int, v: int) -> None:
-    ids = code.var_edge_ids[v]
-    if l == 1:
-        st.m[1][ids] = st.mv[v]
-        return
-    inc = st.rc[l - 1][ids]
-    csum = np.cumsum(inc)
-    pre = np.concatenate(([0.0], csum[:-1]))
-    suf = csum[-1] - csum
-    st.m[l][ids] = np.clip(st.mv[v] + pre + suf, -LLR_CLIP, LLR_CLIP)
-
-
-def _check_kernel(code: LdpcCode, st: _ScoreState, l: int, c: int) -> None:
-    sl = slice(c * code.b, (c + 1) * code.b)
-    t = np.tanh(0.5 * st.m[l][sl])
-    st.rc[l][sl] = 2.0 * np.arctanh(np.clip(_loo_prod(t), -_ATANH_LIMIT, _ATANH_LIMIT))
-
-
-def _prod_kernel(code: LdpcCode, st: _ScoreState, depth: int, c: int) -> None:
-    sl = slice(c * code.b, (c + 1) * code.b)
-    m = st.m[depth][sl]
-    if depth == 1:
-        st.prod[c] = np.prod(np.where(m >= 0, 1.0, -1.0))
-    else:
-        st.prod[c] = np.prod(np.tanh(0.5 * m))
-
-
-def _score_full(code: LdpcCode, mv: np.ndarray, depth: int) -> _ScoreState:
-    st = _ScoreState(code, mv, depth)
-    for v in range(code.n):
-        _var_kernel(code, st, 1, v)
-    for l in range(1, depth):
-        for c in range(code.r):
-            _check_kernel(code, st, l, c)
-        for v in range(code.n):
-            _var_kernel(code, st, l + 1, v)
-    for c in range(code.r):
-        _prod_kernel(code, st, depth, c)
-    return st
-
-
 def _validate_depth(depth: int) -> None:
     if not 1 <= depth <= 3:
         raise ValueError("score depth must be 1, 2, or 3 (cost grows exponentially)")
 
 
-def lambda_scores_scratch(code: LdpcCode, llr, depth: int) -> np.ndarray:
-    """Reference scorer: recompute every prefix shift from scratch."""
-    _validate_depth(depth)
-    base = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
-    out = np.empty(code.n)
-    for j in range(code.n):
-        mv = base.copy()
-        mv[:j] = -mv[:j]
-        out[j] = float(np.sum(_score_full(code, mv, depth).prod))
-    return out
+@dataclass(frozen=True)
+class _ScorePlan:
+    """Gather indices of the all-shift scorer; they depend only on the graph.
 
-
-def lambda_scores_incremental(code: LdpcCode, llr, depth: int) -> np.ndarray:
-    """Scores for all n prefix shifts, updating one flipped variable at a time.
-
-    Only messages within the flipped variable's depth-neighborhood are
-    recomputed, with the same per-node kernels as the from-scratch path, so
-    results are identical bit for bit.
+    A message of round l depends only on the variables within l hops of it,
+    so as a function of the shift j it steps only where j passes one of them.
+    A node with k such variables has k + 1 segments (segment s: the s lowest
+    flipped), and each level's table has one row per (node, segment): rows
+    2v / 2v + 1 hold the unflipped / flipped channel LLR of v, a check row its
+    b edges in check order, a variable row its a edges in check order.  Each
+    index array is (parent segments, inputs) into a flattened child table.
     """
-    _validate_depth(depth)
-    mv = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP).copy()
-    st = _score_full(code, mv, depth)
-    out = np.empty(code.n)
-    out[0] = float(np.sum(st.prod))
-    for j in range(1, code.n):
-        v0 = j - 1
-        st.mv[v0] = -st.mv[v0]
-        _var_kernel(code, st, 1, v0)
-        affected = np.array([v0])
-        checks = code.var_nbrs[v0]
-        for l in range(1, depth):
-            for c in checks:
-                _check_kernel(code, st, l, int(c))
-            affected = np.unique(np.concatenate(
-                [affected, code.check_nbrs[checks].ravel()]))
-            for v in affected:
-                _var_kernel(code, st, l + 1, int(v))
-            checks = np.unique(code.var_nbrs[affected].ravel())
-        for c in checks:
-            _prod_kernel(code, st, depth, int(c))
-        out[j] = float(np.sum(st.prod))
-    return out
+
+    rounds: tuple            # per round: (check_idx, own_idx, inc_idx)
+    prod_idx: np.ndarray     # last round's variable messages per check segment
+    runs: np.ndarray         # shifts covered by each check segment, check-major
+
+
+def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Sorted dependency sets (CSR ptr, deps) of parent nodes, and per group
+    ((ptr, deps), ids, width, cols) of child levels the flat child-table index
+    that parent x's segments read for input k: column cols[x, k] of child
+    ids[x, k], in a table `width` columns wide."""
+    keys, cols = [], []
+    for (ptr, deps), ids, _, _ in groups:
+        flat = ids.ravel()
+        lens = ptr[flat + 1] - ptr[flat]
+        first = np.cumsum(lens) - lens
+        slot = np.repeat(np.arange(flat.size), lens)
+        elem = deps[np.repeat(ptr[flat] - first, lens) + np.arange(first[-1] + lens[-1])]
+        keys.append(slot // ids.shape[1] * n + elem)
+        cols.append(slot % ids.shape[1])
+    uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    num = groups[0][1].shape[0]
+    ptr = np.searchsorted(uniq, np.arange(num + 1) * n)
+    seg_start = ptr[:-1] + np.arange(num)
+    nseg = np.diff(ptr) + 1
+    out = []
+    done = 0
+    for ((cptr, _), ids, width, col), key, k in zip(groups, keys, cols):
+        pos = inv[done:done + key.size]
+        done += key.size
+        # the child's segment advances at the parent segment that flips one
+        # more of the child's own dependencies
+        marks = np.zeros((ptr[-1] + num, ids.shape[1]), dtype=np.intp)
+        marks[pos + key // n + 1, k] = 1
+        count = np.cumsum(marks, axis=0)
+        child_row = (cptr[:-1] + np.arange(cptr.size - 1))[ids]
+        out.append(width * count + np.repeat(
+            width * (child_row - count[seg_start]) + col, nseg, axis=0))
+    return ptr, uniq % n, out
+
+
+def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
+    n, r, a, b = code.n, code.r, code.a, code.b
+    chan = (np.arange(n + 1), np.arange(n))     # variable v depends on itself
+    # column of each check-major edge among its variable's edges
+    var_slot = np.empty(r * b, dtype=np.intp)
+    var_slot[code.var_edge_ids] = np.arange(a)
+    check_of_var, slot_in_check = divmod(code.var_edge_ids, b)
+    var_level, width, cols = chan, 1, np.zeros((r, b), dtype=np.intp)
+    rounds = []
+    for _ in range(1, depth):
+        *check_level, (check_idx,) = _join(n, [(var_level, code.check_nbrs, width, cols)])
+        *var_level, (own_idx, inc_idx) = _join(n, [
+            (chan, np.arange(n)[:, None], 1, np.zeros((n, 1), dtype=np.intp)),
+            (check_level, check_of_var, b, slot_in_check)])
+        rounds.append((check_idx, own_idx, inc_idx))
+        width, cols = a, var_slot.reshape(r, b)
+    ptr, deps, (prod_idx,) = _join(n, [(var_level, code.check_nbrs, width, cols)])
+    # segment s of a check covers the shifts j with exactly s dependencies < j
+    runs = np.insert(deps, ptr[1:], n - 1) - np.insert(deps, ptr[:-1], -1)
+    return _ScorePlan(rounds=tuple(rounds), prod_idx=prod_idx, runs=runs)
 
 
 def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
-    """Production scorer: vectorized over all shifts at once.
+    """Scores of all n prefix shifts; shift j negates the first j LLRs.
 
-    Same score as the incremental/scratch pair (used by tests as oracles);
-    this path trades their per-node exactness discipline for speed.
+    Each message is evaluated once per segment of its dependency set (see
+    _ScorePlan) with the per-node arithmetic of the per-shift reference, and
+    each shift's score sums one contiguous row of check products in check
+    order, so the result is bit-equal to recomputing every shift from scratch.
     """
     _validate_depth(depth)
     base = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
-    n, r, b, a = code.n, code.r, code.b, code.a
-    flip = np.arange(n)[None, :] < np.arange(n)[:, None]   # (shift, variable)
-    shifted = np.where(flip, -base[None, :], base[None, :])
-    if depth == 1:
-        neg = shifted[:, code.edge_var] < 0
-        parity = neg.reshape(n, r, b).sum(axis=2) % 2
-        return (r - 2 * parity.sum(axis=1)).astype(np.float64)
-    m = shifted[:, code.edge_var].reshape(n, r, b)
-    vef = code.var_edge_ids.reshape(-1)
-    for _ in range(1, depth):
-        t = np.tanh(0.5 * m)
+    if base.size != code.n:
+        raise ValueError(f"llr length {base.size} != n = {code.n}")
+    plan = code._score_plans.get(depth)
+    if plan is None:
+        plan = code._score_plans[depth] = _build_score_plan(code, depth)
+    m = chan = np.stack((base, -base), axis=1).ravel()
+    # tanh, like every step here, is elementwise, so it runs once per distinct
+    # message, before the gather that fans messages out to segments
+    for check_idx, own_idx, inc_idx in plan.rounds:
+        t = np.tanh(0.5 * m)[check_idx]
         rc = 2.0 * np.arctanh(np.clip(_loo_prod(t), -_ATANH_LIMIT, _ATANH_LIMIT))
-        inc = rc.reshape(n, r * b)[:, vef].reshape(n, n, a)
-        mv = np.clip(shifted[:, :, None] + inc.sum(axis=2, keepdims=True) - inc,
-                     -LLR_CLIP, LLR_CLIP)
-        m = np.empty((n, r * b))
-        m[:, vef] = mv.reshape(n, n * a)
-        m = m.reshape(n, r, b)
-    return np.prod(np.tanh(0.5 * m), axis=2).sum(axis=1)
+        csum = np.cumsum(rc.ravel()[inc_idx], axis=1)
+        pre = np.zeros_like(csum)
+        pre[:, 1:] = csum[:, :-1]
+        suf = csum[:, -1:] - csum
+        m = np.clip(chan[own_idx] + pre + suf, -LLR_CLIP, LLR_CLIP).ravel()
+    if depth == 1:
+        prod = np.prod(np.where(m >= 0, 1.0, -1.0)[plan.prod_idx], axis=1)
+    else:
+        prod = np.prod(np.tanh(0.5 * m)[plan.prod_idx], axis=1)
+    per_check = np.repeat(prod, plan.runs).reshape(code.r, code.n)
+    return np.ascontiguousarray(per_check.T).sum(axis=1)
 
 
 def candidate_inversions(scores, c: int) -> list[int]:
@@ -524,28 +510,38 @@ def save_code(code: LdpcCode, path) -> None:
 
 
 def load_code(path) -> LdpcCode:
+    """Read a save_code listing; malformed input raises ValueError naming
+    the offending line."""
     meta = {}
-    entries = []
-    shape = None
+    header = H = None
+    entries = 0
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if line.startswith("%gallager"):
+                for item in line.split()[1:]:
+                    key, val = item.split("=")
+                    meta[key] = int(val)
+            if not line or line.startswith("%"):
                 continue
-            if line.startswith("%"):
-                if line.startswith("%gallager"):
-                    for field in line.split()[1:]:
-                        key, val = field.split("=")
-                        meta[key] = int(val)
+            where = f"{path}:{lineno}: {line!r}"
+            nums = [int(f) for f in line.split() if f.isdigit()]
+            if header is None:
+                if len(nums) != 3:
+                    raise ValueError(f"{where}: expected header 'rows cols entries'")
+                header = (lineno, nums[2])
+                H = np.zeros(nums[:2], dtype=np.uint8)
                 continue
-            nums = line.split()
-            if shape is None:
-                shape = (int(nums[0]), int(nums[1]))
-                continue
-            entries.append((int(nums[0]) - 1, int(nums[1]) - 1))
-    if shape is None or not meta:
+            if len(nums) != 2 or not (1 <= nums[0] <= H.shape[0] and 1 <= nums[1] <= H.shape[1]):
+                raise ValueError(f"{where}: expected an entry 'row col' within "
+                                 f"1..{H.shape[0]} x 1..{H.shape[1]} (indices are 1-based)")
+            if H[nums[0] - 1, nums[1] - 1]:
+                raise ValueError(f"{where}: duplicate entry")
+            H[nums[0] - 1, nums[1] - 1] = 1
+            entries += 1
+    if header is None or not {"a", "b", "seed", "seed_used"} <= meta.keys():
         raise ValueError(f"{path} is not a saved code listing")
-    H = np.zeros(shape, dtype=np.uint8)
-    for c, v in entries:
-        H[c, v] = 1
+    if entries != header[1]:
+        raise ValueError(f"{path}:{header[0]}: header declares {header[1]} entries, "
+                         f"the body lists {entries}")
     return _assemble(H, meta["a"], meta["b"], meta["seed"], meta["seed_used"])

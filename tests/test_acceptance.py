@@ -15,6 +15,7 @@ import pytest
 
 from balmod import bec, channel, cli, em, harness, ldpc, mlc, thresholds, words
 from balmod.words import BitWord
+from score_oracle import lambda_scores_scratch
 
 
 @contextmanager
@@ -139,20 +140,25 @@ def test_05_shift_score_incremental_exactness():
         for (n, a, b), seed in (((56, 2, 7), 3), ((280, 4, 7), 1)):
             code = ldpc.build_gallager(n, a, b, seed=seed)
             rng = channel.make_rng((51, n))
-            for depth in (1, 2):
-                for _ in range(20):
-                    llr = rng.normal(0.0, 4.0, code.n)
-                    inc = ldpc.lambda_scores_incremental(code, llr, depth)
-                    scr = ldpc.lambda_scores_scratch(code, llr, depth)
-                    assert np.array_equal(inc, scr), (n, depth)
+            for depth in (1, 2, 3):
+                for i in range(20):
+                    # constant-magnitude BSC LLRs tie exactly; Gaussian ones do not
+                    if i % 2:
+                        llr = ldpc.bsc_llr(rng.integers(0, 2, code.n), 0.06)
+                    else:
+                        llr = rng.normal(0.0, 4.0, code.n)
+                    scores = ldpc.lambda_scores(code, llr, depth)
+                    scr = lambda_scores_scratch(code, llr, depth)
+                    assert np.array_equal(scores, scr), (n, depth)
                     if depth == 1:
                         hard = (llr < 0).astype(np.uint8)
                         for j in range(code.n):
                             yj = hard.copy()
                             yj[:j] ^= 1
                             unsat = int(ldpc.syndrome(code, yj).sum())
-                            assert inc[j] == float(code.r - 2 * unsat), (n, j)
-        print("  (56,2,7) and (280,4,7), depths 1-2, 20 inputs each", end="")
+                            assert scores[j] == float(code.r - 2 * unsat), (n, j)
+        print("  (56,2,7) and (280,4,7), depths 1-3, 20 inputs each "
+              "(10 Gaussian, 10 BSC)", end="")
 
 
 def test_06_balanced_bsc_pipeline_gap():

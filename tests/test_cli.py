@@ -83,3 +83,17 @@ class TestSimCommands:
     def test_missing_out_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["sim", "ber", "--t-grid", "0.1", "--cells", "100"])
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--bits", "111"],
+        ["sim", "ber", "--t-grid", "0.1", "--cells", "11", "--out", "x.csv"],
+    ])
+    def test_value_error_is_one_line_exit_2(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("balmod: error: ") and "even" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()

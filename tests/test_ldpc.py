@@ -5,6 +5,7 @@ import pytest
 
 from balmod import channel, ldpc
 from balmod.words import BitWord
+from score_oracle import _score_full, lambda_scores_scratch
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,16 @@ class TestConstruction:
 
     def test_rank_deficit_is_structural(self, full_scale_code):
         assert full_scale_code.r - full_scale_code.rank == full_scale_code.a - 1
+
+    def test_syndrome_is_dense_parity(self, full_scale_code):
+        rng = channel.make_rng(32)
+        for _ in range(20):
+            w = rng.integers(0, 2, full_scale_code.n).astype(np.uint8)
+            syn = ldpc.syndrome(full_scale_code, w)
+            assert syn.dtype == np.uint8
+            assert np.array_equal(syn, full_scale_code.H @ w % 2)
+        with pytest.raises(ValueError):
+            ldpc.syndrome(full_scale_code, w[:-1])
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -119,25 +130,52 @@ class TestBeliefPropagation:
             ldpc.bsc_llr([0, 1], 0.6)
 
 
+def _mixed_llrs(rng, n: int, count: int):
+    """Gaussian LLRs alternating with constant-magnitude BSC LLRs, whose
+    scores tie exactly and so expose any rounding difference."""
+    for i in range(count):
+        if i % 2:
+            yield ldpc.bsc_llr(rng.integers(0, 2, n), 0.06)
+        else:
+            yield rng.normal(0, 4, n)
+
+
 class TestShiftScores:
     def test_incremental_matches_scratch_bit_for_bit(self, mid_code):
         rng = channel.make_rng(16)
         for depth in (1, 2, 3):
-            llr = rng.normal(0, 4, mid_code.n)
-            inc = ldpc.lambda_scores_incremental(mid_code, llr, depth)
-            scr = ldpc.lambda_scores_scratch(mid_code, llr, depth)
-            assert np.array_equal(inc, scr)
+            for llr in _mixed_llrs(rng, mid_code.n, 4):
+                scores = ldpc.lambda_scores(mid_code, llr, depth)
+                assert np.array_equal(scores, lambda_scores_scratch(mid_code, llr, depth))
 
-    def test_batch_agrees_with_scratch(self, mid_code):
+    def test_batch_agrees_with_scratch(self):
+        code = ldpc.build_gallager(70, 4, 7, seed=2)
         rng = channel.make_rng(17)
-        for depth in (1, 2):
-            llr = rng.normal(0, 4, mid_code.n)
-            bat = ldpc.lambda_scores(mid_code, llr, depth)
-            scr = ldpc.lambda_scores_scratch(mid_code, llr, depth)
-            if depth == 1:
-                assert np.array_equal(bat, scr)
-            else:
-                assert bat == pytest.approx(scr, abs=1e-9)
+        for depth in (1, 2, 3):
+            for llr in _mixed_llrs(rng, code.n, 4):
+                scores = ldpc.lambda_scores(code, llr, depth)
+                assert np.array_equal(scores, lambda_scores_scratch(code, llr, depth)), depth
+
+    def test_bsc_candidates_match_scratch(self, mid_code):
+        # exact ties on BSC LLRs: a last-bit difference would reorder them
+        rng = channel.make_rng(29)
+        for _ in range(300):
+            llr = ldpc.bsc_llr(rng.integers(0, 2, mid_code.n), 0.06)
+            assert (ldpc.candidate_inversions(ldpc.lambda_scores(mid_code, llr, 2), 4)
+                    == ldpc.candidate_inversions(lambda_scores_scratch(mid_code, llr, 2), 4))
+
+    def test_plans_never_shared(self, mid_code):
+        other = ldpc.build_gallager(mid_code.n, mid_code.a, mid_code.b, seed=4)
+        assert not np.array_equal(other.H, mid_code.H)
+        llr = channel.make_rng(30).normal(0, 4, mid_code.n)
+        for depth in (2, 1, 3):
+            for code in (mid_code, other):
+                ref = lambda_scores_scratch(code, llr, depth)
+                assert np.array_equal(ldpc.lambda_scores(code, llr, depth), ref)
+        plans = [code._score_plans[depth] for code in (mid_code, other) for depth in (1, 2, 3)]
+        assert len({id(plan) for plan in plans}) == len(plans)
+        ldpc.lambda_scores(mid_code, llr, 2)
+        assert mid_code._score_plans[2] is plans[1]
 
     def test_depth_one_closed_form(self, mid_code):
         rng = channel.make_rng(18)
@@ -152,13 +190,15 @@ class TestShiftScores:
     def test_zero_shift_equals_plain_score(self, mid_code):
         rng = channel.make_rng(19)
         llr = rng.normal(0, 3, mid_code.n)
-        scores = ldpc.lambda_scores_scratch(mid_code, llr, 2)
-        st = ldpc._score_full(mid_code, np.clip(llr, -30, 30), 2)
-        assert scores[0] == float(np.sum(st.prod))
+        plain = float(np.sum(_score_full(mid_code, np.clip(llr, -30, 30), 2).prod))
+        assert lambda_scores_scratch(mid_code, llr, 2)[0] == plain
+        assert ldpc.lambda_scores(mid_code, llr, 2)[0] == plain
 
     def test_depth_validation(self, mid_code):
         with pytest.raises(ValueError):
             ldpc.lambda_scores(mid_code, np.zeros(mid_code.n), 4)
+        with pytest.raises(ValueError):
+            ldpc.lambda_scores(mid_code, np.zeros(mid_code.n - 1), 2)
 
 
 class TestCandidateSelection:
@@ -259,6 +299,53 @@ class TestSerialization:
         path = tmp_path / "bad.mtx"
         path.write_text("not a matrix\n")
         with pytest.raises(ValueError):
+            ldpc.load_code(path)
+
+    @pytest.mark.parametrize("shape", [(28, 4, 7, 1), (70, 4, 7, 2)])
+    def test_save_load_round_trip(self, shape, tmp_path):
+        n, a, b, seed = shape
+        code = ldpc.build_gallager(n, a, b, seed=seed)
+        path = tmp_path / "code.mtx"
+        ldpc.save_code(code, path)
+        loaded = ldpc.load_code(path)
+        assert np.array_equal(loaded.H, code.H)
+        assert (loaded.n, loaded.k, loaded.a, loaded.b, loaded.seed, loaded.seed_used) == (
+            code.n, code.k, code.a, code.b, code.seed, code.seed_used)
+        llr = channel.make_rng(31).normal(0, 4, n)
+        assert np.array_equal(ldpc.lambda_scores(loaded, llr, 2),
+                              ldpc.lambda_scores(code, llr, 2))
+
+    @staticmethod
+    def _edit_listing(code, tmp_path, edit):
+        path = tmp_path / "code.mtx"
+        ldpc.save_code(code, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    def test_reject_zero_based_listing(self, mid_code, tmp_path):
+        def zero_based(lines):
+            body = [" ".join(str(int(x) - 1) for x in ln.split()) for ln in lines[3:]]
+            return lines[:3] + body
+        path = self._edit_listing(mid_code, tmp_path, zero_based)
+        with pytest.raises(ValueError, match=r"code\.mtx:4: '0 \d+'.*1-based"):
+            ldpc.load_code(path)
+
+    def test_reject_out_of_range_entry(self, mid_code, tmp_path):
+        def past_last_column(lines):
+            return lines[:-1] + [f"{mid_code.r} {mid_code.n + 1}"]
+        path = self._edit_listing(mid_code, tmp_path, past_last_column)
+        with pytest.raises(ValueError, match=rf"code\.mtx:{3 + mid_code.r * mid_code.b}:"):
+            ldpc.load_code(path)
+
+    def test_reject_duplicate_entry(self, mid_code, tmp_path):
+        path = self._edit_listing(mid_code, tmp_path, lambda lines: lines[:4] + lines[3:-1])
+        with pytest.raises(ValueError, match=r"code\.mtx:5: .*duplicate"):
+            ldpc.load_code(path)
+
+    def test_reject_entry_count_mismatch(self, mid_code, tmp_path):
+        path = self._edit_listing(mid_code, tmp_path, lambda lines: lines[:-1])
+        with pytest.raises(ValueError, match=r"code\.mtx:3: header declares 112 entries"):
             ldpc.load_code(path)
 
 
