@@ -1,14 +1,22 @@
 """Erasure decoding of balanced LDPC codewords.
 
 The received word is a prefix-inverted codeword with erasures, and the
-inversion index i is unknown.  The decoder peels erasures while maintaining
-an inversion set I of indices still consistent with every fully observed
-check: a check whose neighbors sit at positions p1 < p2 < ... partitions
-{0..n} into alternating runs, and the check's observed parity says which
-alternation class i must lie in.  A check with one unknown neighbor can fill
-it once I is confined to a single class.  If peeling stalls, the residual I
-is enumerated (up to a budget) with a fresh known-i peel per candidate, and
-candidates must satisfy parity, balance, and index minimality.
+inversion index i is unknown.  Inverting the first i bits flips the
+neighbors p < i of a check, so the check's flip parity F[c, i] (the parity of
+#{p in nbrs(c) : p < i}) splits {0..n} into the two alternation classes of
+check_interval_sets, and a fully observed check's parity says which class i
+lies in.  F is an r x (n + 1) bool table built once per code.
+
+The decoder keeps the inversion set I of indices consistent with every fully
+observed check as a mask over {0..n} and works in waves.  In each wave every
+newly fully observed check narrows I at once, then every check with one
+unknown neighbor fills it if F is constant on I (of checks sharing that
+unknown, the lowest fills it).  I only shrinks and known bits only grow, so
+every fill is forced and the order of the fills does not change the result.
+If peeling stalls, all residual indices i < n are enumerated together: they
+share one erasure pattern, so one wave schedule peels a block of
+prefix-flipped words, and parity, balance and index minimality are tested on
+all rows at once.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from .words import BitWord
 UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
 FAILURE = "failure"
+
+_ENUM_ROWS = 256    # candidate words peeled and tested together
 
 
 def check_interval_sets(positions, values, n: int) -> IntervalSet:
@@ -50,34 +60,62 @@ def check_interval_sets(positions, values, n: int) -> IntervalSet:
     return IntervalSet.from_pairs(pairs)
 
 
-def _prefix_flip(y: np.ndarray, i: int) -> np.ndarray:
-    out = y.copy()
-    head = out[:i]
-    known = head != ERASURE
-    head[known] ^= 1
-    return out
+def _flip_parity(code: LdpcCode) -> np.ndarray:
+    """F[c, i]: parity of the neighbors of check c below i; row c is False on
+    check_interval_sets' even-parity class and True on its odd one."""
+    table = code._plans.get("flip_parity")
+    if table is None:
+        marks = np.zeros((code.r, code.n + 1), dtype=np.uint8)
+        marks[np.arange(code.r)[:, None], code.check_nbrs + 1] = 1
+        table = np.cumsum(marks, axis=1, dtype=np.uint8) % 2 == 1
+        code._plans["flip_parity"] = table
+    return table
+
+
+def _received(code: LdpcCode, y) -> np.ndarray:
+    y = np.asarray(y)
+    if y.ndim != 1 or y.size != code.n:
+        raise ValueError(f"received word shape {y.shape} != ({code.n},)")
+    if not ((y == 0) | (y == 1) | (y == ERASURE)).all():
+        raise ValueError(f"received entries must be 0, 1 or ERASURE ({ERASURE})")
+    return y.astype(np.int8)
+
+
+def _prefix_flipped(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row k: y with its known bits before idx[k] inverted."""
+    return y ^ ((np.arange(y.shape[-1]) < idx[:, None]) & (y != ERASURE))
+
+
+def _peel(code: LdpcCode, z: np.ndarray) -> bool:
+    """Known-index peeling of a (rows, n) block in place, all rows erased at
+    the same positions; False if a stopping set remains.
+
+    One wave per sweep of the check-order loop: the checks with one unknown
+    neighbor at the start of the sweep fill it with the parity of their known
+    bits, and of checks sharing an unknown the lowest fills it.
+    """
+    erased = z[0] == ERASURE
+    while erased.any():
+        unknown = erased[code.check_nbrs]
+        one = np.nonzero(unknown.sum(axis=1) == 1)[0]
+        if one.size == 0:
+            return False
+        missing, first = np.unique(code.check_nbrs[one, unknown[one].argmax(axis=1)],
+                                   return_index=True)
+        # the one erased neighbor adds ERASURE to the sum
+        z[:, missing] = (z[:, code.check_nbrs[one[first]]].sum(axis=2) - ERASURE) % 2
+        erased[missing] = False
+    return True
 
 
 def genie_peel(code: LdpcCode, y: np.ndarray, i: int) -> np.ndarray | None:
     """Standard peeling with the inversion index known; returns the codeword
     bits or None if a stopping set remains."""
-    z = _prefix_flip(np.asarray(y, dtype=np.int8), i)
-    unknown_per_check = np.array([(z[nbrs] == ERASURE).sum() for nbrs in code.check_nbrs])
-    progress = True
-    while progress and (z == ERASURE).any():
-        progress = False
-        for c in np.nonzero(unknown_per_check == 1)[0]:
-            if unknown_per_check[c] != 1:
-                continue  # an earlier fill in this sweep resolved it
-            nbrs = code.check_nbrs[c]
-            vals = z[nbrs]
-            missing = nbrs[vals == ERASURE][0]
-            z[missing] = np.sum(vals[vals != ERASURE]) % 2
-            unknown_per_check[code.var_nbrs[missing]] -= 1
-            progress = True
-    if (z == ERASURE).any():
-        return None
-    return z.astype(np.uint8)
+    y = _received(code, y)
+    if not 0 <= i <= code.n:
+        raise ValueError(f"inversion index {i} outside [0, {code.n}]")
+    z = _prefix_flipped(y, np.array([i]))
+    return z[0].astype(np.uint8) if _peel(code, z) else None
 
 
 @dataclass(frozen=True)
@@ -91,33 +129,18 @@ class BecResult:
     budget_exceeded: bool
 
 
-def _feasible_from_word(code: LdpcCode, x: np.ndarray, i: int) -> tuple[np.ndarray, int] | None:
-    """Feasibility of index i once every position of x is known."""
-    if 2 * int(x.sum()) != x.size:
-        return None
-    z = x.copy()
-    z[:i] ^= 1
-    if np.any(syndrome(code, z)):
-        return None
-    if _balancing_index_arr(z) != i:
-        return None
-    return z, i
-
-
-def _feasible_from_peel(code: LdpcCode, y: np.ndarray, i: int) -> tuple[np.ndarray, int] | None:
-    """Feasibility of index i via a fresh known-i peel of the raw word."""
-    z = genie_peel(code, y, i)
-    if z is None:
-        return None
-    x = z.copy()
-    x[:i] ^= 1
-    if 2 * int(x.sum()) != x.size:
-        return None
-    if np.any(syndrome(code, z)):
-        return None
-    if _balancing_index_arr(z) != i:
-        return None
-    return z, i
+def _feasible(code: LdpcCode, src: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (z, i), i in idx, whose known-i peel of src completes to a
+    codeword z that inverting its first i bits balances, i being the minimal
+    such index of z."""
+    z = _prefix_flipped(src, idx)
+    if not _peel(code, z):
+        return z[:0], idx[:0]
+    stored = _prefix_flipped(z, idx)
+    ok = 2 * stored.sum(axis=1) == code.n
+    ok[ok] = ~syndrome(code, z[ok]).any(axis=1)
+    ok[ok] = _balancing_index_arr(z[ok]) == idx[ok]
+    return z[ok], idx[ok]
 
 
 def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
@@ -128,84 +151,66 @@ def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
     balance, and index minimality).  Returns UNIQUE only when enumeration was
     complete and exactly one codeword survives.
     """
-    y = np.asarray(y, dtype=np.int8)
-    if y.size != code.n:
-        raise ValueError(f"received word length {y.size} != n = {code.n}")
+    y = _received(code, y)
+    if budget < 0:
+        raise ValueError(f"enumeration budget {budget} is negative")
     n = code.n
+    flip = _flip_parity(code)
     x = y.copy()
-    inv = IntervalSet.full(n)
+    inv = np.ones(n + 1, dtype=bool)
     active = np.ones(code.r, dtype=bool)
-    class_cache: dict[int, tuple[IntervalSet, IntervalSet]] = {}
-
-    def classes(c: int) -> tuple[IntervalSet, IntervalSet]:
-        if c not in class_cache:
-            nbrs = code.check_nbrs[c]
-            s0 = check_interval_sets(nbrs, np.zeros(code.b, dtype=np.int8), n)
-            s1 = check_interval_sets(nbrs, np.concatenate(([1], np.zeros(code.b - 1, dtype=np.int8))), n)
-            class_cache[c] = (s0, s1)
-        return class_cache[c]
-
-    progress = True
-    while progress:
-        progress = False
+    while True:
+        vals = x[code.check_nbrs]
+        unknown = vals == ERASURE
+        count = unknown.sum(axis=1)
         # Fully observed checks pin down the alternation class of i.
-        for c in np.nonzero(active)[0]:
-            vals = x[code.check_nbrs[c]]
-            if np.all(vals != ERASURE):
-                inv = inv.intersect(check_interval_sets(code.check_nbrs[c], vals, n))
-                active[c] = False
-                progress = True
-        # Checks missing one neighbor can fill it once the class is certain.
-        for c in np.nonzero(active)[0]:
-            nbrs = code.check_nbrs[c]
-            vals = x[nbrs]
-            unknown = nbrs[vals == ERASURE]
-            if unknown.size != 1:
-                continue
-            s0, s1 = classes(int(c))
-            known_xor = int(np.sum(vals[vals != ERASURE]) % 2)
-            if inv.issubset(s0):
-                fill = known_xor
-            elif inv.issubset(s1):
-                fill = known_xor ^ 1
-            else:
-                continue
-            x[unknown[0]] = fill
-            active[c] = False
-            progress = True
+        full = np.nonzero(active & (count == 0))[0]
+        parity = vals[full].sum(axis=1) % 2 == 1
+        inv &= ~(flip[full] != parity[:, None]).any(axis=0)
+        active[full] = False
+        # Checks missing one neighbor can fill it once the class is certain;
+        # with I empty both classes hold and the even one is taken.
+        one = np.nonzero(active & (count == 1))[0]
+        on_inv = flip[one][:, inv]
+        even = ~on_inv.any(axis=1)
+        certain = even | on_inv.all(axis=1)
+        one, odd = one[certain], ~even[certain]
+        missing, first = np.unique(code.check_nbrs[one, unknown[one].argmax(axis=1)],
+                                   return_index=True)
+        one = one[first]
+        x[missing] = (vals[one].sum(axis=1) - ERASURE) % 2 ^ odd[first]
+        active[one] = False
+        if full.size == 0 and one.size == 0:
+            break
 
-    residual = inv.size
+    residual = int(inv.sum())
     erasures_left = int((x == ERASURE).sum())
 
-    if inv.size == 0:
+    if residual == 0:
         return BecResult(status=FAILURE, z=None, i=None, candidates=(),
                          residual_set_size=residual, erasures_left=erasures_left,
                          budget_exceeded=False)
-    if inv.size > budget:
+    if residual > budget:
         return BecResult(status=AMBIGUOUS, z=None, i=None, candidates=(),
                          residual_set_size=residual, erasures_left=erasures_left,
                          budget_exceeded=True)
 
-    feasible: list[tuple[np.ndarray, int]] = []
-    for i in inv.values():
-        if i > n - 1:
-            continue  # encoders only produce i < n
-        if erasures_left == 0:
-            hit = _feasible_from_word(code, x.astype(np.uint8), i)
-        else:
-            hit = _feasible_from_peel(code, y, i)
-        if hit is not None:
-            feasible.append(hit)
+    # encoders only produce i < n; the known-i peel restarts from the raw
+    # word unless propagation already filled every position
+    idx = np.nonzero(inv[:n])[0]
+    src = x if erasures_left == 0 else y
+    candidates = tuple(
+        (BitWord.from_array(z), int(i))
+        for start in range(0, idx.size, _ENUM_ROWS)
+        for z, i in zip(*_feasible(code, src, idx[start:start + _ENUM_ROWS])))
 
-    if not feasible:
+    if not candidates:
         return BecResult(status=FAILURE, z=None, i=None, candidates=(),
                          residual_set_size=residual, erasures_left=erasures_left,
                          budget_exceeded=False)
-    candidates = tuple((BitWord.from_array(z), i) for z, i in feasible)
-    distinct = {str(cw) for cw, _ in candidates}
-    if len(distinct) == 1:
-        z, i = feasible[0]
-        return BecResult(status=UNIQUE, z=BitWord.from_array(z), i=i,
+    if len({cw for cw, _ in candidates}) == 1:
+        z, i = candidates[0]
+        return BecResult(status=UNIQUE, z=z, i=i,
                          candidates=candidates, residual_set_size=residual,
                          erasures_left=erasures_left, budget_exceeded=False)
     return BecResult(status=AMBIGUOUS, z=None, i=None, candidates=candidates,

@@ -3,7 +3,8 @@
 Subcommands: encode, decode, threshold, sim {ber, wer-bec, wer-bsc,
 inversion-set}, and mlc {rank, unrank, balance, unbalance}.  A JSON config
 file can supply model and code parameters (sigma, code = [n, a, b], ell, c,
-eps, a_const); explicit flags win over the config, which wins over defaults.
+eps, a_const) and the run's trials and seed; any other key is an error.
+Explicit flags win over the config, which wins over defaults.
 """
 
 from __future__ import annotations
@@ -18,13 +19,26 @@ from . import harness, ldpc, mlc, thresholds, words
 from .channel import MEAN_DRIFT, VARIANCE_GROWTH
 
 
+CONFIG_KEYS = frozenset({"sigma", "code", "ell", "c", "eps", "a_const",
+                         "trials", "seed"})
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise SystemExit("config must be a JSON object of key/value pairs")
+        raise ValueError(f"config {path} must be a JSON object of key/value pairs")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"config {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(sorted(CONFIG_KEYS))}")
     return cfg
 
 

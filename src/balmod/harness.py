@@ -231,6 +231,10 @@ class WerBecSpec:
     code_seed: int = 11
     budget: int | None = None   # None: n + 1, complete enumeration
 
+    def __post_init__(self):
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"enumeration budget {self.budget} is negative")
+
 
 def run_wer_bec(spec: WerBecSpec) -> ResultTable:
     """Balanced (inversion-set) versus genie (known index) peeling per block

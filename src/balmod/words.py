@@ -21,7 +21,7 @@ class BitWord:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not {0, 1}.issuperset(self.bits):
             raise ValueError("bits must be 0 or 1")
 
     @classmethod
@@ -30,6 +30,8 @@ class BitWord:
 
     @classmethod
     def from_array(cls, arr) -> "BitWord":
+        if isinstance(arr, np.ndarray) and arr.dtype.kind in "biu":
+            return cls(tuple(arr.astype(np.int64).tolist()))
         return cls(tuple(int(b) for b in arr))
 
     def to_array(self) -> np.ndarray:

@@ -1,12 +1,21 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bec_oracle
 from balmod import bec, channel, ldpc
 from balmod.channel import ERASURE
 from balmod.intervals import IntervalSet
 from balmod.words import BitWord
+
+# small codes for the property tests, built once
+SMALL_CODES = (ldpc.build_gallager(8, 2, 4, seed=2),
+               ldpc.build_gallager(32, 3, 4, seed=11),
+               ldpc.build_gallager(28, 4, 7, seed=1))
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +195,175 @@ class TestInversionSetDecoder:
                 assert np.array_equal(res.z.to_array(), g)
                 agreements += 1
         assert agreements > 50
+
+
+def same_peel(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def received_words(code, seed: int, trials: int):
+    """Channel outputs of balanced codewords at erasure rates 0.2-0.5, and
+    every fourth one replaced by a random non-codeword word with erasures,
+    each with its true index (None for the random words)."""
+    rng = channel.make_rng(seed)
+    for p in (0.2, 0.3, 0.35, 0.4, 0.5):
+        for trial in range(trials):
+            u = rng.integers(0, 2, code.k)
+            x, i_true = ldpc.balanced_encode(code, u)
+            y = channel.apply_bec(x, p, seed=(seed, int(100 * p), trial))
+            if trial % 4 == 3:
+                y = rng.integers(0, 2, code.n).astype(np.int8)
+                y[rng.random(code.n) < p] = ERASURE
+                i_true = None
+            yield y, i_true
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("shape, trials", [
+        pytest.param(shape, trials, id=",".join(map(str, shape[:3])))
+        for shape, trials in (((64, 3, 4, 11), 12), ((128, 3, 4, 11), 8),
+                              ((256, 3, 4, 11), 6), ((280, 4, 7, 1), 6),
+                              ((1024, 3, 4, 11), 4))])
+    def test_decode_and_peel_equal_oracle(self, shape, trials):
+        n, a, b, seed = shape
+        code = ldpc.build_gallager(n, a, b, seed=seed)
+        rng = channel.make_rng(40)
+        statuses = set()
+        for y, i_true in received_words(code, n, trials):
+            for budget in (n + 1, 4):
+                res = bec.bec_decode(code, y, budget=budget)
+                assert res == bec_oracle.bec_decode(code, y, budget=budget)
+                statuses.add((res.status, res.budget_exceeded))
+            for i in {0, n, int(rng.integers(0, n + 1))} | ({i_true} - {None}):
+                assert same_peel(bec.genie_peel(code, y, i),
+                                 bec_oracle.genie_peel(code, y, i))
+        assert {(bec.UNIQUE, False), (bec.FAILURE, False)} <= statuses
+        if n < 1024:
+            assert (bec.AMBIGUOUS, True) in statuses
+
+    def test_chunked_enumeration_equals_oracle(self, bec_code, monkeypatch):
+        # small blocks: residual sets span several chunks of candidates
+        monkeypatch.setattr(bec, "_ENUM_ROWS", 3)
+        spans = 0
+        for y, _ in received_words(bec_code, 41, 8):
+            res = bec.bec_decode(bec_code, y, budget=bec_code.n + 1)
+            assert res == bec_oracle.bec_decode(bec_code, y, budget=bec_code.n + 1)
+            spans += res.residual_set_size > 3 and res.status != bec.FAILURE
+        assert spans > 0
+
+    def test_fully_observed_words(self, bec_code):
+        # propagation fills every position: candidates come from the word itself
+        rng = channel.make_rng(42)
+        for trial in range(20):
+            u = rng.integers(0, 2, bec_code.k)
+            x, _ = ldpc.balanced_encode(bec_code, u)
+            y = x.to_array().astype(np.int8)
+            if trial % 2:
+                y[rng.integers(0, bec_code.n, 2)] ^= 1
+            res = bec.bec_decode(bec_code, y, budget=bec_code.n + 1)
+            assert res == bec_oracle.bec_decode(bec_code, y, budget=bec_code.n + 1)
+            assert res.erasures_left == 0
+
+
+class TestFlipParityTable:
+    @pytest.mark.parametrize("shape", [(64, 3, 4, 11), (28, 4, 7, 1)])
+    def test_rows_are_interval_classes(self, shape):
+        n, a, b, seed = shape
+        code = ldpc.build_gallager(n, a, b, seed=seed)
+        table = bec._flip_parity(code)
+        assert table.shape == (code.r, n + 1) and table.dtype == bool
+        for c, nbrs in enumerate(code.check_nbrs):
+            even = bec.check_interval_sets(nbrs, np.zeros(b, dtype=np.int8), n)
+            odd = bec.check_interval_sets(nbrs, np.eye(1, b, dtype=np.int8)[0], n)
+            assert set(np.nonzero(~table[c])[0]) == set(even.values())
+            assert set(np.nonzero(table[c])[0]) == set(odd.values())
+
+    def test_tables_never_shared(self, tmp_path):
+        code = ldpc.build_gallager(64, 3, 4, seed=11)
+        other = ldpc.build_gallager(64, 3, 4, seed=12)
+        copy = dataclasses.replace(code)
+        ldpc.save_code(code, tmp_path / "code.mtx")
+        loaded = ldpc.load_code(tmp_path / "code.mtx")
+        codes = (code, other, copy, loaded)
+        y = np.zeros(64, dtype=np.int8)
+        for c in codes:
+            bec.bec_decode(c, y, budget=4)
+        tables = [c._plans["flip_parity"] for c in codes]
+        assert len({id(t) for t in tables}) == len(codes)
+        assert not np.array_equal(tables[0], tables[1])
+        assert np.array_equal(tables[0], tables[2])
+        assert np.array_equal(tables[0], tables[3])
+        bec.bec_decode(code, y, budget=4)
+        assert code._plans["flip_parity"] is tables[0]
+
+
+class TestInputValidation:
+    def test_genie_peel_rejects_short_word(self, bec_code):
+        with pytest.raises(ValueError, match="shape"):
+            bec.genie_peel(bec_code, np.zeros(bec_code.n - 1, dtype=np.int8), 0)
+
+    @pytest.mark.parametrize("bad", [2, -2, 0.5])
+    def test_genie_peel_rejects_bad_entry(self, bec_code, bad):
+        y = np.zeros(bec_code.n)
+        y[5] = bad
+        with pytest.raises(ValueError, match="entries"):
+            bec.genie_peel(bec_code, y, 0)
+
+    @pytest.mark.parametrize("i", [-1, 65, 500])
+    def test_genie_peel_rejects_index_out_of_range(self, bec_code, i):
+        with pytest.raises(ValueError, match="index"):
+            bec.genie_peel(bec_code, np.zeros(bec_code.n, dtype=np.int8), i)
+
+    def test_genie_peel_accepts_both_ends(self, bec_code):
+        y = np.zeros(bec_code.n, dtype=np.int8)
+        assert np.array_equal(bec.genie_peel(bec_code, y, 0), y)
+        assert bec.genie_peel(bec_code, y, bec_code.n) is not None
+
+    @pytest.mark.parametrize("bad", [2, -2, 0.5])
+    def test_decode_rejects_bad_entry_anywhere(self, bec_code, bad):
+        # an all-erased word has no fully observed check to trip over it
+        y = np.full(bec_code.n, ERASURE, dtype=np.float64)
+        y[7] = bad
+        with pytest.raises(ValueError, match="entries"):
+            bec.bec_decode(bec_code, y)
+
+    def test_decode_rejects_wrong_length(self, bec_code):
+        with pytest.raises(ValueError, match="shape"):
+            bec.bec_decode(bec_code, np.zeros(bec_code.n + 1, dtype=np.int8))
+
+    def test_decode_rejects_negative_budget(self, bec_code):
+        with pytest.raises(ValueError, match="budget"):
+            bec.bec_decode(bec_code, np.zeros(bec_code.n, dtype=np.int8), budget=-3)
+        assert bec.bec_decode(bec_code, np.zeros(bec_code.n, dtype=np.int8),
+                              budget=0).budget_exceeded
+
+
+class TestProperties:
+    @given(st.sampled_from(SMALL_CODES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_unique_equals_genie_peel(self, code, data):
+        u = data.draw(st.lists(st.integers(0, 1), min_size=code.k, max_size=code.k))
+        erased = data.draw(st.lists(st.booleans(), min_size=code.n, max_size=code.n))
+        x, i_true = ldpc.balanced_encode(code, np.array(u))
+        y = x.to_array().astype(np.int8)
+        y[np.array(erased)] = ERASURE
+        g = bec.genie_peel(code, y, i_true)
+        res = bec.bec_decode(code, y, budget=code.n + 1)
+        assert res == bec_oracle.bec_decode(code, y, budget=code.n + 1)
+        if g is not None and res.status == bec.UNIQUE:
+            assert np.array_equal(res.z.to_array(), g)
+            assert res.i == i_true
+
+    @given(st.sampled_from(SMALL_CODES), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_decode_equals_oracle_on_any_word(self, code, data):
+        y = np.array(data.draw(st.lists(st.sampled_from((0, 1, ERASURE)),
+                                        min_size=code.n, max_size=code.n)),
+                     dtype=np.int8)
+        budget = data.draw(st.integers(0, code.n + 1))
+        assert (bec.bec_decode(code, y, budget=budget)
+                == bec_oracle.bec_decode(code, y, budget=budget))
+        i = data.draw(st.integers(0, code.n))
+        assert same_peel(bec.genie_peel(code, y, i), bec_oracle.genie_peel(code, y, i))

@@ -97,3 +97,56 @@ class TestErrors:
         assert err.startswith("balmod: error: ") and "even" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_bec_budget(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sim", "wer-bec", "--budget", "-3", "--trials", "3", "--out", "x.csv"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("balmod: error: ") and "budget -3" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestConfigErrors:
+    def sim(self, config: str) -> list[str]:
+        return ["sim", "ber", "--t-grid", "0.1", "--cells", "100",
+                "--config", config, "--out", "x.csv"]
+
+    def error_of(self, capsys, argv) -> str:
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("balmod: error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("text, expect", [
+        (json.dumps({"trails": 3}), "unknown key(s) 'trails'"),
+        (json.dumps({"seed": 3, "sigma": 0.1, "zz": 1, "aa": 2}), "'aa', 'zz'"),
+        (json.dumps([["seed", 3]]), "JSON object"),
+        (json.dumps(3), "JSON object"),
+        ("{seed: 3", "not valid JSON"),
+    ])
+    def test_bad_config(self, capsys, tmp_path, monkeypatch, text, expect):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(text)
+        assert expect in self.error_of(capsys, self.sim("cfg.json"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_missing_config(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        err = self.error_of(capsys, self.sim("nope.json"))
+        assert "cannot read config nope.json" in err
+
+    def test_unreadable_config(self, capsys, tmp_path, monkeypatch):
+        # a directory cannot be read as a file, even by root
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").mkdir()
+        assert "cannot read config cfg.json" in self.error_of(capsys, self.sim("cfg.json"))
+
+    def test_every_known_key_accepted(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"sigma": 0.2, "code": [28, 4, 7], "ell": 2, "c": 4, "eps": 1e-9,
+             "a_const": 0.0, "trials": 1, "seed": 5}))
+        run(capsys, *self.sim("cfg.json"))
+        assert (tmp_path / "x.csv").exists()

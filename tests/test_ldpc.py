@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from balmod import channel, ldpc
-from balmod.words import BitWord
+from balmod.words import BitWord, find_balancing_index
 from score_oracle import _score_full, lambda_scores_scratch
 
 
@@ -59,6 +59,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ldpc.syndrome(full_scale_code, w[:-1])
 
+    def test_syndrome_of_rows(self, full_scale_code):
+        words = channel.make_rng(33).integers(0, 2, (6, full_scale_code.n)).astype(np.uint8)
+        syn = ldpc.syndrome(full_scale_code, words)
+        assert syn.shape == (6, full_scale_code.r)
+        for w, s in zip(words, syn):
+            assert np.array_equal(s, ldpc.syndrome(full_scale_code, w))
+        with pytest.raises(ValueError):
+            ldpc.syndrome(full_scale_code, words[None])
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ldpc.build_gallager(27, 2, 7, seed=1)
@@ -97,6 +106,16 @@ class TestBalancedEncode:
 
     def test_all_ones_word_inverts_half(self):
         assert ldpc._balancing_index_arr(np.ones(20, dtype=np.uint8)) == 10
+
+    def test_balancing_index_of_rows(self):
+        rng = channel.make_rng(34)
+        for n in (2, 10, 64):
+            words = rng.integers(0, 2, (40, n)).astype(np.uint8)
+            expect = [find_balancing_index(BitWord.from_array(w)) for w in words]
+            assert ldpc._balancing_index_arr(words).tolist() == expect
+            assert [ldpc._balancing_index_arr(w) for w in words] == expect
+        with pytest.raises(ValueError):
+            ldpc._balancing_index_arr(np.ones(7, dtype=np.uint8))
 
 
 class TestBeliefPropagation:
@@ -172,10 +191,10 @@ class TestShiftScores:
             for code in (mid_code, other):
                 ref = lambda_scores_scratch(code, llr, depth)
                 assert np.array_equal(ldpc.lambda_scores(code, llr, depth), ref)
-        plans = [code._score_plans[depth] for code in (mid_code, other) for depth in (1, 2, 3)]
+        plans = [code._plans["score", depth] for code in (mid_code, other) for depth in (1, 2, 3)]
         assert len({id(plan) for plan in plans}) == len(plans)
         ldpc.lambda_scores(mid_code, llr, 2)
-        assert mid_code._score_plans[2] is plans[1]
+        assert mid_code._plans["score", 2] is plans[1]
 
     def test_depth_one_closed_form(self, mid_code):
         rng = channel.make_rng(18)

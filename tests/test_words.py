@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,25 @@ def brute_force_balancing_index(w: BitWord) -> int:
         if sum(flipped) == n // 2:
             return i
     raise AssertionError("no balancing index")
+
+
+class TestFromArray:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, bool])
+    def test_integer_arrays_give_python_ints(self, dtype):
+        w = BitWord.from_array(np.array([1, 0, 1, 1], dtype=dtype))
+        assert w.bits == (1, 0, 1, 1)
+        assert all(type(b) is int for b in w.bits)
+        assert str(w) == "1011"
+
+    def test_lists_and_float_arrays(self):
+        assert BitWord.from_array([0, 1]).bits == (0, 1)
+        assert BitWord.from_array(np.array([1.0, 0.0])).bits == (1, 0)
+
+    @pytest.mark.parametrize("arr", [np.array([0, 2], dtype=np.uint8),
+                                     np.array([-1, 0], dtype=np.int8), [1, 3]])
+    def test_non_bits_rejected(self, arr):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitWord.from_array(arr)
 
 
 class TestWeight:
