@@ -4,6 +4,13 @@ A block of n cells is read against a threshold v: cell i gives 1 iff its
 level is >= v.  The balancing threshold picks v so the read word has weight
 n/2; relaxed variants trade exactness for speed; the optimal threshold is a
 simulation-only genie that knows the stored word.
+
+The realizable cuts of a block (below the minimum, between each pair of
+distinct consecutive sorted levels, above the maximum) come from one array
+scan, `_cuts`.  The genie takes the first cut with the fewest errors and the
+tie fallback of exact balancing the first cut closest to weight n/2, each by
+one `argmin` over that scan; cuts are in ascending threshold order, so the
+first minimum is the lowest threshold.
 """
 
 from __future__ import annotations
@@ -70,35 +77,36 @@ def balancing_threshold_exact(c) -> BalancingThreshold:
     n = levels.size
     if n % 2:
         raise ValueError("exact balancing requires an even number of cells")
+    if n == 0:
+        raise ValueError("need at least one cell")
     k = n // 2
-    desc = np.sort(levels)[::-1]
-    v = 0.5 * (desc[k - 1] + desc[k])
+    asc = np.sort(levels)
+    v = 0.5 * (asc[k] + asc[k - 1])
     if int(np.sum(levels >= v)) == k:
         return BalancingThreshold(value=float(v), exact=True)
     # Midpoint failed: either tied values straddle the boundary, or the two
     # neighbors are adjacent floats and the midpoint rounded onto one of them.
-    if desc[k - 1] > desc[k]:
-        return BalancingThreshold(value=float(desc[k - 1]), exact=True)
-    best_v, best_gap = None, None
-    for v_cand, wt in _cut_candidates(levels):
-        gap = abs(wt - k)
-        if best_gap is None or gap < best_gap:
-            best_v, best_gap = v_cand, gap
-    return BalancingThreshold(value=float(best_v), exact=False)
+    if asc[k] > asc[k - 1]:
+        return BalancingThreshold(value=float(asc[k]), exact=True)
+    values, j = _cuts(asc)
+    # a cut at position j has weight n - j, so its gap to k is |k - j|
+    return BalancingThreshold(value=float(values[np.argmin(np.abs(k - j))]),
+                              exact=False)
 
 
-def _cut_candidates(levels: np.ndarray):
-    """All realizable (threshold, weight) cuts in ascending threshold order."""
-    asc = np.sort(levels)
+def _cuts(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All realizable cuts of the ascending levels, in ascending threshold
+    order: the threshold of each and its position j (the j smallest cells
+    read 0, so the read weight is n - j)."""
     n = asc.size
-    yield float(asc[0] - 1.0), n
-    for j in range(1, n):
-        if asc[j - 1] < asc[j]:
-            v = 0.5 * (asc[j - 1] + asc[j])
-            if v <= asc[j - 1]:
-                v = asc[j]  # adjacent floats: the upper value realizes the cut
-            yield float(v), n - j
-    yield float(asc[-1] + 1.0), 0
+    j = np.flatnonzero(asc[:-1] < asc[1:]) + 1
+    lower, upper = asc[j - 1], asc[j]
+    mid = 0.5 * (lower + upper)
+    # adjacent floats: the midpoint rounds onto the lower value, and the
+    # upper value realizes the cut
+    mid = np.where(mid <= lower, upper, mid)
+    values = np.concatenate(([asc[0] - 1.0], mid, [asc[-1] + 1.0]))
+    return values, np.concatenate(([0], j, [n]))
 
 
 def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:
@@ -146,21 +154,19 @@ def optimal_threshold_oracle(c, x: BitWord) -> tuple[float, ErrorCounts]:
     levels = _as_levels(c)
     if len(x) != levels.size:
         raise ValueError("stored word and levels must have equal length")
-    order = np.argsort(levels, kind="stable")
-    truth = x.to_array()[order]
     n = levels.size
+    if n == 0:
+        raise ValueError("need at least one cell")
+    # The order within tied levels is arbitrary: ones_below is read only at
+    # cuts between distinct levels.
+    truth = x.to_array()[np.argsort(levels)]
     total_ones = int(truth.sum())
     # cut j: the j smallest cells read 0, the rest read 1
-    ones_below = np.concatenate(([0], np.cumsum(truth)))
-    ne_by_cut = 2 * ones_below - np.arange(n + 1) + (n - total_ones)
-
-    best_v, best_counts = None, None
-    cut_iter = _cut_candidates(levels)
-    for v_cand, wt in cut_iter:
-        j = n - wt
-        ne = int(ne_by_cut[j])
-        if best_counts is None or ne < best_counts.total:
-            n10 = int(ones_below[j])
-            n01 = (n - j) - (total_ones - n10)
-            best_v, best_counts = v_cand, ErrorCounts(n10=n10, n01=int(n01))
-    return best_v, best_counts
+    ones_below = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(truth, out=ones_below[1:])
+    values, j = _cuts(np.sort(levels))
+    ne = 2 * ones_below[j] - j + (n - total_ones)
+    best = int(np.argmin(ne))
+    n10 = int(ones_below[j[best]])
+    n01 = (n - int(j[best])) - (total_ones - n10)
+    return float(values[best]), ErrorCounts(n10=n10, n01=n01)

@@ -16,13 +16,27 @@ from . import mlc
 
 @dataclass(frozen=True)
 class BitWord:
-    """Immutable fixed-length binary word."""
+    """Immutable fixed-length binary word.
+
+    `bits` always holds the Python ints 0 and 1.  Integer-like entries (bools,
+    NumPy integers) are normalised to them; any other entry, a float included,
+    raises ValueError.  `from_array` also takes float arrays whose entries are
+    exactly 0 or 1.
+    """
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if not {0, 1}.issuperset(self.bits):
+        # bytes() takes only integer-like entries in 0..255, and tuple(bytes)
+        # gives Python ints; tuple() first, so that a bare int raises instead
+        # of becoming that many zero bytes
+        try:
+            raw = bytes(tuple(self.bits))
+        except (TypeError, ValueError):
+            raise ValueError("bits must be 0 or 1") from None
+        if raw.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
+        object.__setattr__(self, "bits", tuple(raw))
 
     @classmethod
     def from_string(cls, s: str) -> "BitWord":
@@ -30,12 +44,19 @@ class BitWord:
 
     @classmethod
     def from_array(cls, arr) -> "BitWord":
-        if isinstance(arr, np.ndarray) and arr.dtype.kind in "biu":
-            return cls(tuple(arr.astype(np.int64).tolist()))
-        return cls(tuple(int(b) for b in arr))
+        a = np.asarray(arr)
+        if a.ndim != 1:
+            raise ValueError("a word must be one-dimensional")
+        if a.dtype.kind == "f":
+            # checked before the cast, which would truncate 0.5 to 0
+            if not np.all((a == 0) | (a == 1)):
+                raise ValueError("bits must be 0 or 1")
+            a = a.astype(np.uint8)
+        return cls(tuple(a.tolist()))
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
+        """A fresh, writable uint8 copy of the bits."""
+        return np.frombuffer(bytearray(self.bits), dtype=np.uint8)
 
     @property
     def n(self) -> int:

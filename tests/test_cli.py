@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from balmod import cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv) -> str:
@@ -56,6 +59,15 @@ class TestSimCommands:
             "--seed", "3", "--out", str(out_path))
         text = out_path.read_text()
         assert text.splitlines()[2] == "x,strategy,metric,value,stderr,trials,seed"
+
+    def test_ber_fixed_seed_golden(self, capsys, tmp_path):
+        # the fixed-seed CSV is the behaviour contract: a change to the
+        # threshold code must reproduce these bytes
+        golden = GOLDEN / "sim_ber_cells2000_trials2_seed4.csv"
+        out_path = tmp_path / "ber.csv"
+        run(capsys, "sim", "ber", "--cells", "2000", "--trials", "2",
+            "--seed", "4", "--out", str(out_path))
+        assert out_path.read_bytes() == golden.read_bytes()
 
     def test_svg_output(self, capsys, tmp_path):
         out_path = tmp_path / "ber.svg"

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import threshold_oracle
 from balmod.channel import make_rng
 from balmod.thresholds import (balancing_threshold_bisect,
                                balancing_threshold_exact, error_counts,
@@ -18,8 +21,61 @@ distinct_levels = st.lists(
     unique=True).filter(lambda xs: len(xs) % 2 == 0)
 
 
+# levels on a coarse grid with many ties, or distinct values with some
+# entries duplicated; odd draws are padded with a copy of the first level
+tied_levels = st.one_of(
+    st.lists(st.integers(-3, 3).map(lambda k: k / 2.0), min_size=1, max_size=16),
+    st.lists(st.integers(-2000, 3000).map(lambda k: k / 1000.0), min_size=1,
+             max_size=10).map(lambda xs: xs + xs[:len(xs) // 2 + 1]),
+).map(lambda xs: xs if len(xs) % 2 == 0 else xs + xs[:1])
+
+
 def bw(s: str) -> BitWord:
     return BitWord.from_string(s)
+
+
+def assert_same_float(got, want):
+    assert type(got) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def oracle_family(name: str, rng) -> np.ndarray:
+    """One block of levels from a family the cut scans must handle."""
+    n = 2 * int(rng.integers(1, 33))
+    if name == "gaussian":
+        return rng.normal(0.5, 0.2, n)
+    if name == "grid4":
+        return rng.integers(0, 4, n) / 3.0
+    if name == "adjacent":
+        base = rng.normal(0.0, 1.0, n // 2)
+        pairs = np.concatenate([base, np.nextafter(base, np.inf)])
+        return rng.permutation(pairs)
+    if name == "specials":
+        return rng.choice(np.array([0.0, -0.0, 1e-300, 5e-324, 0.5]), n)
+    if name == "n2":
+        return rng.choice(np.array([0.0, -0.0, 5e-324, 0.3, 0.7]), 2)
+    if name == "all_equal":
+        return np.full(n, rng.choice(np.array([-0.0, 0.0, 0.25, -3.5])))
+    if name == "straddle":
+        # a tie block covering sorted positions n/2 - 1 and n/2
+        levels = np.sort(rng.normal(0.5, 0.2, n))
+        lo = int(rng.integers(0, n // 2))
+        hi = int(rng.integers(n // 2, n))
+        levels[lo:hi + 1] = levels[lo]
+        return rng.permutation(levels)
+    raise AssertionError(name)
+
+
+ORACLE_FAMILIES = ("gaussian", "grid4", "adjacent", "specials", "n2",
+                   "all_equal", "straddle")
+
+
+def brute_force_min_gap(levels) -> int:
+    # every threshold reads like the smallest level at or above it, or like
+    # one above the maximum: weight 0
+    n = len(levels)
+    weights = [sum(lv >= u for lv in levels) for u in set(levels)] + [0]
+    return min(abs(w - n // 2) for w in weights)
 
 
 class TestRead:
@@ -79,6 +135,21 @@ class TestBalancingExact:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             balancing_threshold_exact([0.1, 0.2, 0.3])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            balancing_threshold_exact([])
+
+    @given(tied_levels)
+    @settings(max_examples=300)
+    def test_matches_brute_force_cut_scan(self, levels):
+        # |weight - n/2| at the returned threshold is the least any realizable
+        # cut gives, and exact holds exactly when that least gap is 0
+        res = balancing_threshold_exact(levels)
+        gap = abs(read_with_threshold(levels, res.value).weight - len(levels) // 2)
+        best = brute_force_min_gap(levels)
+        assert gap == best
+        assert res.exact == (best == 0)
 
     @given(distinct_levels)
     def test_exact_whenever_levels_distinct(self, levels):
@@ -167,6 +238,10 @@ class TestOptimalOracle:
         with pytest.raises(ValueError):
             optimal_threshold_oracle([0.1, 0.2, 0.3], bw("10"))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            optimal_threshold_oracle([], BitWord(()))
+
     @given(distinct_levels, st.data())
     @settings(max_examples=80)
     def test_beats_every_cut(self, levels, data):
@@ -196,3 +271,33 @@ class TestOptimalOracle:
             ne_b = error_counts(x, read_with_threshold(levels, res.value)).total
             _, ec_o = optimal_threshold_oracle(levels, x)
             assert ne_b <= 2 * ec_o.total
+
+
+class TestMatchesLoopOracle:
+    """The array cut scans equal the loop versions in tests/threshold_oracle.py:
+    same float and sign bit, same ErrorCounts, same exact flag."""
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_optimal_threshold(self, family):
+        rng = make_rng((41, ORACLE_FAMILIES.index(family)))
+        for _ in range(150):
+            levels = oracle_family(family, rng)
+            x = BitWord.from_array(rng.integers(0, 2, levels.size))
+            v, counts = optimal_threshold_oracle(levels, x)
+            v_ref, counts_ref = threshold_oracle.optimal_threshold_oracle(levels, x)
+            assert_same_float(v, v_ref)
+            assert counts == counts_ref
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_balancing_threshold_exact(self, family):
+        rng = make_rng((42, ORACLE_FAMILIES.index(family)))
+        fallbacks = 0
+        for _ in range(150):
+            levels = oracle_family(family, rng)
+            res = balancing_threshold_exact(levels)
+            ref = threshold_oracle.balancing_threshold_exact(levels)
+            assert_same_float(res.value, ref.value)
+            assert res.exact == ref.exact
+            fallbacks += not ref.exact
+        if family in ("straddle", "all_equal"):
+            assert fallbacks == 150

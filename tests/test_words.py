@@ -39,10 +39,49 @@ class TestFromArray:
         assert BitWord.from_array(np.array([1.0, 0.0])).bits == (1, 0)
 
     @pytest.mark.parametrize("arr", [np.array([0, 2], dtype=np.uint8),
-                                     np.array([-1, 0], dtype=np.int8), [1, 3]])
+                                     np.array([-1, 0], dtype=np.int8), [1, 3],
+                                     np.array([0.5, 1.7]), np.array([1.0, np.nan]),
+                                     np.array([256, 1]), [0, 1.5], ["1", "0"]])
     def test_non_bits_rejected(self, arr):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             BitWord.from_array(arr)
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            BitWord.from_array(np.array([[0, 1], [1, 0]]))
+
+    def test_subclass_checks_apply(self):
+        assert type(BalancedWord.from_array(np.array([1, 0]))) is BalancedWord
+        with pytest.raises(ValueError, match="not balanced"):
+            BalancedWord.from_array(np.array([1, 1]))
+
+
+class TestBitWordEntries:
+    def test_bools_normalised_to_ints(self):
+        w = BitWord((True, False))
+        assert str(w) == "10"
+        assert w.bits == (1, 0)
+        assert all(type(b) is int for b in w.bits)
+        assert w == BitWord((1, 0)) and hash(w) == hash(BitWord((1, 0)))
+
+    def test_numpy_integers_normalised(self):
+        w = BitWord((np.uint8(1), np.int64(0)))
+        assert all(type(b) is int for b in w.bits)
+        assert str(w) == "10"
+
+    @pytest.mark.parametrize("bits", [(1.0, 0.0), (0.5,), ("1", "0"), (2,),
+                                      (-1,), (1, None), 5])
+    def test_non_int_entries_rejected(self, bits):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitWord(bits)
+
+    def test_to_array_is_a_fresh_writable_copy(self):
+        w = bw("1011")
+        a = w.to_array()
+        assert a.dtype == np.uint8 and a.flags.writeable
+        a[0] = 0
+        assert str(w) == "1011"
+        assert w.to_array().tolist() == [1, 0, 1, 1]
 
 
 class TestWeight:
