@@ -27,14 +27,17 @@ import numpy as np
 
 from .channel import ERASURE
 from .intervals import IntervalSet
-from .ldpc import LdpcCode, _balancing_index_arr, syndrome
-from .words import BitWord
+from .ldpc import LdpcCode, syndrome
+from .words import BitWord, find_balancing_index
 
 UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
 FAILURE = "failure"
 
 _ENUM_ROWS = 256    # candidate words peeled and tested together
+
+# the benchmark (perfbench/) traces the balancing index under this name too
+_balancing_index_arr = find_balancing_index
 
 
 def check_interval_sets(positions, values, n: int) -> IntervalSet:
@@ -139,7 +142,7 @@ def _feasible(code: LdpcCode, src: np.ndarray, idx: np.ndarray) -> tuple[np.ndar
     stored = _prefix_flipped(z, idx)
     ok = 2 * stored.sum(axis=1) == code.n
     ok[ok] = ~syndrome(code, z[ok]).any(axis=1)
-    ok[ok] = _balancing_index_arr(z[ok]) == idx[ok]
+    ok[ok] = find_balancing_index(z[ok]) == idx[ok]
     return z[ok], idx[ok]
 
 
@@ -185,34 +188,20 @@ def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
 
     residual = int(inv.sum())
     erasures_left = int((x == ERASURE).sum())
-
-    if residual == 0:
-        return BecResult(status=FAILURE, z=None, i=None, candidates=(),
-                         residual_set_size=residual, erasures_left=erasures_left,
-                         budget_exceeded=False)
-    if residual > budget:
-        return BecResult(status=AMBIGUOUS, z=None, i=None, candidates=(),
-                         residual_set_size=residual, erasures_left=erasures_left,
-                         budget_exceeded=True)
-
-    # encoders only produce i < n; the known-i peel restarts from the raw
-    # word unless propagation already filled every position
-    idx = np.nonzero(inv[:n])[0]
-    src = x if erasures_left == 0 else y
-    candidates = tuple(
-        (BitWord.from_array(z), int(i))
-        for start in range(0, idx.size, _ENUM_ROWS)
-        for z, i in zip(*_feasible(code, src, idx[start:start + _ENUM_ROWS])))
-
-    if not candidates:
-        return BecResult(status=FAILURE, z=None, i=None, candidates=(),
-                         residual_set_size=residual, erasures_left=erasures_left,
-                         budget_exceeded=False)
-    if len({cw for cw, _ in candidates}) == 1:
-        z, i = candidates[0]
-        return BecResult(status=UNIQUE, z=z, i=i,
-                         candidates=candidates, residual_set_size=residual,
-                         erasures_left=erasures_left, budget_exceeded=False)
-    return BecResult(status=AMBIGUOUS, z=None, i=None, candidates=candidates,
+    candidates = ()
+    if 0 < residual <= budget:
+        # encoders only produce i < n; the known-i peel restarts from the raw
+        # word unless propagation already filled every position
+        idx = np.nonzero(inv[:n])[0]
+        src = x if erasures_left == 0 else y
+        candidates = tuple(
+            (BitWord.from_array(z), int(i))
+            for start in range(0, idx.size, _ENUM_ROWS)
+            for z, i in zip(*_feasible(code, src, idx[start:start + _ENUM_ROWS])))
+    distinct = len({cw for cw, _ in candidates})
+    status = (AMBIGUOUS if residual > budget or distinct > 1
+              else UNIQUE if distinct else FAILURE)
+    z, i = candidates[0] if status == UNIQUE else (None, None)
+    return BecResult(status=status, z=z, i=i, candidates=candidates,
                      residual_set_size=residual, erasures_left=erasures_left,
-                     budget_exceeded=False)
+                     budget_exceeded=residual > budget)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bec, channel, ldpc, thresholds
-from .words import BitWord
+from .words import BitWord, find_balancing_index
 
 CSV_COLUMNS = ("x", "strategy", "metric", "value", "stderr", "trials", "seed")
 
@@ -45,11 +45,14 @@ class ResultTable:
                 and (metric is None or r.metric == metric)]
 
 
-def _spec_comments(kind: str, spec) -> list[str]:
+def _new_table(kind: str, spec) -> ResultTable:
+    """Empty table headed by the spec; every runner rejects trials < 1 here."""
+    if spec.trials < 1:
+        raise ValueError(f"need at least one trial, got trials={spec.trials}")
     parts = [f"kind={kind}"]
     for f in dataclasses.fields(spec):
         parts.append(f"{f.name}={getattr(spec, f.name)!r}".replace(" ", ""))
-    return ["balmod result v1", " ".join(parts)]
+    return ResultTable(spec_comments=["balmod result v1", " ".join(parts)])
 
 
 def emit_csv(table: ResultTable, path) -> None:
@@ -174,10 +177,8 @@ class BerCurveSpec:
 def run_ber_curve(spec: BerCurveSpec) -> ResultTable:
     """Empirical BER of each threshold strategy per age t, with the model's
     closed-form error rates as overlay rows (trials = 0)."""
-    if spec.trials < 1:
-        raise ValueError("need at least one trial")
+    table = _new_table("ber-curve", spec)
     model = channel.DriftModel(spec.model, spec.sigma)
-    table = ResultTable(spec_comments=_spec_comments("ber-curve", spec))
     half = spec.cells // 2
     strategies = ("fixed", "balancing", "optimal", "mean", "second_order")
     for t_idx, t in enumerate(spec.t_grid):
@@ -236,27 +237,38 @@ class WerBecSpec:
             raise ValueError(f"enumeration budget {self.budget} is negative")
 
 
+def _bec_trials(code: ldpc.LdpcCode, p: float, budget: int, point: tuple, trials: int):
+    """Trial t of a point, lineage (*point, t): a random message balanced-encoded,
+    erased with probability p and decoded; yields (x, i, received y, BecResult)."""
+    for trial in range(trials):
+        u = channel.make_rng((*point, trial)).integers(0, 2, code.k)
+        x, i_true = ldpc.balanced_encode(code, u)
+        y = channel.apply_bec(x, p, seed=(*point, trial, 1))
+        yield x, i_true, y, bec.bec_decode(code, y, budget=budget)
+
+
+def _add_mean_residual(table: ResultTable, x: float, strategy: str, residuals, spec) -> None:
+    table.add(x=x, strategy=strategy, metric="mean_inversion_set",
+              value=float(np.mean(residuals)),
+              stderr=float(np.std(residuals) / np.sqrt(spec.trials)),
+              trials=spec.trials, seed=spec.seed)
+
+
 def run_wer_bec(spec: WerBecSpec) -> ResultTable:
     """Balanced (inversion-set) versus genie (known index) peeling per block
     length, plus the mean residual inversion-set size when propagation stops."""
-    table = ResultTable(spec_comments=_spec_comments("wer-bec", spec))
+    table = _new_table("wer-bec", spec)
     for n_idx, n in enumerate(spec.block_lengths):
         code = ldpc.build_gallager(n, spec.col_weight, spec.row_weight, spec.code_seed)
         budget = spec.budget if spec.budget is not None else n + 1
         genie_ok = unique_ok = unique_returned = 0
         residuals = []
-        for trial in range(spec.trials):
-            rng = channel.make_rng((spec.seed, n_idx, trial))
-            u = rng.integers(0, 2, code.k)
-            x, i_true = ldpc.balanced_encode(code, u)
-            z_true = x.to_array().copy()
+        for x, i_true, y, res in _bec_trials(code, spec.erasure_p, budget,
+                                             (spec.seed, n_idx), spec.trials):
+            z_true = x.to_array()
             z_true[:i_true] ^= 1
-            y = channel.apply_bec(x, spec.erasure_p, seed=(spec.seed, n_idx, trial, 1))
-
             g = bec.genie_peel(code, y, i_true)
             genie_ok += int(g is not None and np.array_equal(g, z_true))
-
-            res = bec.bec_decode(code, y, budget=budget)
             residuals.append(res.residual_set_size)
             if res.status == bec.UNIQUE:
                 unique_returned += 1
@@ -271,10 +283,7 @@ def run_wer_bec(spec: WerBecSpec) -> ResultTable:
             table.add(x=float(n), strategy=strategy, metric=metric, value=value,
                       stderr=_binom_stderr(value, spec.trials),
                       trials=spec.trials, seed=spec.seed)
-        table.add(x=float(n), strategy="balanced", metric="mean_inversion_set",
-                  value=float(np.mean(residuals)),
-                  stderr=float(np.std(residuals) / np.sqrt(spec.trials)),
-                  trials=spec.trials, seed=spec.seed)
+        _add_mean_residual(table, float(n), "balanced", residuals, spec)
     return table
 
 
@@ -301,7 +310,7 @@ def run_wer_bsc(spec: WerBscSpec) -> ResultTable:
     """Paired word error rates on one BSC noise stream per trial: plain BP on
     the unbalanced codeword, score-guided balanced decoding, and optionally
     the exhaustive all-shifts decoder."""
-    table = ResultTable(spec_comments=_spec_comments("wer-bsc", spec))
+    table = _new_table("wer-bsc", spec)
     code = ldpc.build_gallager(spec.n, spec.col_weight, spec.row_weight, spec.code_seed)
     for p_idx, p in enumerate(spec.p_grid):
         unbal_err = bal_err = exh_err = 0
@@ -309,7 +318,7 @@ def run_wer_bsc(spec: WerBscSpec) -> ResultTable:
             rng = channel.make_rng((spec.seed, p_idx, trial))
             u = rng.integers(0, 2, code.k)
             z = ldpc.encode(code, u).to_array()
-            i_true = ldpc._balancing_index_arr(z)
+            i_true = find_balancing_index(z)
             x = z.copy()
             x[:i_true] ^= 1
             noise = (channel.make_rng((spec.seed, p_idx, trial, 1)).random(code.n)
@@ -360,20 +369,11 @@ class InversionSetSpec:
 
 def run_inversion_set(spec: InversionSetSpec) -> ResultTable:
     """Mean residual inversion-set size after propagation, per erasure rate."""
-    table = ResultTable(spec_comments=_spec_comments("inversion-set", spec))
+    table = _new_table("inversion-set", spec)
     for n_idx, n in enumerate(spec.block_lengths):
         code = ldpc.build_gallager(n, spec.col_weight, spec.row_weight, spec.code_seed)
         for p_idx, p in enumerate(spec.p_grid):
-            residuals = []
-            for trial in range(spec.trials):
-                rng = channel.make_rng((spec.seed, n_idx, p_idx, trial))
-                u = rng.integers(0, 2, code.k)
-                x, _ = ldpc.balanced_encode(code, u)
-                y = channel.apply_bec(x, p, seed=(spec.seed, n_idx, p_idx, trial, 1))
-                res = bec.bec_decode(code, y, budget=n + 1)
-                residuals.append(res.residual_set_size)
-            table.add(x=p, strategy=f"n{n}", metric="mean_inversion_set",
-                      value=float(np.mean(residuals)),
-                      stderr=float(np.std(residuals) / np.sqrt(spec.trials)),
-                      trials=spec.trials, seed=spec.seed)
+            residuals = [res.residual_set_size for *_, res in _bec_trials(
+                code, p, n + 1, (spec.seed, n_idx, p_idx), spec.trials)]
+            _add_mean_residual(table, p, f"n{n}", residuals, spec)
     return table

@@ -23,10 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import make_rng
-from .words import BalancedWord, BitWord
+from .words import BalancedWord, BitWord, find_balancing_index
 
 LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
+_MAX_DRAWS = 32     # Gallager draws tried before giving up on a seed
+
+# the benchmark (perfbench/) calls and traces the balancing index by this name
+_balancing_index_arr = find_balancing_index
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +128,11 @@ def _assemble(H: np.ndarray, a: int, b: int, seed: int, seed_used: int) -> LdpcC
     G = basis[:, :k].copy()
     message_positions = np.array(free[:k], dtype=np.int64)
 
-    check_nbrs = np.empty((r, b), dtype=np.int64)
-    for c in range(r):
-        check_nbrs[c] = np.nonzero(H[c])[0]
-    var_nbrs = np.empty((n, a), dtype=np.int64)
-    for v in range(n):
-        var_nbrs[v] = np.nonzero(H[:, v])[0]
-    edge_var = check_nbrs.reshape(-1)
+    # nonzero lists the ones row by row, columns ascending: b per check
+    edge_var = np.nonzero(H)[1]
+    check_nbrs = edge_var.reshape(r, b)
     var_edge_ids = np.argsort(edge_var, kind="stable").reshape(n, a)
+    var_nbrs = var_edge_ids // b
 
     return LdpcCode(n=n, k=k, a=a, b=b, seed=seed, seed_used=seed_used,
                     rank=len(pivots), H=H, G=G,
@@ -140,7 +141,7 @@ def _assemble(H: np.ndarray, a: int, b: int, seed: int, seed_used: int) -> LdpcC
                     edge_var=edge_var, var_edge_ids=var_edge_ids)
 
 
-def build_gallager(n: int, a: int, b: int, seed: int, max_retries: int = 32) -> LdpcCode:
+def build_gallager(n: int, a: int, b: int, seed: int) -> LdpcCode:
     """Draw an (n, a, b) code: a stacked random column permutations of the
     base matrix.  The construction forces at least a - 1 dependent rows;
     draws with any further rank deficiency are rejected and redrawn with the
@@ -153,7 +154,7 @@ def build_gallager(n: int, a: int, b: int, seed: int, max_retries: int = 32) -> 
     base = np.zeros((rows_per, n), dtype=np.uint8)
     for i in range(rows_per):
         base[i, i * b:(i + 1) * b] = 1
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_DRAWS):
         seed_used = seed + attempt
         rng = make_rng(seed_used)
         parts = [base] + [base[:, rng.permutation(n)] for _ in range(a - 1)]
@@ -162,7 +163,7 @@ def build_gallager(n: int, a: int, b: int, seed: int, max_retries: int = 32) -> 
         if (a * rows_per) - code.rank == a - 1:
             return code
     raise RuntimeError(
-        f"no ({n},{a},{b}) draw with minimal rank deficit in {max_retries} tries from seed {seed}")
+        f"no ({n},{a},{b}) draw with minimal rank deficit in {_MAX_DRAWS} tries from seed {seed}")
 
 
 def syndrome(code: LdpcCode, bits) -> np.ndarray:
@@ -178,27 +179,11 @@ def syndrome(code: LdpcCode, bits) -> np.ndarray:
 
 def encode(code: LdpcCode, u) -> BitWord:
     """Codeword G @ u with message bits verbatim at message_positions."""
-    msg = np.asarray([int(x) for x in u], dtype=np.uint8)
-    if msg.size != code.k:
-        raise ValueError(f"message length {msg.size} != k = {code.k}")
+    msg = np.asarray(u, dtype=np.uint8)
+    if msg.shape != (code.k,):
+        raise ValueError(f"message shape {msg.shape} != ({code.k},)")
     z = code.G @ msg % 2
     return BitWord.from_array(z)
-
-
-def _balancing_index_arr(bits: np.ndarray):
-    """Minimal i with weight(first i bits inverted) == n / 2 (array fast path);
-    for a 2-D array, an index array with one entry per row."""
-    w = bits.astype(np.int64)
-    n = w.shape[-1]
-    if n == 0 or n % 2:
-        raise ValueError("no balancing index; is the length even?")
-    steps = np.empty_like(w)
-    steps[..., 0] = w.sum(axis=-1)
-    steps[..., 1:] = 1 - 2 * w[..., :-1]
-    # column j: the weight once the first j bits are inverted; moving by one
-    # per step from w to n - w, it meets n / 2 at some j < n
-    first = (np.cumsum(steps, axis=-1) == n // 2).argmax(axis=-1)
-    return int(first) if w.ndim == 1 else first
 
 
 def balanced_encode(code: LdpcCode, u) -> tuple[BalancedWord, int]:
@@ -210,7 +195,7 @@ def balanced_encode(code: LdpcCode, u) -> tuple[BalancedWord, int]:
     if code.n % 2:
         raise ValueError("balancing needs even block length")
     z = encode(code, u).to_array()
-    i = _balancing_index_arr(z)
+    i = find_balancing_index(z)
     x = z.copy()
     x[:i] ^= 1
     return BalancedWord.from_array(x), i
@@ -243,8 +228,7 @@ def bsc_llr(y, p: float) -> np.ndarray:
     if not 0.0 < p < 0.5:
         raise ValueError("crossover probability must be in (0, 0.5)")
     mag = np.log((1.0 - p) / p)
-    bits = np.asarray([int(v) for v in y], dtype=np.uint8)
-    return np.where(bits == 0, mag, -mag)
+    return np.where(np.asarray(y, dtype=np.uint8) == 0, mag, -mag)
 
 
 def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
@@ -457,7 +441,7 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
         if key in seen:
             continue
         seen.add(key)
-        i_min = _balancing_index_arr(z)
+        i_min = find_balancing_index(z)
         x_hat = z.copy()
         x_hat[:i_min] ^= 1
         corr = float(np.sum((1.0 - 2.0 * x_hat.astype(np.float64)) * clipped))

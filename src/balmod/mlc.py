@@ -187,6 +187,25 @@ def _smallest_prime_factor(x: int) -> int:
     return x
 
 
+def _on_groups(values: list[int], alphabet: list[int], j_star: int, alpha: int,
+               recurse) -> list:
+    """Split values by level group: group j_star (alpha symbols) and the rest.
+    Runs recurse(subsequence, its alphabet) on each, that group first, writes
+    each subsequence back in place, and returns the two results."""
+    fixed_syms = alphabet[j_star * alpha:(j_star + 1) * alpha]
+    rest_syms = alphabet[:j_star * alpha] + alphabet[(j_star + 1) * alpha:]
+    fixed_set = set(fixed_syms)
+    groups = [(fixed_syms, [p for p, v in enumerate(values) if v in fixed_set]),
+              (rest_syms, [p for p, v in enumerate(values) if v not in fixed_set])]
+    out = []
+    for syms, pos in groups:
+        sub = [values[p] for p in pos]
+        out.append(recurse(sub, syms))
+        for p, v in zip(pos, sub):
+            values[p] = v
+    return out
+
+
 def _balance_rec(values: list[int], alphabet: list[int]) -> list[tuple[int, int]]:
     """Balance ``values`` (in place) over ``alphabet``; return (location, group)
     records in pre-order: this split, then the fixed group's subtree, then the
@@ -223,20 +242,7 @@ def _balance_rec(values: list[int], alphabet: list[int]) -> list[tuple[int, int]
     for pos in range(i_star):
         values[pos] = alphabet[(index_of[values[pos]] + alpha) % qq]
 
-    fixed_syms = alphabet[j_star * alpha:(j_star + 1) * alpha]
-    rest_syms = alphabet[:j_star * alpha] + alphabet[(j_star + 1) * alpha:]
-    fixed_set = set(fixed_syms)
-    fixed_pos = [p for p, v in enumerate(values) if v in fixed_set]
-    rest_pos = [p for p, v in enumerate(values) if v not in fixed_set]
-
-    sub_fixed = [values[p] for p in fixed_pos]
-    sub_rest = [values[p] for p in rest_pos]
-    rec_fixed = _balance_rec(sub_fixed, fixed_syms)
-    rec_rest = _balance_rec(sub_rest, rest_syms)
-    for p, v in zip(fixed_pos, sub_fixed):
-        values[p] = v
-    for p, v in zip(rest_pos, sub_rest):
-        values[p] = v
+    rec_fixed, rec_rest = _on_groups(values, alphabet, j_star, alpha, _balance_rec)
     return [(i_star, j_star)] + rec_fixed + rec_rest
 
 
@@ -283,21 +289,9 @@ def _unbalance_rec(values: list[int], alphabet: list[int],
         raise MalformedTrace(f"location {i_op} outside [0, {len(values)}]")
     index_of = {sym: idx for idx, sym in enumerate(alphabet)}
 
-    fixed_syms = alphabet[j_star * alpha:(j_star + 1) * alpha]
-    rest_syms = alphabet[:j_star * alpha] + alphabet[(j_star + 1) * alpha:]
-    fixed_set = set(fixed_syms)
-    fixed_pos = [p for p, v in enumerate(values) if v in fixed_set]
-    rest_pos = [p for p, v in enumerate(values) if v not in fixed_set]
-    sub_fixed = [values[p] for p in fixed_pos]
-    sub_rest = [values[p] for p in rest_pos]
-
     # Children operated after the top-level shift, so undo them first.
-    _unbalance_rec(sub_fixed, fixed_syms, records)
-    _unbalance_rec(sub_rest, rest_syms, records)
-    for p, v in zip(fixed_pos, sub_fixed):
-        values[p] = v
-    for p, v in zip(rest_pos, sub_rest):
-        values[p] = v
+    _on_groups(values, alphabet, j_star, alpha,
+               lambda sub, syms: _unbalance_rec(sub, syms, records))
     for pos in range(i_op):
         values[pos] = alphabet[(index_of[values[pos]] - alpha) % qq]
 

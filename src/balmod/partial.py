@@ -12,32 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .channel import make_rng
-from .ldpc import LdpcCode, bp_decode, encode
+from .ldpc import LdpcCode, bp_decode, bsc_llr, encode
 from .thresholds import balancing_threshold_exact, read_with_threshold
 from .words import BalancedWord, BitWord, find_balancing_index, invert_prefix
 
 
-class SystematicCode(Protocol):
-    """Systematic block code: message bits appear verbatim in the codeword."""
-
-    n: int
-    k: int
-    message_positions: np.ndarray
-
-    def encode(self, message: np.ndarray) -> np.ndarray: ...
-
-    def decode(self, word: np.ndarray) -> tuple[np.ndarray | None, bool]: ...
-
-
 @dataclass(frozen=True)
 class LdpcSystematicCode:
-    """Reference systematic code: an LDPC code decoded with constant-magnitude
-    LLRs of the given design crossover probability."""
+    """Systematic code (message bits verbatim at message_positions): an LDPC
+    code decoded with constant-magnitude LLRs of the given design crossover
+    probability."""
 
     code: LdpcCode
     design_p: float = 0.02
@@ -59,9 +47,7 @@ class LdpcSystematicCode:
         return encode(self.code, message).to_array()
 
     def decode(self, word: np.ndarray) -> tuple[np.ndarray | None, bool]:
-        mag = math.log((1.0 - self.design_p) / self.design_p)
-        llr = np.where(np.asarray(word, dtype=np.uint8) == 0, mag, -mag)
-        res = bp_decode(self.code, llr, max_iter=self.max_iter)
+        res = bp_decode(self.code, bsc_llr(word, self.design_p), max_iter=self.max_iter)
         if not res.satisfied:
             return None, False
         return res.word.to_array(), True
@@ -75,7 +61,7 @@ class PartialScheme:
     segment u~ occupies the first k_info systematic positions.
     """
 
-    ecc: SystematicCode
+    ecc: LdpcSystematicCode
     k_info: int
     i_bits: int
     layout: np.ndarray
@@ -90,7 +76,7 @@ class PartialScheme:
         return self.layout[self.ecc.message_positions[:self.k_info]]
 
 
-def make_partial_scheme(ecc: SystematicCode, k_info: int, layout_seed: int) -> PartialScheme:
+def make_partial_scheme(ecc: LdpcSystematicCode, k_info: int, layout_seed: int) -> PartialScheme:
     """Wire a scheme: u~ plus the binary index must fit the code dimension;
     any remaining message bits are zero padding."""
     if k_info < 2 or k_info % 2:
@@ -124,7 +110,7 @@ def pb_encode(scheme: PartialScheme, u: BitWord) -> PartialCodeword:
     and scatter the bits into physical cell order."""
     if len(u) != scheme.k_info:
         raise ValueError(f"message length {len(u)} != {scheme.k_info}")
-    i = find_balancing_index(u)
+    i = find_balancing_index(u.to_array())
     u_tilde = BalancedWord(invert_prefix(u, i).bits)
     idx = np.array([(i >> (scheme.i_bits - 1 - t)) & 1 for t in range(scheme.i_bits)],
                    dtype=np.uint8)

@@ -105,7 +105,10 @@ def _cuts(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # adjacent floats: the midpoint rounds onto the lower value, and the
     # upper value realizes the cut
     mid = np.where(mid <= lower, upper, mid)
-    values = np.concatenate(([asc[0] - 1.0], mid, [asc[-1] + 1.0]))
+    # + 1.0 rounds onto the maximum once levels reach ~2**53; a cut at the
+    # minimum still reads every cell as 1, so the lower sentinel needs no guard
+    top = max(asc[-1] + 1.0, np.nextafter(asc[-1], np.inf))
+    values = np.concatenate(([asc[0] - 1.0], mid, [top]))
     return values, np.concatenate(([0], j, [n]))
 
 

@@ -113,25 +113,26 @@ def invert_prefix(w: BitWord, i: int) -> BitWord:
     return BitWord(tuple(1 - b for b in w[:i]) + tuple(w[i:]))
 
 
-def find_balancing_index(w: BitWord) -> int:
-    """Minimal i in [0, n) such that inverting the first i bits yields weight
-    n/2.  Exists for every even-length word: the running weight moves by
-    exactly one per step and spans both endpoints."""
-    n = len(w)
-    if n % 2:
-        raise ValueError("balancing requires even length")
-    target = n // 2
-    wt = weight(w)
-    for i in range(n):
-        if wt == target:
-            return i
-        wt += 1 if w[i] == 0 else -1
-    if wt == target:
-        # Reachable only at i = n, which the minimal-index contract excludes;
-        # cannot happen because the walk from weight(w) to n - weight(w)
-        # crosses n/2 strictly before inverting everything.
-        raise AssertionError("balancing index walk ended at n")
-    raise AssertionError("no balancing index; weight walk violated")
+def find_balancing_index(w: BitWord | np.ndarray) -> int | np.ndarray:
+    """Minimal i in [0, n) such that inverting the first i bits of the word
+    (a BitWord or a 0/1 array) yields weight n/2; for a 2-D array of words,
+    an index array with one entry per row.
+
+    Exists for every even, nonempty length n: the running weight moves by
+    exactly one per step from weight(w) to n - weight(w), so it meets n/2
+    strictly before i = n.
+    """
+    bits = np.asarray(w, dtype=np.int64)
+    if bits.ndim not in (1, 2) or bits.shape[-1] == 0 or bits.shape[-1] % 2:
+        raise ValueError(f"balancing requires one or more words of even, nonempty "
+                         f"length, got shape {bits.shape}")
+    n = bits.shape[-1]
+    steps = np.empty_like(bits)
+    steps[..., 0] = bits.sum(axis=-1)
+    steps[..., 1:] = 1 - 2 * bits[..., :-1]
+    # column i: the weight once the first i bits are inverted
+    first = (np.cumsum(steps, axis=-1) == n // 2).argmax(axis=-1)
+    return int(first) if bits.ndim == 1 else first
 
 
 def prefix_length(k: int) -> int:
@@ -157,7 +158,7 @@ def decode_prefix(prefix: BitWord) -> int:
 def knuth_encode(u: BitWord) -> KnuthCodeword:
     """Balance u by minimal prefix inversion; the inversion index is carried
     in a balanced prefix, so the whole codeword is balanced."""
-    i = find_balancing_index(u)
+    i = find_balancing_index(u.to_array())
     payload = BalancedWord(invert_prefix(u, i).bits)
     p = prefix_length(len(u))
     return KnuthCodeword(payload=payload, prefix=encode_prefix(i, p))

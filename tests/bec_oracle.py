@@ -14,8 +14,8 @@ from balmod.bec import (AMBIGUOUS, FAILURE, UNIQUE, BecResult,
                         check_interval_sets)
 from balmod.channel import ERASURE
 from balmod.intervals import IntervalSet
-from balmod.ldpc import LdpcCode, _balancing_index_arr, syndrome
-from balmod.words import BitWord
+from balmod.ldpc import LdpcCode, syndrome
+from balmod.words import BitWord, find_balancing_index
 
 
 def _prefix_flip(y: np.ndarray, i: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def _feasible_from_word(code: LdpcCode, x: np.ndarray, i: int) -> tuple[np.ndarr
     z[:i] ^= 1
     if np.any(syndrome(code, z)):
         return None
-    if _balancing_index_arr(z) != i:
+    if find_balancing_index(z) != i:
         return None
     return z, i
 
@@ -72,7 +72,7 @@ def _feasible_from_peel(code: LdpcCode, y: np.ndarray, i: int) -> tuple[np.ndarr
         return None
     if np.any(syndrome(code, z)):
         return None
-    if _balancing_index_arr(z) != i:
+    if find_balancing_index(z) != i:
         return None
     return z, i
 

@@ -10,7 +10,7 @@ import bec_oracle
 from balmod import bec, channel, ldpc
 from balmod.channel import ERASURE
 from balmod.intervals import IntervalSet
-from balmod.words import BitWord
+from balmod.words import BitWord, find_balancing_index
 
 # small codes for the property tests, built once
 SMALL_CODES = (ldpc.build_gallager(8, 2, 4, seed=2),
@@ -40,7 +40,7 @@ def all_codewords(code) -> list[np.ndarray]:
 
 
 def stored_form(z: np.ndarray) -> tuple[np.ndarray, int]:
-    i = ldpc._balancing_index_arr(z)
+    i = find_balancing_index(z)
     x = z.copy()
     x[:i] ^= 1
     return x, i
@@ -177,7 +177,7 @@ class TestInversionSetDecoder:
             xr = z.copy()
             xr[:res.i] ^= 1
             assert 2 * int(xr.sum()) == bec_code.n
-            assert ldpc._balancing_index_arr(z) == res.i
+            assert find_balancing_index(z) == res.i
         assert uniques > 30
 
     def test_genie_equivalence(self, bec_code):

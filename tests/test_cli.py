@@ -129,6 +129,18 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("sim, trials", [
+        ("ber", "0"), ("wer-bec", "0"), ("wer-bsc", "0"), ("inversion-set", "0"),
+        ("wer-bec", "-2"), ("wer-bsc", "-2"), ("inversion-set", "-2"),
+    ])
+    def test_bad_trial_count(self, capsys, tmp_path, monkeypatch, sim, trials):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sim", sim, "--trials", trials, "--out", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("balmod: error: ") and f"trials={trials}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestConfigErrors:
     def sim(self, config: str) -> list[str]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from balmod import channel, ldpc
-from balmod.words import BitWord, find_balancing_index
+from balmod.words import BitWord, find_balancing_index, invert_prefix, weight
 from score_oracle import _score_full, lambda_scores_scratch
 
 
@@ -105,17 +105,21 @@ class TestBalancedEncode:
             pytest.fail("no balanced codeword sampled")
 
     def test_all_ones_word_inverts_half(self):
-        assert ldpc._balancing_index_arr(np.ones(20, dtype=np.uint8)) == 10
+        assert find_balancing_index(np.ones(20, dtype=np.uint8)) == 10
 
     def test_balancing_index_of_rows(self):
+        # the definition: the first i whose prefix inversion has weight n/2
         rng = channel.make_rng(34)
         for n in (2, 10, 64):
             words = rng.integers(0, 2, (40, n)).astype(np.uint8)
-            expect = [find_balancing_index(BitWord.from_array(w)) for w in words]
-            assert ldpc._balancing_index_arr(words).tolist() == expect
-            assert [ldpc._balancing_index_arr(w) for w in words] == expect
+            expect = [next(i for i in range(n)
+                           if weight(invert_prefix(BitWord.from_array(w), i)) == n // 2)
+                      for w in words]
+            assert find_balancing_index(words).tolist() == expect
+            assert [find_balancing_index(w) for w in words] == expect
+            assert all(type(find_balancing_index(w)) is int for w in words)
         with pytest.raises(ValueError):
-            ldpc._balancing_index_arr(np.ones(7, dtype=np.uint8))
+            find_balancing_index(np.ones(7, dtype=np.uint8))
 
 
 class TestBeliefPropagation:

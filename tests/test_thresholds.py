@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -241,6 +242,15 @@ class TestOptimalOracle:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one cell"):
             optimal_threshold_oracle([], BitWord(()))
+
+    @pytest.mark.parametrize("levels", [[1e17, 1e17], [-1e17, -1e17],
+                                        [-1e17, 1e17, 1e17, -1e17]])
+    def test_read_at_result_reproduces_counts(self, levels):
+        # at this magnitude max + 1.0 rounds onto the maximum, which reads as 1
+        for bits in itertools.product((0, 1), repeat=len(levels)):
+            x = BitWord(bits)
+            v, counts = optimal_threshold_oracle(levels, x)
+            assert error_counts(x, read_with_threshold(levels, v)) == counts
 
     @given(distinct_levels, st.data())
     @settings(max_examples=80)

@@ -134,6 +134,10 @@ class TestFindBalancingIndex:
         with pytest.raises(ValueError):
             find_balancing_index(bw("101"))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            find_balancing_index(BitWord(()))
+
     @given(even_words)
     def test_matches_brute_force_and_balances(self, bits):
         w = BitWord(tuple(bits))

@@ -53,7 +53,7 @@ def _cut_candidates(levels: np.ndarray):
             if v <= asc[j - 1]:
                 v = asc[j]  # adjacent floats: the upper value realizes the cut
             yield float(v), n - j
-    yield float(asc[-1] + 1.0), 0
+    yield float(max(asc[-1] + 1.0, np.nextafter(asc[-1], np.inf))), 0
 
 
 def optimal_threshold_oracle(c, x: BitWord) -> tuple[float, ErrorCounts]:
