@@ -60,9 +60,16 @@ class TestSimCommands:
         text = out_path.read_text()
         assert text.splitlines()[2] == "x,strategy,metric,value,stderr,trials,seed"
 
+    def test_ber_fixed_seed_golden(self, capsys, tmp_path):
+        # the fixed-seed CSV is the behaviour contract: a change to the
+        # threshold code must reproduce these bytes
+        golden = GOLDEN / "sim_ber_cells2000_trials2_seed4.csv"
+        out_path = tmp_path / "ber.csv"
+        run(capsys, "sim", "ber", "--cells", "2000", "--trials", "2",
+            "--seed", "4", "--out", str(out_path))
+        assert out_path.read_bytes() == golden.read_bytes()
+
     @pytest.mark.parametrize("golden, argv", [
-        ("sim_ber_cells2000_trials2_seed4",
-         "ber --cells 2000 --trials 2 --seed 4"),
         ("sim_wer_bec_n64-128_trials60_seed5",
          "wer-bec --n-list 64,128 --trials 60 --seed 5 --p 0.45 --budget 8"),
         ("sim_inversion_set_n64-128_trials40_seed2",
@@ -72,7 +79,7 @@ class TestSimCommands:
         ("sim_wer_bsc_code28_trials30_seed1_exhaustive",
          "wer-bsc --code 28,4,7 --p-grid 0.06 --trials 30 --seed 1 --exhaustive"),
     ])
-    def test_ber_fixed_seed_golden(self, capsys, tmp_path, golden, argv):
+    def test_sim_fixed_seed_golden(self, capsys, tmp_path, golden, argv):
         # the fixed-seed CSV is the behaviour contract: a refactor must
         # reproduce these bytes
         out_path = tmp_path / "out.csv"
