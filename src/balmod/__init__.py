@@ -22,9 +22,9 @@ from .mlc import (BalancingTrace, bits_to_balanced, balanced_to_bits,
                   knuth_q_balance, knuth_q_unbalance, min_balanced_length,
                   multinomial, rank_balanced, rank_multiset, redundancy_factor,
                   trace_bit_cost, unrank_balanced, unrank_multiset)
-from .partial import (LdpcSystematicCode, PartialCodeword, PartialScheme,
-                      PbDecodeResult, make_partial_scheme, pb_decode,
-                      pb_encode, pb_read, rate_fixed_vs_partial)
+from .partial import (PartialCodeword, PartialScheme, PbDecodeResult,
+                      make_partial_scheme, pb_decode, pb_encode, pb_read,
+                      rate_fixed_vs_partial)
 from .thresholds import (BalancingThreshold, ErrorCounts,
                          balancing_threshold_bisect, balancing_threshold_exact,
                          error_counts, optimal_threshold_oracle,

@@ -3,8 +3,9 @@
 Subcommands: encode, decode, threshold, sim {ber, wer-bec, wer-bsc,
 inversion-set}, and mlc {rank, unrank, balance, unbalance}.  A JSON config
 file can supply model and code parameters (sigma, code = [n, a, b], ell, c,
-eps, a_const) and the run's trials and seed; any other key is an error.
-Explicit flags win over the config, which wins over defaults.
+eps, a_const) and the run's trials and seed; any other key, or a value of the
+wrong JSON type, is an error.  Explicit flags win over the config, which wins
+over defaults.
 """
 
 from __future__ import annotations
@@ -19,11 +20,36 @@ from . import harness, ldpc, mlc, thresholds, words
 from .channel import MEAN_DRIFT, VARIANCE_GROWTH
 
 
-CONFIG_KEYS = frozenset({"sigma", "code", "ell", "c", "eps", "a_const",
-                         "trials", "seed"})
+# the JSON type of each config key; "code" is [n, a, b] or the flag's "n,a,b"
+CONFIG_TYPES = {"sigma": float, "code": tuple, "ell": int, "c": int, "eps": float,
+                "a_const": float, "trials": int, "seed": int}
+
+
+def _code_triple(raw) -> tuple[int, int, int]:
+    """n, a, b from the --code flag's "n,a,b" or the config's [n, a, b]."""
+    try:
+        parts = [int(v) for v in raw.split(",")] if isinstance(raw, str) else raw
+    except ValueError:
+        parts = None
+    if not (isinstance(parts, list) and len(parts) == 3
+            and all(type(v) is int for v in parts)):
+        raise ValueError(f"code must be three integers n,a,b, got {json.dumps(raw)}")
+    return tuple(parts)
+
+
+def _config_value(key: str, value):
+    kind = CONFIG_TYPES[key]
+    if kind is tuple:
+        return _code_triple(value)
+    # JSON true/false are not numbers; an integer key takes no fraction
+    if type(value) is int or (kind is float and type(value) is float):
+        return kind(value)
+    raise ValueError(f"{key!r} must be {'a number' if kind is float else 'an integer'}, "
+                     f"got {json.dumps(value)}")
 
 
 def _load_config(path: str | None) -> dict:
+    """The config's values, each converted to its key's type."""
     if not path:
         return {}
     try:
@@ -35,11 +61,14 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must be a JSON object of key/value pairs")
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    unknown = sorted(set(cfg) - CONFIG_TYPES.keys())
     if unknown:
         raise ValueError(f"config {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
-                         f"known: {', '.join(sorted(CONFIG_KEYS))}")
-    return cfg
+                         f"known: {', '.join(sorted(CONFIG_TYPES))}")
+    try:
+        return {key: _config_value(key, value) for key, value in cfg.items()}
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
 
 
 def _pick(args_value, cfg: dict, key: str, default):
@@ -50,31 +79,27 @@ def _pick(args_value, cfg: dict, key: str, default):
     return default
 
 
-def _code_from(cfg: dict, args) -> tuple[int, int, int]:
-    raw = _pick(args.code, cfg, "code", [280, 4, 7])
-    if isinstance(raw, str):
-        raw = [int(v) for v in raw.split(",")]
-    n, a, b = (int(v) for v in raw)
-    return n, a, b
+def _code_from(cfg: dict, args, default=(280, 4, 7)) -> tuple[int, int, int]:
+    if args.code is not None:
+        return _code_triple(args.code)
+    return cfg.get("code", default)
 
 
 def _bits_arg(s: str) -> words.BitWord:
     return words.BitWord.from_string(s)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, help="output file path")
-    p.add_argument("--format", choices=("csv", "svg"), default="csv")
+def _add_common(p: argparse.ArgumentParser, seed: bool) -> None:
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
     p.add_argument("--config", type=str, default=None, help="JSON key/value config")
 
 
-def _emit_or_raise(table: harness.ResultTable, args) -> None:
-    if not args.out:
-        raise SystemExit("--out is required for sim subcommands")
-    harness.emit(table, args.out, args.format)
-    print(f"wrote {args.out} ({len(table.rows)} rows)")
+def _add_sim_common(p: argparse.ArgumentParser) -> None:
+    _add_common(p, seed=True)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--out", type=str, required=True, help="output file path")
+    p.add_argument("--format", choices=("csv", "svg"), default="csv")
 
 
 def cmd_encode(args) -> int:
@@ -104,7 +129,7 @@ def cmd_decode(args) -> int:
                 k = cand
                 break
         if k is None:
-            raise SystemExit(f"no Knuth codeword has total length {total}")
+            raise ValueError(f"no Knuth codeword has total length {total}")
         p = total - k
         cw = words.KnuthCodeword(payload=words.BalancedWord(y[p:]),
                                  prefix=words.BalancedWord(y[:p]))
@@ -114,8 +139,8 @@ def cmd_decode(args) -> int:
         code = ldpc.build_gallager(n, a, b, _pick(args.seed, cfg, "seed", 1))
         res = ldpc.balanced_decode_bsc(
             code, y, p=args.p,
-            depth=int(_pick(args.ell, cfg, "ell", 2)),
-            num_candidates=int(_pick(args.cands, cfg, "c", 4)))
+            depth=_pick(args.ell, cfg, "ell", 2),
+            num_candidates=_pick(args.cands, cfg, "c", 4))
         if not res.ok:
             print("decode failure")
             return 1
@@ -131,13 +156,13 @@ def cmd_threshold(args) -> int:
         res = thresholds.balancing_threshold_exact(levels)
         v, note = res.value, f" exact={res.exact}"
     elif args.method == "bisect":
-        eps = float(_pick(args.eps, cfg, "eps", 1e-9))
+        eps = _pick(args.eps, cfg, "eps", 1e-9)
         v, note = thresholds.balancing_threshold_bisect(
             levels, args.lo, args.hi, eps), ""
     elif args.method == "mean":
         v, note = thresholds.relaxed_threshold_mean(levels), ""
     else:
-        a_const = float(_pick(args.a_const, cfg, "a_const", 0.0))
+        a_const = _pick(args.a_const, cfg, "a_const", 0.0)
         v, note = thresholds.relaxed_threshold_second_order(levels, a_const), ""
     wt = int(np.sum(levels >= v))
     print(f"threshold={v!r} ones={wt}/{levels.size}{note}")
@@ -146,24 +171,24 @@ def cmd_threshold(args) -> int:
 
 def cmd_sim(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(_pick(args.seed, cfg, "seed", 1))
+    seed = _pick(args.seed, cfg, "seed", 1)
     if args.experiment == "ber":
         spec = harness.BerCurveSpec(
             model=args.model,
-            sigma=float(_pick(args.sigma, cfg, "sigma", 0.2)),
+            sigma=_pick(args.sigma, cfg, "sigma", 0.2),
             t_grid=tuple(float(t) for t in args.t_grid.split(",")),
             cells=args.cells,
-            trials=int(_pick(args.trials, cfg, "trials", 1)),
+            trials=_pick(args.trials, cfg, "trials", 1),
             seed=seed,
-            second_order_a=float(_pick(args.a_const, cfg, "a_const", 0.0)))
+            second_order_a=_pick(args.a_const, cfg, "a_const", 0.0))
         table = harness.run_ber_curve(spec)
     elif args.experiment == "wer-bec":
         n_list = tuple(int(v) for v in args.n_list.split(","))
-        _, a, b = _code_from(cfg, args) if args.code or "code" in cfg else (0, 3, 4)
+        _, a, b = _code_from(cfg, args, (0, 3, 4))
         spec = harness.WerBecSpec(
             block_lengths=n_list, col_weight=a, row_weight=b,
             erasure_p=args.p,
-            trials=int(_pick(args.trials, cfg, "trials", 200)),
+            trials=_pick(args.trials, cfg, "trials", 200),
             seed=seed, code_seed=args.code_seed, budget=args.budget)
         table = harness.run_wer_bec(spec)
     elif args.experiment == "wer-bsc":
@@ -171,23 +196,24 @@ def cmd_sim(args) -> int:
         spec = harness.WerBscSpec(
             n=n, col_weight=a, row_weight=b,
             p_grid=tuple(float(p) for p in args.p_grid.split(",")),
-            depth=int(_pick(args.ell, cfg, "ell", 2)),
-            num_candidates=int(_pick(args.cands, cfg, "c", 4)),
+            depth=_pick(args.ell, cfg, "ell", 2),
+            num_candidates=_pick(args.cands, cfg, "c", 4),
             max_iter=args.max_iter,
-            trials=int(_pick(args.trials, cfg, "trials", 2000)),
+            trials=_pick(args.trials, cfg, "trials", 2000),
             seed=seed, code_seed=args.code_seed,
             include_exhaustive=args.exhaustive)
         table = harness.run_wer_bsc(spec)
     else:
         n_list = tuple(int(v) for v in args.n_list.split(","))
-        _, a, b = _code_from(cfg, args) if args.code or "code" in cfg else (0, 3, 4)
+        _, a, b = _code_from(cfg, args, (0, 3, 4))
         spec = harness.InversionSetSpec(
             block_lengths=n_list, col_weight=a, row_weight=b,
             p_grid=tuple(float(p) for p in args.p_grid.split(",")),
-            trials=int(_pick(args.trials, cfg, "trials", 200)),
+            trials=_pick(args.trials, cfg, "trials", 200),
             seed=seed, code_seed=args.code_seed)
         table = harness.run_inversion_set(spec)
-    _emit_or_raise(table, args)
+    harness.emit(table, args.out, args.format)
+    print(f"wrote {args.out} ({len(table.rows)} rows)")
     return 0
 
 
@@ -223,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--bits", required=True)
     p_enc.add_argument("--scheme", choices=("knuth", "ldpc"), default="knuth")
     p_enc.add_argument("--code", type=str, default=None, help="n,a,b")
-    _add_common(p_enc)
+    _add_common(p_enc, seed=True)
     p_enc.set_defaults(func=cmd_encode)
 
     p_dec = sub.add_parser("decode", help="decode a received word")
@@ -233,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--p", type=float, default=0.02, help="assumed crossover")
     p_dec.add_argument("--ell", type=int, default=None)
     p_dec.add_argument("--cands", type=int, default=None)
-    _add_common(p_dec)
+    _add_common(p_dec, seed=True)
     p_dec.set_defaults(func=cmd_decode)
 
     p_thr = sub.add_parser("threshold", help="compute a read threshold")
@@ -244,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--hi", type=float, default=1.0)
     p_thr.add_argument("--eps", type=float, default=None)
     p_thr.add_argument("--a-const", dest="a_const", type=float, default=None)
-    _add_common(p_thr)
+    _add_common(p_thr, seed=False)
     p_thr.set_defaults(func=cmd_threshold)
 
     p_sim = sub.add_parser("sim", help="run a seeded experiment")
@@ -257,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_ber.add_argument("--t-grid", dest="t_grid", default="0,0.1,0.2,0.3,0.4,0.5")
     s_ber.add_argument("--cells", type=int, default=10_000)
     s_ber.add_argument("--a-const", dest="a_const", type=float, default=None)
-    _add_common(s_ber)
+    _add_sim_common(s_ber)
     s_ber.set_defaults(func=cmd_sim)
 
     s_bec = sim_sub.add_parser("wer-bec")
@@ -266,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_bec.add_argument("--p", type=float, default=0.35)
     s_bec.add_argument("--budget", type=int, default=None)
     s_bec.add_argument("--code-seed", dest="code_seed", type=int, default=11)
-    _add_common(s_bec)
+    _add_sim_common(s_bec)
     s_bec.set_defaults(func=cmd_sim)
 
     s_bsc = sim_sub.add_parser("wer-bsc")
@@ -277,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_bsc.add_argument("--max-iter", dest="max_iter", type=int, default=50)
     s_bsc.add_argument("--exhaustive", action="store_true")
     s_bsc.add_argument("--code-seed", dest="code_seed", type=int, default=1)
-    _add_common(s_bsc)
+    _add_sim_common(s_bsc)
     s_bsc.set_defaults(func=cmd_sim)
 
     s_inv = sim_sub.add_parser("inversion-set")
@@ -285,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_inv.add_argument("--code", type=str, default=None, help="ignored n field: n,a,b")
     s_inv.add_argument("--p-grid", dest="p_grid", default="0.15,0.25,0.35,0.45")
     s_inv.add_argument("--code-seed", dest="code_seed", type=int, default=11)
-    _add_common(s_inv)
+    _add_sim_common(s_inv)
     s_inv.set_defaults(func=cmd_sim)
 
     p_mlc = sub.add_parser("mlc", help="multi-level-cell balanced codecs")

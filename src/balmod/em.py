@@ -51,6 +51,8 @@ def _as_levels(c, min_size: int = 1) -> np.ndarray:
     levels = np.asarray(c, dtype=np.float64)
     if levels.ndim != 1 or levels.size < min_size:
         raise ValueError(f"need a one-dimensional vector of at least {min_size} levels")
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("cell levels must be finite")
     return levels
 
 

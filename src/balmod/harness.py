@@ -88,7 +88,7 @@ def load_csv(path) -> ResultTable:
     return table
 
 
-def emit_svg(table: ResultTable, path, width: int = 640, height: int = 420) -> None:
+def emit_svg(table: ResultTable, path) -> None:
     """Single-file line plot, one polyline per (strategy, metric) series.
 
     Uses a log10 y-axis when every value is positive and the spread warrants
@@ -111,6 +111,7 @@ def emit_svg(table: ResultTable, path, width: int = 640, height: int = 420) -> N
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
+    width, height = 640, 420
     ml, mr, mt, mb = 60, 150, 20, 40
 
     def px(x: float) -> float:

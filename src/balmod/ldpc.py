@@ -60,15 +60,12 @@ def gf2_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return red, pivots
 
 
-def _nullspace_basis(rref: np.ndarray, pivots: list[int], n: int) -> tuple[np.ndarray, list[int]]:
+def _nullspace_basis(rref: np.ndarray, pivots: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis of the null space, one column per free column of the rref."""
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((n, len(free)), dtype=np.uint8)
-    for idx, f in enumerate(free):
-        basis[f, idx] = 1
-        for t, pc in enumerate(pivots):
-            basis[pc, idx] = rref[t, f]
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((n, free.size), dtype=np.uint8)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = rref[:len(pivots)][:, free]
     return basis, free
 
 
@@ -97,8 +94,6 @@ class LdpcCode:
     G: np.ndarray                # (n, k) uint8, H @ G = 0
     message_positions: np.ndarray  # (k,) columns where message bits sit verbatim
     check_nbrs: np.ndarray       # (r, b) variable indices per check, ascending
-    var_nbrs: np.ndarray         # (n, a) check indices per variable, ascending
-    edge_var: np.ndarray         # (r*b,) variable of each check-major edge
     var_edge_ids: np.ndarray     # (n, a) check-major edge ids per variable
     # per-code tables built on first use: ("score", depth) -> _ScorePlan,
     # "flip_parity" -> the erasure decoder's flip-parity table
@@ -126,19 +121,17 @@ def _assemble(H: np.ndarray, a: int, b: int, seed: int, seed_used: int) -> LdpcC
     if len(free) < k:
         raise ValueError("rank too high for nominal dimension")
     G = basis[:, :k].copy()
-    message_positions = np.array(free[:k], dtype=np.int64)
+    message_positions = free[:k]
 
     # nonzero lists the ones row by row, columns ascending: b per check
     edge_var = np.nonzero(H)[1]
     check_nbrs = edge_var.reshape(r, b)
     var_edge_ids = np.argsort(edge_var, kind="stable").reshape(n, a)
-    var_nbrs = var_edge_ids // b
 
     return LdpcCode(n=n, k=k, a=a, b=b, seed=seed, seed_used=seed_used,
                     rank=len(pivots), H=H, G=G,
                     message_positions=message_positions,
-                    check_nbrs=check_nbrs, var_nbrs=var_nbrs,
-                    edge_var=edge_var, var_edge_ids=var_edge_ids)
+                    check_nbrs=check_nbrs, var_edge_ids=var_edge_ids)
 
 
 def build_gallager(n: int, a: int, b: int, seed: int) -> LdpcCode:
@@ -151,9 +144,7 @@ def build_gallager(n: int, a: int, b: int, seed: int) -> LdpcCode:
     if b < 2 or n % b:
         raise ValueError("n must be a positive multiple of the row weight b")
     rows_per = n // b
-    base = np.zeros((rows_per, n), dtype=np.uint8)
-    for i in range(rows_per):
-        base[i, i * b:(i + 1) * b] = 1
+    base = np.repeat(np.eye(rows_per, dtype=np.uint8), b, axis=1)
     for attempt in range(_MAX_DRAWS):
         seed_used = seed + attempt
         rng = make_rng(seed_used)
@@ -235,15 +226,17 @@ def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
     """Flooding sum-product decoding; positive LLR favors bit 0.
 
     Stops once the hard decision satisfies every check, else after max_iter
-    iterations with satisfied = False.  Messages are clipped to +-30 to keep
+    (at least 1) iterations with satisfied = False.  Messages are clipped to +-30 to keep
     tanh / arctanh stable.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
     if L.size != code.n:
         raise ValueError(f"llr length {L.size} != n = {code.n}")
     r, b = code.r, code.b
     vei = code.var_edge_ids
-    m_vc = L[code.edge_var].copy()          # flat check-major edges
+    m_vc = L[code.check_nbrs.ravel()]      # flat check-major edges
     hard = (L < 0).astype(np.uint8)
     for it in range(1, max_iter + 1):
         t = np.tanh(0.5 * m_vc.reshape(r, b))

@@ -2,10 +2,11 @@
 
 Only the information segment of each codeword is balanced: the message u is
 prefix-inverted to a balanced u~, the inversion index goes in as plain binary
-(no balanced prefix), and a systematic code adds parity over [u~, i].  The
-physical cell order is scrambled by a seeded permutation so the segment's
-cells are spread across the block; reads pick the threshold that balances
-the u~ cells only and then apply it to the whole block.
+(no balanced prefix), and an LDPC code, systematic at its message_positions,
+adds parity over [u~, i].  The physical cell order is scrambled by a seeded
+permutation so the segment's cells are spread across the block; reads pick
+the threshold that balances the u~ cells only and then apply it to the whole
+block.
 """
 
 from __future__ import annotations
@@ -21,36 +22,8 @@ from .thresholds import balancing_threshold_exact, read_with_threshold
 from .words import BalancedWord, BitWord, find_balancing_index, invert_prefix
 
 
-@dataclass(frozen=True)
-class LdpcSystematicCode:
-    """Systematic code (message bits verbatim at message_positions): an LDPC
-    code decoded with constant-magnitude LLRs of the given design crossover
-    probability."""
-
-    code: LdpcCode
-    design_p: float = 0.02
-    max_iter: int = 50
-
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def k(self) -> int:
-        return self.code.k
-
-    @property
-    def message_positions(self) -> np.ndarray:
-        return self.code.message_positions
-
-    def encode(self, message: np.ndarray) -> np.ndarray:
-        return encode(self.code, message).to_array()
-
-    def decode(self, word: np.ndarray) -> tuple[np.ndarray | None, bool]:
-        res = bp_decode(self.code, bsc_llr(word, self.design_p), max_iter=self.max_iter)
-        if not res.satisfied:
-            return None, False
-        return res.word.to_array(), True
+# crossover probability the inner decoder's constant-magnitude LLRs assume
+DESIGN_P = 0.02
 
 
 @dataclass(frozen=True)
@@ -61,33 +34,33 @@ class PartialScheme:
     segment u~ occupies the first k_info systematic positions.
     """
 
-    ecc: LdpcSystematicCode
+    code: LdpcCode
     k_info: int
     i_bits: int
     layout: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.ecc.n
+        return self.code.n
 
     @property
     def info_cells(self) -> np.ndarray:
         """Physical cells of the balanced segment, used for thresholding."""
-        return self.layout[self.ecc.message_positions[:self.k_info]]
+        return self.layout[self.code.message_positions[:self.k_info]]
 
 
-def make_partial_scheme(ecc: LdpcSystematicCode, k_info: int, layout_seed: int) -> PartialScheme:
+def make_partial_scheme(code: LdpcCode, k_info: int, layout_seed: int) -> PartialScheme:
     """Wire a scheme: u~ plus the binary index must fit the code dimension;
     any remaining message bits are zero padding."""
     if k_info < 2 or k_info % 2:
         raise ValueError("info segment length must be even and at least 2")
     i_bits = math.ceil(math.log2(k_info))
-    if k_info + i_bits > ecc.k:
+    if k_info + i_bits > code.k:
         raise ValueError(
             f"ecc dimension mismatch: k_info={k_info} plus {i_bits} index bits "
-            f"exceeds code dimension {ecc.k}")
-    layout = make_rng(layout_seed).permutation(ecc.n)
-    return PartialScheme(ecc=ecc, k_info=k_info, i_bits=i_bits, layout=layout)
+            f"exceeds code dimension {code.k}")
+    layout = make_rng(layout_seed).permutation(code.n)
+    return PartialScheme(code=code, k_info=k_info, i_bits=i_bits, layout=layout)
 
 
 @dataclass(frozen=True)
@@ -114,13 +87,13 @@ def pb_encode(scheme: PartialScheme, u: BitWord) -> PartialCodeword:
     u_tilde = BalancedWord(invert_prefix(u, i).bits)
     idx = np.array([(i >> (scheme.i_bits - 1 - t)) & 1 for t in range(scheme.i_bits)],
                    dtype=np.uint8)
-    message = np.zeros(scheme.ecc.k, dtype=np.uint8)
+    message = np.zeros(scheme.code.k, dtype=np.uint8)
     message[:scheme.k_info] = u_tilde.to_array()
     message[scheme.k_info:scheme.k_info + scheme.i_bits] = idx
-    codeword = scheme.ecc.encode(message)
+    codeword = encode(scheme.code, message).to_array()
     physical = np.zeros(scheme.n, dtype=np.uint8)
     physical[scheme.layout] = codeword
-    parity_positions = np.setdiff1d(np.arange(scheme.n), scheme.ecc.message_positions)
+    parity_positions = np.setdiff1d(np.arange(scheme.n), scheme.code.message_positions)
     return PartialCodeword(
         u_tilde=u_tilde,
         i_bits=BitWord.from_array(idx),
@@ -146,10 +119,10 @@ def pb_decode(scheme: PartialScheme, y: BitWord) -> PbDecodeResult:
     """
     phys = y.to_array()
     logical = phys[scheme.layout]
-    codeword, ok = scheme.ecc.decode(logical)
-    if not ok:
+    res = bp_decode(scheme.code, bsc_llr(logical, DESIGN_P))
+    if not res.satisfied:
         return PbDecodeResult(ok=False, u=None, reason="ecc decode failure")
-    message = codeword[scheme.ecc.message_positions]
+    message = res.word.to_array()[scheme.code.message_positions]
     u_tilde = message[:scheme.k_info]
     idx_bits = message[scheme.k_info:scheme.k_info + scheme.i_bits]
     i = 0

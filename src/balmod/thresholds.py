@@ -81,17 +81,22 @@ def balancing_threshold_exact(c) -> BalancingThreshold:
         raise ValueError("need at least one cell")
     k = n // 2
     asc = np.sort(levels)
-    v = 0.5 * (asc[k] + asc[k - 1])
-    if int(np.sum(levels >= v)) == k:
-        return BalancingThreshold(value=float(v), exact=True)
-    # Midpoint failed: either tied values straddle the boundary, or the two
-    # neighbors are adjacent floats and the midpoint rounded onto one of them.
-    if asc[k] > asc[k - 1]:
-        return BalancingThreshold(value=float(asc[k]), exact=True)
+    if asc[k - 1] < asc[k]:
+        return BalancingThreshold(value=float(_midpoint(asc[k - 1], asc[k])), exact=True)
     values, j = _cuts(asc)
     # a cut at position j has weight n - j, so its gap to k is |k - j|
     return BalancingThreshold(value=float(values[np.argmin(np.abs(k - j))]),
                               exact=False)
+
+
+def _midpoint(lower, upper):
+    """The threshold of the cut between ascending levels lower < upper (or
+    arrays of them): their midpoint, or upper where the midpoint is not
+    finite (overflow) or rounds onto lower (adjacent floats); a read at upper
+    still puts lower below the cut."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lower + upper)
+    return np.where(np.isfinite(mid) & (mid > lower), mid, upper)
 
 
 def _cuts(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,15 +105,10 @@ def _cuts(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     read 0, so the read weight is n - j)."""
     n = asc.size
     j = np.flatnonzero(asc[:-1] < asc[1:]) + 1
-    lower, upper = asc[j - 1], asc[j]
-    mid = 0.5 * (lower + upper)
-    # adjacent floats: the midpoint rounds onto the lower value, and the
-    # upper value realizes the cut
-    mid = np.where(mid <= lower, upper, mid)
     # + 1.0 rounds onto the maximum once levels reach ~2**53; a cut at the
     # minimum still reads every cell as 1, so the lower sentinel needs no guard
     top = max(asc[-1] + 1.0, np.nextafter(asc[-1], np.inf))
-    values = np.concatenate(([asc[0] - 1.0], mid, [top]))
+    values = np.concatenate(([asc[0] - 1.0], _midpoint(asc[j - 1], asc[j]), [top]))
     return values, np.concatenate(([0], j, [n]))
 
 

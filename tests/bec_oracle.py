@@ -41,7 +41,7 @@ def genie_peel(code: LdpcCode, y: np.ndarray, i: int) -> np.ndarray | None:
             vals = z[nbrs]
             missing = nbrs[vals == ERASURE][0]
             z[missing] = np.sum(vals[vals != ERASURE]) % 2
-            unknown_per_check[code.var_nbrs[missing]] -= 1
+            unknown_per_check[code.var_edge_ids[missing] // code.b] -= 1
             progress = True
     if (z == ERASURE).any():
         return None

@@ -261,15 +261,14 @@ def test_09_generalized_balancer():
 
 def test_10_partial_balanced_pipeline():
     with gate("10 partial-balanced"):
-        from balmod.partial import (LdpcSystematicCode, make_partial_scheme,
-                                    pb_decode, pb_encode, rate_fixed_vs_partial)
+        from balmod.partial import (make_partial_scheme, pb_decode, pb_encode,
+                                    rate_fixed_vs_partial)
         fixed, partial = rate_fixed_vs_partial(255, 131, 191, 8)
         assert round(fixed, 4) == 0.5137
         assert round(partial, 4) == 0.7176
 
         code = ldpc.build_gallager(280, 4, 7, seed=1)
-        scheme = make_partial_scheme(LdpcSystematicCode(code), k_info=112,
-                                     layout_seed=101)
+        scheme = make_partial_scheme(code, k_info=112, layout_seed=101)
         capability = 2   # planted-flip budget the shipped decoder must absorb
         recovered = 0
         for trial in range(1000):

@@ -113,6 +113,23 @@ class TestSimCommands:
         with pytest.raises(SystemExit):
             cli.main(["sim", "ber", "--t-grid", "0.1", "--cells", "100"])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (command, flag)
+        for command in (["encode", "--bits", "1111"], ["decode", "--bits", "1111"],
+                        ["threshold", "--levels", "0.1,0.9"])
+        for flag in (["--out", "x.csv"], ["--trials", "3"], ["--format", "svg"])
+    ] + [(["threshold", "--levels", "0.1,0.9"], ["--seed", "1"])],
+        ids=lambda v: " ".join(v))
+    def test_codec_commands_reject_sim_flags(self, capsys, tmp_path, monkeypatch,
+                                             argv, flag):
+        # only sim runs write files or count trials, and a threshold draws nothing
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestErrors:
     @pytest.mark.parametrize("argv", [
@@ -125,6 +142,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("balmod: error: ") and "even" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["decode", "--bits", "111"], "no Knuth codeword has total length 3"),
+        (["sim", "wer-bsc", "--code", "28,4,7", "--trials", "1", "--max-iter", "0",
+          "--out", "x.csv"], "max_iter must be at least 1, got 0"),
+        (["sim", "wer-bsc", "--code", "28,4", "--trials", "1", "--out", "x.csv"],
+         "code must be three integers n,a,b"),
+    ])
+    def test_bad_argument(self, capsys, tmp_path, monkeypatch, argv, expect):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("balmod: error: ") and expect in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
     def test_negative_bec_budget(self, capsys, tmp_path, monkeypatch):
@@ -171,6 +203,26 @@ class TestConfigErrors:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(text)
         assert expect in self.error_of(capsys, self.sim("cfg.json"))
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("experiment, cfg, expect", [
+        (["wer-bsc", "--trials", "1"], {"code": 5}, "code must be three integers n,a,b, got 5"),
+        (["wer-bsc", "--trials", "1"], {"code": [28, 4]},
+         "code must be three integers n,a,b, got [28, 4]"),
+        (["ber", "--t-grid", "0.1", "--cells", "100"], {"sigma": None},
+         "'sigma' must be a number, got null"),
+        (["ber", "--t-grid", "0.1", "--cells", "100"], {"trials": [3]},
+         "'trials' must be an integer, got [3]"),
+        (["ber", "--t-grid", "0.1", "--cells", "100"], {"trials": 2.5},
+         "'trials' must be an integer, got 2.5"),
+        (["ber", "--t-grid", "0.1", "--cells", "100"], {"seed": True},
+         "'seed' must be an integer, got true"),
+    ])
+    def test_wrong_value_type(self, capsys, tmp_path, monkeypatch, experiment, cfg, expect):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["sim", *experiment, "--config", "cfg.json", "--out", "x.csv"]
+        assert f"config cfg.json: {expect}" in self.error_of(capsys, argv)
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config(self, capsys, tmp_path, monkeypatch):

@@ -129,3 +129,20 @@ class TestPerCellLlr:
     def test_sign_at_component_one(self):
         llr = per_cell_llr([1.0], MixtureParams(-3.0, 0.1, 1.0, 0.1))
         assert llr[0] < -100
+
+
+class TestNonFiniteLevels:
+    PARAMS = MixtureParams(0.0, 0.1, 1.0, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda c: fit(c),
+        lambda c: e_step(c, TestNonFiniteLevels.PARAMS),
+        lambda c: m_step(c, np.full((len(c), 2), 0.5)),
+        lambda c: log_likelihood(c, TestNonFiniteLevels.PARAMS),
+        lambda c: per_cell_llr(c, TestNonFiniteLevels.PARAMS),
+    ], ids=["fit", "e_step", "m_step", "log_likelihood", "per_cell_llr"])
+    def test_rejected(self, call, bad):
+        # a NaN would otherwise run every EM iteration and return NaN parameters
+        with pytest.raises(ValueError, match="finite"):
+            call([0.1, bad, 0.9, 0.2])

@@ -23,7 +23,41 @@ def full_scale_code():
     return ldpc.build_gallager(280, 4, 7, seed=1)
 
 
+def loop_construction(n, a, b, seed):
+    """The Gallager draw, null-space basis and graph maps of build_gallager,
+    written as explicit loops over rows, free columns and edges."""
+    rows_per = n // b
+    base = np.zeros((rows_per, n), dtype=np.uint8)
+    for i in range(rows_per):
+        base[i, i * b:(i + 1) * b] = 1
+    for attempt in range(32):
+        rng = channel.make_rng(seed + attempt)
+        H = np.vstack([base] + [base[:, rng.permutation(n)] for _ in range(a - 1)])
+        rref, pivots = ldpc.gf2_rref(H)
+        if a * rows_per - len(pivots) == a - 1:
+            break
+    free = [c for c in range(n) if c not in set(pivots)]
+    basis = np.zeros((n, len(free)), dtype=np.uint8)
+    for idx, f in enumerate(free):
+        basis[f, idx] = 1
+        for t, pc in enumerate(pivots):
+            basis[pc, idx] = rref[t, f]
+    k = n - H.shape[0]
+    check_nbrs = np.array([np.flatnonzero(row) for row in H])
+    var_edge_ids = np.array([[c * b + list(check_nbrs[c]).index(v)
+                              for c in np.flatnonzero(H[:, v])] for v in range(n)])
+    return {"H": H, "G": basis[:, :k], "message_positions": np.array(free[:k]),
+            "rank": len(pivots), "check_nbrs": check_nbrs, "var_edge_ids": var_edge_ids}
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("n, a, b, seed", [
+        (28, 4, 7, 1), (280, 4, 7, 1), (1120, 4, 7, 1), (256, 3, 4, 11)])
+    def test_matches_loop_construction(self, n, a, b, seed):
+        code = ldpc.build_gallager(n, a, b, seed)
+        for name, want in loop_construction(n, a, b, seed).items():
+            assert np.array_equal(getattr(code, name), want), name
+
     def test_regular_weights(self, small_code):
         assert np.all(small_code.H.sum(axis=0) == 2)
         assert np.all(small_code.H.sum(axis=1) == 7)
@@ -147,6 +181,12 @@ class TestBeliefPropagation:
         llr = ldpc.bsc_llr([0, 1, 0], p)
         mag = np.log((1 - p) / p)
         assert llr == pytest.approx([mag, -mag, mag])
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, full_scale_code, max_iter):
+        # zero iterations would report every word, codewords too, as unsatisfied
+        with pytest.raises(ValueError, match="max_iter"):
+            ldpc.bp_decode(full_scale_code, np.ones(full_scale_code.n), max_iter=max_iter)
 
     def test_bsc_llr_validates_p(self):
         with pytest.raises(ValueError):

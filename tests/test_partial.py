@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from balmod import channel, ldpc
-from balmod.partial import (LdpcSystematicCode, make_partial_scheme, pb_decode,
-                            pb_encode, pb_read, rate_fixed_vs_partial)
+from balmod.partial import (make_partial_scheme, pb_decode, pb_encode, pb_read,
+                            rate_fixed_vs_partial)
 from balmod.thresholds import balancing_threshold_exact
 from balmod.words import BitWord, find_balancing_index
 
@@ -11,7 +11,7 @@ from balmod.words import BitWord, find_balancing_index
 @pytest.fixture(scope="module")
 def scheme():
     code = ldpc.build_gallager(280, 4, 7, seed=1)
-    return make_partial_scheme(LdpcSystematicCode(code), k_info=112, layout_seed=42)
+    return make_partial_scheme(code, k_info=112, layout_seed=42)
 
 
 def random_message(scheme, seed) -> BitWord:
@@ -37,12 +37,12 @@ class TestEncode:
         assert scheme.i_bits == 7  # ceil(log2(112))
 
     def test_layout_reproducible(self, scheme):
-        again = make_partial_scheme(scheme.ecc, scheme.k_info, layout_seed=42)
+        again = make_partial_scheme(scheme.code, scheme.k_info, layout_seed=42)
         assert np.array_equal(again.layout, scheme.layout)
 
     def test_dimension_mismatch_rejected(self, scheme):
         with pytest.raises(ValueError):
-            make_partial_scheme(scheme.ecc, k_info=150, layout_seed=1)
+            make_partial_scheme(scheme.code, k_info=150, layout_seed=1)
 
 
 class TestReadThreshold:
@@ -106,10 +106,10 @@ class TestDecode:
 
     def test_out_of_range_index_rejected(self, scheme):
         # craft a clean codeword whose index field exceeds the segment length
-        message = np.zeros(scheme.ecc.k, dtype=np.uint8)
+        message = np.zeros(scheme.code.k, dtype=np.uint8)
         message[:scheme.k_info // 2] = 1
         message[scheme.k_info:scheme.k_info + scheme.i_bits] = 1  # index 127
-        cw = scheme.ecc.encode(message)
+        cw = ldpc.encode(scheme.code, message).to_array()
         physical = np.zeros(scheme.n, dtype=np.uint8)
         physical[scheme.layout] = cw
         res = pb_decode(scheme, BitWord.from_array(physical))

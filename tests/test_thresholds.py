@@ -141,6 +141,19 @@ class TestBalancingExact:
         with pytest.raises(ValueError, match="at least one cell"):
             balancing_threshold_exact([])
 
+    @pytest.mark.parametrize("levels, exact", [
+        ([1e308, 1.7e308], True), ([-1.7e308, -1e308], True),
+        ([1e308, 1.7e308, 1.7e308, 1.7e308], False),
+        ([-1.7e308, -1.7e308, -1.7e308, -1e308], False),
+    ])
+    def test_midpoint_overflow(self, levels, exact):
+        # the midpoint of two levels near the float maximum is not finite
+        res = balancing_threshold_exact(levels)
+        assert math.isfinite(res.value) and res.exact == exact
+        gap = abs(read_with_threshold(levels, res.value).weight - len(levels) // 2)
+        assert gap == brute_force_min_gap(levels)
+        assert_same_float(res.value, threshold_oracle.balancing_threshold_exact(levels).value)
+
     @given(tied_levels)
     @settings(max_examples=300)
     def test_matches_brute_force_cut_scan(self, levels):
@@ -244,9 +257,11 @@ class TestOptimalOracle:
             optimal_threshold_oracle([], BitWord(()))
 
     @pytest.mark.parametrize("levels", [[1e17, 1e17], [-1e17, -1e17],
-                                        [-1e17, 1e17, 1e17, -1e17]])
+                                        [-1e17, 1e17, 1e17, -1e17],
+                                        [1e308, 1.7e308], [-1.7e308, -1e308]])
     def test_read_at_result_reproduces_counts(self, levels):
-        # at this magnitude max + 1.0 rounds onto the maximum, which reads as 1
+        # at 1e17 max + 1.0 rounds onto the maximum, which reads as 1; at
+        # 1e308 the midpoint of two levels overflows to infinity
         for bits in itertools.product((0, 1), repeat=len(levels)):
             x = BitWord(bits)
             v, counts = optimal_threshold_oracle(levels, x)

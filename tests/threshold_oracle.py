@@ -27,11 +27,13 @@ def balancing_threshold_exact(c) -> BalancingThreshold:
         raise ValueError("exact balancing requires an even number of cells")
     k = n // 2
     desc = np.sort(levels)[::-1]
-    v = 0.5 * (desc[k - 1] + desc[k])
+    with np.errstate(over="ignore"):
+        v = 0.5 * (desc[k - 1] + desc[k])
     if int(np.sum(levels >= v)) == k:
         return BalancingThreshold(value=float(v), exact=True)
     # Midpoint failed: either tied values straddle the boundary, or the two
-    # neighbors are adjacent floats and the midpoint rounded onto one of them.
+    # neighbors are adjacent floats and the midpoint rounded onto one of them,
+    # or their sum overflowed.
     if desc[k - 1] > desc[k]:
         return BalancingThreshold(value=float(desc[k - 1]), exact=True)
     best_v, best_gap = None, None
@@ -49,9 +51,10 @@ def _cut_candidates(levels: np.ndarray):
     yield float(asc[0] - 1.0), n
     for j in range(1, n):
         if asc[j - 1] < asc[j]:
-            v = 0.5 * (asc[j - 1] + asc[j])
-            if v <= asc[j - 1]:
-                v = asc[j]  # adjacent floats: the upper value realizes the cut
+            with np.errstate(over="ignore"):
+                v = 0.5 * (asc[j - 1] + asc[j])
+            if not (np.isfinite(v) and v > asc[j - 1]):
+                v = asc[j]  # overflow or adjacent floats: the upper value realizes the cut
             yield float(v), n - j
     yield float(max(asc[-1] + 1.0, np.nextafter(asc[-1], np.inf))), 0
 
