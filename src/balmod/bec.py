@@ -28,7 +28,7 @@ import numpy as np
 from .channel import ERASURE
 from .intervals import IntervalSet
 from .ldpc import LdpcCode, syndrome
-from .words import BitWord, find_balancing_index
+from .words import find_balancing_index
 
 UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
@@ -124,9 +124,9 @@ def genie_peel(code: LdpcCode, y: np.ndarray, i: int) -> np.ndarray | None:
 @dataclass(frozen=True)
 class BecResult:
     status: str
-    z: BitWord | None
+    z: np.ndarray | None        # uint8 codeword, like genie_peel's
     i: int | None
-    candidates: tuple[tuple[BitWord, int], ...]
+    candidates: tuple[tuple[np.ndarray, int], ...]
     residual_set_size: int      # |I| when propagation stopped
     erasures_left: int          # unfilled positions when propagation stopped
     budget_exceeded: bool
@@ -135,7 +135,7 @@ class BecResult:
 def _feasible(code: LdpcCode, src: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (z, i), i in idx, whose known-i peel of src completes to a
     codeword z that inverting its first i bits balances, i being the minimal
-    such index of z."""
+    such index of z; the z rows are uint8."""
     z = _prefix_flipped(src, idx)
     if not _peel(code, z):
         return z[:0], idx[:0]
@@ -143,16 +143,17 @@ def _feasible(code: LdpcCode, src: np.ndarray, idx: np.ndarray) -> tuple[np.ndar
     ok = 2 * stored.sum(axis=1) == code.n
     ok[ok] = ~syndrome(code, z[ok]).any(axis=1)
     ok[ok] = find_balancing_index(z[ok]) == idx[ok]
-    return z[ok], idx[ok]
+    return z[ok].astype(np.uint8), idx[ok]
 
 
 def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
     """Decode an erased prefix-inverted codeword without knowing the index.
 
-    Runs the joint peeling / interval-narrowing iteration; on termination the
-    remaining candidates in I are tested for feasibility (peel completion,
-    balance, and index minimality).  Returns UNIQUE only when enumeration was
-    complete and exactly one codeword survives.
+    Alternates peeling with narrowing of the inversion set I, a mask over
+    {0..n} that each fully observed check cuts to one flip-parity class; when
+    neither makes progress, the indices left in I are tested for feasibility
+    (peel completion, balance, and index minimality).  Returns UNIQUE only
+    when enumeration was complete and exactly one codeword survives.
     """
     y = _received(code, y)
     if budget < 0:
@@ -195,10 +196,10 @@ def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
         idx = np.nonzero(inv[:n])[0]
         src = x if erasures_left == 0 else y
         candidates = tuple(
-            (BitWord.from_array(z), int(i))
+            (z, int(i))
             for start in range(0, idx.size, _ENUM_ROWS)
             for z, i in zip(*_feasible(code, src, idx[start:start + _ENUM_ROWS])))
-    distinct = len({cw for cw, _ in candidates})
+    distinct = len({cw.tobytes() for cw, _ in candidates})
     status = (AMBIGUOUS if residual > budget or distinct > 1
               else UNIQUE if distinct else FAILURE)
     z, i = candidates[0] if status == UNIQUE else (None, None)

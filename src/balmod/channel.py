@@ -44,6 +44,8 @@ class DriftModel:
 
     def level_params(self, t: float) -> tuple[float, float, float, float]:
         """(mean0, sd0, mean1, sd1) of the level distributions at time t."""
+        if not np.isfinite(t):
+            raise ValueError(f"age t must be finite, got {t}")
         if t < 0:
             raise ValueError("age t must be nonnegative")
         if self.kind == MEAN_DRIFT:

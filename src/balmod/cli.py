@@ -37,12 +37,21 @@ def _code_triple(raw) -> tuple[int, int, int]:
     return tuple(parts)
 
 
+def _check_seed(name: str, seed: int | None) -> None:
+    """Reject a negative seed by name; numpy's own error names neither the
+    flag nor the value."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {seed}")
+
+
 def _config_value(key: str, value):
     kind = CONFIG_TYPES[key]
     if kind is tuple:
         return _code_triple(value)
     # JSON true/false are not numbers; an integer key takes no fraction
     if type(value) is int or (kind is float and type(value) is float):
+        if key == "seed":
+            _check_seed(repr(key), value)
         return kind(value)
     raise ValueError(f"{key!r} must be {'a number' if kind is float else 'an integer'}, "
                      f"got {json.dumps(value)}")
@@ -144,7 +153,7 @@ def cmd_decode(args) -> int:
         if not res.ok:
             print("decode failure")
             return 1
-        print(f"message={res.u}")
+        print(f"message={''.join(map(str, res.u.tolist()))}")
         print(f"inversion_index={res.i}")
     return 0
 
@@ -343,6 +352,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest in ("seed", "code_seed"):
+            _check_seed("--" + dest.replace("_", "-"), getattr(args, dest, None))
         return args.func(args)
     except ValueError as exc:
         print(f"balmod: error: {exc}", file=sys.stderr)

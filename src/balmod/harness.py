@@ -273,7 +273,7 @@ def run_wer_bec(spec: WerBecSpec) -> ResultTable:
             residuals.append(res.residual_set_size)
             if res.status == bec.UNIQUE:
                 unique_returned += 1
-                unique_ok += int(np.array_equal(res.z.to_array(), z_true))
+                unique_ok += int(np.array_equal(res.z, z_true))
         rows = (
             ("genie", "wer", 1.0 - genie_ok / spec.trials),
             ("balanced", "wer", 1.0 - unique_ok / spec.trials),
@@ -318,7 +318,7 @@ def run_wer_bsc(spec: WerBscSpec) -> ResultTable:
         for trial in range(spec.trials):
             rng = channel.make_rng((spec.seed, p_idx, trial))
             u = rng.integers(0, 2, code.k)
-            z = ldpc.encode(code, u).to_array()
+            z = ldpc.encode(code, u)
             i_true = find_balancing_index(z)
             x = z.copy()
             x[:i_true] ^= 1
@@ -327,21 +327,19 @@ def run_wer_bsc(spec: WerBscSpec) -> ResultTable:
 
             res_u = ldpc.bp_decode(code, ldpc.bsc_llr(z ^ noise, p),
                                    max_iter=spec.max_iter)
-            unbal_err += int(not (res_u.satisfied
-                                  and np.array_equal(res_u.word.to_array(), z)))
+            unbal_err += int(not (res_u.satisfied and np.array_equal(res_u.word, z)))
 
             llr_b = ldpc.bsc_llr(x ^ noise, p)
             res_b = ldpc.balanced_decode(code, llr_b, depth=spec.depth,
                                          num_candidates=spec.num_candidates,
                                          max_iter=spec.max_iter)
-            bal_err += int(not (res_b.ok and np.array_equal(res_b.z.to_array(), z)))
+            bal_err += int(not (res_b.ok and np.array_equal(res_b.z, z)))
 
             if spec.include_exhaustive:
                 res_e = ldpc.balanced_decode(code, llr_b, depth=spec.depth,
                                              num_candidates=None,
                                              max_iter=spec.max_iter)
-                exh_err += int(not (res_e.ok
-                                    and np.array_equal(res_e.z.to_array(), z)))
+                exh_err += int(not (res_e.ok and np.array_equal(res_e.z, z)))
         pairs = [("unbalanced", unbal_err), ("balanced", bal_err)]
         if spec.include_exhaustive:
             pairs.append(("exhaustive", exh_err))

@@ -168,13 +168,13 @@ def syndrome(code: LdpcCode, bits) -> np.ndarray:
     return nbr_bits.sum(axis=-1, dtype=np.uint8) % 2
 
 
-def encode(code: LdpcCode, u) -> BitWord:
-    """Codeword G @ u with message bits verbatim at message_positions."""
+def encode(code: LdpcCode, u) -> np.ndarray:
+    """Codeword G @ u as a fresh uint8 array, message bits verbatim at
+    message_positions; uint8 sums wrap mod 256, which keeps parity."""
     msg = np.asarray(u, dtype=np.uint8)
     if msg.shape != (code.k,):
         raise ValueError(f"message shape {msg.shape} != ({code.k},)")
-    z = code.G @ msg % 2
-    return BitWord.from_array(z)
+    return code.G @ msg % 2
 
 
 def balanced_encode(code: LdpcCode, u) -> tuple[BalancedWord, int]:
@@ -185,9 +185,8 @@ def balanced_encode(code: LdpcCode, u) -> tuple[BalancedWord, int]:
     """
     if code.n % 2:
         raise ValueError("balancing needs even block length")
-    z = encode(code, u).to_array()
-    i = find_balancing_index(z)
-    x = z.copy()
+    x = encode(code, u)
+    i = find_balancing_index(x)
     x[:i] ^= 1
     return BalancedWord.from_array(x), i
 
@@ -198,7 +197,7 @@ def balanced_encode(code: LdpcCode, u) -> tuple[BalancedWord, int]:
 
 @dataclass(frozen=True)
 class BpResult:
-    word: BitWord
+    word: np.ndarray            # uint8 hard decision
     satisfied: bool
     iterations: int
 
@@ -246,8 +245,8 @@ def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
         m_vc[vei] = np.clip(post[:, None] - inc, -LLR_CLIP, LLR_CLIP)
         hard = (post < 0).astype(np.uint8)
         if not np.any(syndrome(code, hard)):
-            return BpResult(word=BitWord.from_array(hard), satisfied=True, iterations=it)
-    return BpResult(word=BitWord.from_array(hard), satisfied=False, iterations=max_iter)
+            return BpResult(word=hard, satisfied=True, iterations=it)
+    return BpResult(word=hard, satisfied=False, iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +392,8 @@ def candidate_inversions(scores, c: int) -> list[int]:
 @dataclass(frozen=True)
 class BalancedDecodeResult:
     ok: bool
-    u: BitWord | None
-    z: BitWord | None
+    u: np.ndarray | None        # uint8 message bits of z
+    z: np.ndarray | None        # uint8 decoded codeword
     i: int | None
     candidates: tuple[int, ...]
     score: float | None
@@ -429,7 +428,7 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
         res = bp_decode(code, lj, max_iter=max_iter)
         if not res.satisfied:
             continue
-        z = res.word.to_array()
+        z = res.word
         key = z.tobytes()
         if key in seen:
             continue
@@ -447,8 +446,8 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     i_min, z = best
     return BalancedDecodeResult(
         ok=True,
-        u=BitWord.from_array(z[code.message_positions]),
-        z=BitWord.from_array(z),
+        u=z[code.message_positions],
+        z=z,
         i=i_min,
         candidates=tuple(cands),
         score=best_score,

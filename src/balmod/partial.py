@@ -19,7 +19,7 @@ import numpy as np
 from .channel import make_rng
 from .ldpc import LdpcCode, bp_decode, bsc_llr, encode
 from .thresholds import balancing_threshold_exact, read_with_threshold
-from .words import BalancedWord, BitWord, find_balancing_index, invert_prefix
+from .words import BalancedWord, BitWord, find_balancing_index
 
 
 # crossover probability the inner decoder's constant-magnitude LLRs assume
@@ -83,19 +83,20 @@ def pb_encode(scheme: PartialScheme, u: BitWord) -> PartialCodeword:
     and scatter the bits into physical cell order."""
     if len(u) != scheme.k_info:
         raise ValueError(f"message length {len(u)} != {scheme.k_info}")
-    i = find_balancing_index(u.to_array())
-    u_tilde = BalancedWord(invert_prefix(u, i).bits)
+    u_tilde = u.to_array()
+    i = find_balancing_index(u_tilde)
+    u_tilde[:i] ^= 1
     idx = np.array([(i >> (scheme.i_bits - 1 - t)) & 1 for t in range(scheme.i_bits)],
                    dtype=np.uint8)
     message = np.zeros(scheme.code.k, dtype=np.uint8)
-    message[:scheme.k_info] = u_tilde.to_array()
+    message[:scheme.k_info] = u_tilde
     message[scheme.k_info:scheme.k_info + scheme.i_bits] = idx
-    codeword = encode(scheme.code, message).to_array()
+    codeword = encode(scheme.code, message)
     physical = np.zeros(scheme.n, dtype=np.uint8)
     physical[scheme.layout] = codeword
     parity_positions = np.setdiff1d(np.arange(scheme.n), scheme.code.message_positions)
     return PartialCodeword(
-        u_tilde=u_tilde,
+        u_tilde=BalancedWord.from_array(u_tilde),
         i_bits=BitWord.from_array(idx),
         parity=BitWord.from_array(codeword[parity_positions]),
         physical=BitWord.from_array(physical),
@@ -117,21 +118,20 @@ def pb_decode(scheme: PartialScheme, y: BitWord) -> PbDecodeResult:
     Failures from the inner code or an out-of-range index are reported, never
     silently decoded.
     """
-    phys = y.to_array()
-    logical = phys[scheme.layout]
+    logical = y.to_array()[scheme.layout]
     res = bp_decode(scheme.code, bsc_llr(logical, DESIGN_P))
     if not res.satisfied:
         return PbDecodeResult(ok=False, u=None, reason="ecc decode failure")
-    message = res.word.to_array()[scheme.code.message_positions]
-    u_tilde = message[:scheme.k_info]
+    message = res.word[scheme.code.message_positions]
+    u = message[:scheme.k_info]
     idx_bits = message[scheme.k_info:scheme.k_info + scheme.i_bits]
     i = 0
     for b in idx_bits:
         i = (i << 1) | int(b)
     if i >= scheme.k_info:
         return PbDecodeResult(ok=False, u=None, reason=f"index {i} out of range")
-    u = invert_prefix(BitWord.from_array(u_tilde), i)
-    return PbDecodeResult(ok=True, u=u, reason="")
+    u[:i] ^= 1
+    return PbDecodeResult(ok=True, u=BitWord.from_array(u), reason="")
 
 
 def rate_fixed_vs_partial(n: int, k_fixed: int, k_pb: int, i_bits: int) -> tuple[float, float]:

@@ -5,7 +5,7 @@ sweeps the checks with one unknown neighbor, and `bec_decode` alternates a
 sweep that intersects the inversion set with each fully observed check's
 interval class and a sweep that fills lone unknowns, then enumerates the
 residual set one index at a time.  Nothing here is fast.  `balmod.bec` must
-return equal results: `BecResult ==` and array-equal peels.
+return equal results, as `same_result` and `same_word` compare them.
 """
 
 import numpy as np
@@ -15,7 +15,25 @@ from balmod.bec import (AMBIGUOUS, FAILURE, UNIQUE, BecResult,
 from balmod.channel import ERASURE
 from balmod.intervals import IntervalSet
 from balmod.ldpc import LdpcCode, syndrome
-from balmod.words import BitWord, find_balancing_index
+from balmod.words import find_balancing_index
+
+
+def same_word(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Equal words of one dtype, or both None."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def same_result(a: BecResult, b: BecResult) -> bool:
+    """Every field of two BecResults equal: the scalars exactly, z and each
+    candidate word by same_word (a dataclass == on array fields is ambiguous)."""
+    def scalars(r):
+        return r.status, r.i, r.residual_set_size, r.erasures_left, r.budget_exceeded
+    return (scalars(a) == scalars(b) and same_word(a.z, b.z)
+            and len(a.candidates) == len(b.candidates)
+            and all(ia == ib and same_word(za, zb)
+                    for (za, ia), (zb, ib) in zip(a.candidates, b.candidates)))
 
 
 def _prefix_flip(y: np.ndarray, i: int) -> np.ndarray:
@@ -153,11 +171,11 @@ def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
         return BecResult(status=FAILURE, z=None, i=None, candidates=(),
                          residual_set_size=residual, erasures_left=erasures_left,
                          budget_exceeded=False)
-    candidates = tuple((BitWord.from_array(z), i) for z, i in feasible)
-    distinct = {str(cw) for cw, _ in candidates}
+    candidates = tuple(feasible)
+    distinct = {cw.tobytes() for cw, _ in candidates}
     if len(distinct) == 1:
         z, i = feasible[0]
-        return BecResult(status=UNIQUE, z=BitWord.from_array(z), i=i,
+        return BecResult(status=UNIQUE, z=z, i=i,
                          candidates=candidates, residual_set_size=residual,
                          erasures_left=erasures_left, budget_exceeded=False)
     return BecResult(status=AMBIGUOUS, z=None, i=None, candidates=candidates,

@@ -205,7 +205,7 @@ def test_07_bec_inversion_set_decoder():
                 if res.status == bec.UNIQUE:
                     unique_ok += 1
                     if genie_success:
-                        assert np.array_equal(res.z.to_array(), g), (n, trial)
+                        assert np.array_equal(res.z, g), (n, trial)
             assert abs(unique_ok / trials - genie_ok / trials) <= 0.05, n
             mean_residuals.append(float(np.mean(residuals)))
         print(f"  mean residual inversion-set sizes at p={p}: "

@@ -54,6 +54,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             DriftModel(MEAN_DRIFT, 0.0)
 
+    @pytest.mark.parametrize("kind", [MEAN_DRIFT, VARIANCE_GROWTH])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_age_rejected(self, kind, t):
+        # nan < 0 is False: without its own check a NaN age became NaN levels
+        with pytest.raises(ValueError, match=f"age t must be finite, got {t}"):
+            DriftModel(kind, 0.1).level_params(t)
+
 
 class TestAnalyticBer:
     def test_mean_drift_midpoint(self):

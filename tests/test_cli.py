@@ -168,6 +168,39 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("age", ["nan", "inf", "-inf"])
+    def test_non_finite_age(self, capsys, tmp_path, monkeypatch, age):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sim", "ber", "--cells", "100", "--t-grid", f"0.1,{age}", "--out", "x.csv"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("balmod: error: ") and f"age t must be finite, got {age}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, config, expect", [
+        (["sim", "ber", "--cells", "100", "--seed", "-1", "--out", "x.csv"], None,
+         "--seed must be a nonnegative integer, got -1"),
+        *[(["sim", sim, "--trials", "1", "--code-seed", "-5", "--out", "x.csv"], None,
+           "--code-seed must be a nonnegative integer, got -5")
+          for sim in ("wer-bsc", "wer-bec", "inversion-set")],
+        (["encode", "--bits", "1" * 12, "--scheme", "ldpc", "--code", "28,4,7",
+          "--seed", "-3"], None, "--seed must be a nonnegative integer, got -3"),
+        (["sim", "ber", "--cells", "100", "--config", "cfg.json", "--out", "x.csv"],
+         {"seed": -1}, "config cfg.json: 'seed' must be a nonnegative integer, got -1"),
+    ], ids=["seed", "wer-bsc code-seed", "wer-bec code-seed", "inversion-set code-seed",
+            "encode seed", "config seed"])
+    def test_negative_seed(self, capsys, tmp_path, monkeypatch, argv, config, expect):
+        # numpy's own error names neither the flag nor the value
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("balmod: error: ") and expect in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("sim, trials", [
         ("ber", "0"), ("wer-bec", "0"), ("wer-bsc", "0"), ("inversion-set", "0"),
         ("wer-bec", "-2"), ("wer-bsc", "-2"), ("inversion-set", "-2"),

@@ -2,10 +2,17 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balmod import channel, ldpc
 from balmod.words import BitWord, find_balancing_index, invert_prefix, weight
 from score_oracle import _score_full, lambda_scores_scratch
+
+# small codes for the noise-free property, built once
+NOISE_FREE_CODES = (ldpc.build_gallager(8, 2, 4, seed=2),
+                    ldpc.build_gallager(28, 4, 7, seed=1),
+                    ldpc.build_gallager(32, 3, 4, seed=11))
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +74,7 @@ class TestConstruction:
         for _ in range(100):
             u = rng.integers(0, 2, small_code.k)
             z = ldpc.encode(small_code, u)
-            assert not ldpc.syndrome(small_code, z.to_array()).any()
+            assert not ldpc.syndrome(small_code, z).any()
 
     def test_paper_scale_shape(self, full_scale_code):
         assert full_scale_code.r == 160
@@ -77,7 +84,7 @@ class TestConstruction:
     def test_message_bits_verbatim(self, small_code):
         rng = channel.make_rng(11)
         u = rng.integers(0, 2, small_code.k)
-        z = ldpc.encode(small_code, u).to_array()
+        z = ldpc.encode(small_code, u)
         assert np.array_equal(z[small_code.message_positions], u)
 
     def test_rank_deficit_is_structural(self, full_scale_code):
@@ -129,7 +136,7 @@ class TestBalancedEncode:
         rng = channel.make_rng(13)
         for _ in range(300):
             u = rng.integers(0, 2, mid_code.k)
-            z = ldpc.encode(mid_code, u).to_array()
+            z = ldpc.encode(mid_code, u)
             if 2 * int(z.sum()) == mid_code.n:
                 x, i = ldpc.balanced_encode(mid_code, u)
                 assert i == 0
@@ -159,22 +166,22 @@ class TestBalancedEncode:
 class TestBeliefPropagation:
     def test_noiseless_converges_first_iteration(self, full_scale_code):
         u = channel.make_rng(14).integers(0, 2, full_scale_code.k)
-        z = ldpc.encode(full_scale_code, u).to_array()
+        z = ldpc.encode(full_scale_code, u)
         llr = np.where(z == 0, 1e9, -1e9)
         res = ldpc.bp_decode(full_scale_code, llr)
         assert res.satisfied and res.iterations == 1
-        assert np.array_equal(res.word.to_array(), z)
+        assert np.array_equal(res.word, z)
 
     def test_single_flip_corrected(self, full_scale_code):
         rng = channel.make_rng(15)
         for trial in range(10):
             u = rng.integers(0, 2, full_scale_code.k)
-            z = ldpc.encode(full_scale_code, u).to_array()
+            z = ldpc.encode(full_scale_code, u)
             y = z.copy()
             y[int(rng.integers(0, full_scale_code.n))] ^= 1
             res = ldpc.bp_decode(full_scale_code, ldpc.bsc_llr(y, 0.01))
             assert res.satisfied
-            assert np.array_equal(res.word.to_array(), z)
+            assert np.array_equal(res.word, z)
 
     def test_bsc_llr_constants(self):
         p = 0.1
@@ -298,7 +305,7 @@ class TestBalancedDecoding:
             assert i_true in ldpc.candidate_inversions(scores, 4)
             res = ldpc.balanced_decode(full_scale_code, llr)
             assert res.ok and res.i == i_true
-            assert np.array_equal(res.u.to_array(), u)
+            assert np.array_equal(res.u, u)
 
     def test_noisy_recovery(self, full_scale_code):
         rng = channel.make_rng(22)
@@ -308,7 +315,7 @@ class TestBalancedDecoding:
             x, _ = ldpc.balanced_encode(full_scale_code, u)
             y = channel.apply_bsc(x, 0.03, seed=(23, trial))
             res = ldpc.balanced_decode_bsc(full_scale_code, y, 0.03)
-            ok += int(res.ok and np.array_equal(res.u.to_array(), u))
+            ok += int(res.ok and np.array_equal(res.u, u))
         assert ok >= 18
 
     def test_exhaustive_never_underperforms_guided(self):
@@ -322,8 +329,8 @@ class TestBalancedDecoding:
             llr = ldpc.bsc_llr(y.to_array(), 0.04)
             res_g = ldpc.balanced_decode(code, llr, depth=2, num_candidates=4)
             res_e = ldpc.balanced_decode(code, llr, depth=2, num_candidates=None)
-            guided_ok += int(res_g.ok and np.array_equal(res_g.u.to_array(), u))
-            exhaustive_ok += int(res_e.ok and np.array_equal(res_e.u.to_array(), u))
+            guided_ok += int(res_g.ok and np.array_equal(res_g.u, u))
+            exhaustive_ok += int(res_e.ok and np.array_equal(res_e.u, u))
         assert exhaustive_ok >= guided_ok
 
     def test_soft_decode_over_drift_channel(self, full_scale_code):
@@ -334,7 +341,37 @@ class TestBalancedDecoding:
             block = channel.sample_levels(x, model, t=0.25, seed=(28, trial))
             res = ldpc.balanced_decode_soft(full_scale_code, block.levels)
             assert res.ok
-            assert np.array_equal(res.u.to_array(), u)
+            assert np.array_equal(res.u, u)
+
+    def test_results_are_uint8_arrays(self, full_scale_code):
+        u = channel.make_rng(35).integers(0, 2, full_scale_code.k)
+        z = ldpc.encode(full_scale_code, u)
+        res_bp = ldpc.bp_decode(full_scale_code, ldpc.bsc_llr(z, 0.05))
+        x, _ = ldpc.balanced_encode(full_scale_code, u)
+        res = ldpc.balanced_decode(full_scale_code, ldpc.bsc_llr(x.to_array(), 0.05))
+        for word in (z, res_bp.word, res.z, res.u):
+            assert type(word) is np.ndarray and word.dtype == np.uint8 and word.ndim == 1
+        assert np.array_equal(res.z, z) and np.array_equal(res.u, u)
+
+    @given(st.sampled_from(NOISE_FREE_CODES),
+           st.sampled_from([(depth, c) for depth in (1, 2, 3) for c in (1, 2, 3, 4)]
+                           + [(1, None)]),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_noise_free_returns_stored_word(self, code, search, data):
+        # the property is on the stored form, not on z == encode(u): on
+        # (8,2,4) another codeword can share the stored form (a shift collision)
+        u = data.draw(st.lists(st.integers(0, 1), min_size=code.k, max_size=code.k))
+        x, _ = ldpc.balanced_encode(code, np.array(u))
+        depth, num_candidates = search
+        res = ldpc.balanced_decode(code, ldpc.bsc_llr(x.to_array(), 0.05), depth=depth,
+                                   num_candidates=num_candidates)
+        assert res.ok
+        assert res.i == find_balancing_index(res.z)
+        assert np.array_equal(res.u, res.z[code.message_positions])
+        stored = res.z.copy()
+        stored[:res.i] ^= 1
+        assert np.array_equal(stored, x.to_array())
 
     def test_failure_reported(self, full_scale_code):
         # saturate with noise so no candidate satisfies parity

@@ -109,7 +109,7 @@ class TestDecode:
         message = np.zeros(scheme.code.k, dtype=np.uint8)
         message[:scheme.k_info // 2] = 1
         message[scheme.k_info:scheme.k_info + scheme.i_bits] = 1  # index 127
-        cw = ldpc.encode(scheme.code, message).to_array()
+        cw = ldpc.encode(scheme.code, message)
         physical = np.zeros(scheme.n, dtype=np.uint8)
         physical[scheme.layout] = cw
         res = pb_decode(scheme, BitWord.from_array(physical))
