@@ -31,6 +31,13 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _check_age(t: float) -> None:
+    if not np.isfinite(t):
+        raise ValueError(f"age t must be finite, got {t}")
+    if t < 0:
+        raise ValueError("age t must be nonnegative")
+
+
 @dataclass(frozen=True)
 class DriftModel:
     kind: str
@@ -44,10 +51,7 @@ class DriftModel:
 
     def level_params(self, t: float) -> tuple[float, float, float, float]:
         """(mean0, sd0, mean1, sd1) of the level distributions at time t."""
-        if not np.isfinite(t):
-            raise ValueError(f"age t must be finite, got {t}")
-        if t < 0:
-            raise ValueError("age t must be nonnegative")
+        _check_age(t)
         if self.kind == MEAN_DRIFT:
             return 0.0, self.sigma, 1.0 - t, self.sigma
         return 0.0, self.sigma, 1.0, self.sigma + t
@@ -93,6 +97,7 @@ def analytic_ber_variance_growth(v, t, sigma: float):
 
 
 def analytic_ber(model: DriftModel, v, t):
+    _check_age(t)
     if model.kind == MEAN_DRIFT:
         return analytic_ber_mean_drift(v, t, model.sigma)
     return analytic_ber_variance_growth(v, t, model.sigma)
@@ -123,8 +128,7 @@ def model_thresholds(model: DriftModel, t: float) -> ModelThresholds:
     g_t(v) = h_t(v); the interior root is found by bisection on (0, 1) and
     compared against the infinite-threshold candidates.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_age(t)
     if model.kind == MEAN_DRIFT:
         vb = vo = (1.0 - t) / 2.0
         return ModelThresholds(vb=vb, vo=vo, vf=0.5)

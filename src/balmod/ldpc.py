@@ -28,6 +28,7 @@ from .words import BalancedWord, BitWord, find_balancing_index
 LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
 _MAX_DRAWS = 32     # Gallager draws tried before giving up on a seed
+_BP_BLOCK = 32      # BP rows per kernel call in balanced_decode; bounds its memory
 
 # the benchmark (perfbench/) calls and traces the balancing index by this name
 _balancing_index_arr = find_balancing_index
@@ -221,32 +222,99 @@ def bsc_llr(y, p: float) -> np.ndarray:
     return np.where(np.asarray(y, dtype=np.uint8) == 0, mag, -mag)
 
 
-def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
-    """Flooding sum-product decoding; positive LLR favors bit 0.
+def _bp_maps(code: LdpcCode, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gathers between the slot-major BP tables of a batch of `rows`.
 
-    Stops once the hard decision satisfies every check, else after max_iter
-    (at least 1) iterations with satisfied = False.  Messages are clipped to +-30 to keep
-    tanh / arctanh stable.
+    The check-side table is (b, rows, r): slot s of check c in row q at
+    [s, q, c].  The variable-side table is (a, rows, n): the k-th edge (in
+    check order) of variable v at [k, q, v].  Slots lead, so every per-slot
+    step is one contiguous whole-batch operation.  Returns (a, rows, n)
+    indices into the flat check-side table and (b, rows, r) indices into a
+    flat (rows, n) array.
+    """
+    # C-ordered maps, so that the gathered tables are C-ordered too and each
+    # slot of them is one contiguous block
+    check, slot = divmod(np.ascontiguousarray(code.var_edge_ids.T), code.b)
+    q = np.arange(rows)[:, None]
+    to_var = (slot * (rows * code.r) + check)[:, None, :] + q * code.r
+    to_check = np.ascontiguousarray(code.check_nbrs.T)[:, None, :] + q * code.n
+    return to_var, to_check
+
+
+def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int):
+    """Flooding sum-product on every row of the (rows, n) clipped LLRs L.
+
+    Returns the uint8 hard decisions, `satisfied` and `iterations` per row.
+    A row leaves the batch at the iteration its hard decision clears the
+    syndrome, so it runs exactly the iterations a one-row decode runs.  Each
+    step repeats the one-row arithmetic in its order: the leave-one-out
+    product of a check slot is its prefix product times its suffix product,
+    a variable sums its a incoming messages left to right, as numpy sums up
+    to 7 terms (more go through numpy's own sum, as in one row), and an
+    outgoing message is that total minus the edge's own incoming message.
+    So every row is bit-equal to decoding it alone.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
-    if L.size != code.n:
-        raise ValueError(f"llr length {L.size} != n = {code.n}")
-    r, b = code.r, code.b
-    vei = code.var_edge_ids
-    m_vc = L[code.check_nbrs.ravel()]      # flat check-major edges
-    hard = (L < 0).astype(np.uint8)
+    if L.shape[1:] != (code.n,):
+        raise ValueError(f"llr shape {L.shape[1:]} != ({code.n},)")
+    a, b = code.a, code.b
+    words = np.empty(L.shape, dtype=np.uint8)   # every row is written when it leaves
+    satisfied = np.empty(len(L), dtype=bool)
+    iterations = np.empty(len(L), dtype=int)
+    live = np.arange(len(L))
+    to_var, to_check = _bp_maps(code, len(L))
+    m = L.ravel()[to_check]                     # (b, rows, r) variable-to-check
     for it in range(1, max_iter + 1):
-        t = np.tanh(0.5 * m_vc.reshape(r, b))
-        m_cv = 2.0 * np.arctanh(np.clip(_loo_prod(t), -_ATANH_LIMIT, _ATANH_LIMIT))
-        inc = m_cv.reshape(-1)[vei]          # (n, a) check messages per variable
-        post = L + inc.sum(axis=1)
-        m_vc[vei] = np.clip(post[:, None] - inc, -LLR_CLIP, LLR_CLIP)
-        hard = (post < 0).astype(np.uint8)
-        if not np.any(syndrome(code, hard)):
-            return BpResult(word=hard, satisfied=True, iterations=it)
-    return BpResult(word=hard, satisfied=False, iterations=max_iter)
+        t = np.tanh(0.5 * m)
+        loo = np.empty_like(t)                  # prefix products, then loo
+        suf = np.empty_like(t[1:])
+        loo[1] = t[0]
+        for s in range(2, b):
+            np.multiply(loo[s - 1], t[s - 1], out=loo[s])
+        suf[b - 2] = t[b - 1]
+        for s in range(b - 3, -1, -1):
+            np.multiply(suf[s + 1], t[s + 1], out=suf[s])
+        np.multiply(loo[1:-1], suf[1:], out=loo[1:-1])
+        loo[0] = suf[0]
+        m_cv = 2.0 * np.arctanh(np.clip(loo, -_ATANH_LIMIT, _ATANH_LIMIT, out=loo))
+        inc = m_cv.ravel()[to_var]              # (a, rows, n) check-to-variable
+        if a <= 7:
+            total = inc[0] + inc[1]
+            for k in range(2, a):
+                total += inc[k]
+        else:
+            total = np.ascontiguousarray(inc.transpose(1, 2, 0)).sum(axis=2)
+        post = L + total
+        post_chk = post.ravel()[to_check]
+        m = np.clip(post_chk - m_cv, -LLR_CLIP, LLR_CLIP)
+        unsat = np.bitwise_xor.reduce(post_chk < 0, axis=0).any(axis=1)
+        if it < max_iter and unsat.all():
+            continue
+        done = ~unsat | (it == max_iter)
+        rows = live[done]
+        words[rows] = post[done] < 0
+        satisfied[rows] = ~unsat[done]
+        iterations[rows] = it
+        if done.all():
+            break
+        live, L, m = live[~done], L[~done], np.ascontiguousarray(m[:, ~done])
+        to_var, to_check = _bp_maps(code, len(live))
+    return words, satisfied, iterations
+
+
+def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
+    """Flooding sum-product decoding of one word; positive LLR favors bit 0.
+
+    Stops once the hard decision satisfies every check, else after max_iter
+    (at least 1) iterations with satisfied = False.  Messages are clipped to
+    +-30 to keep tanh / arctanh stable.  This is the one-row call of the
+    batched kernel that balanced_decode runs on all its candidates at once.
+    """
+    L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
+    words, satisfied, iterations = _bp_rows(code, L[None], max_iter)
+    return BpResult(word=words[0], satisfied=bool(satisfied[0]),
+                    iterations=int(iterations[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +445,14 @@ def candidate_inversions(scores, c: int) -> list[int]:
     if c < 1:
         raise ValueError("need at least one candidate")
     lam = np.asarray(scores, dtype=np.float64)
-    n = lam.size
-    maxima = [j for j in range(n)
-              if (j == 0 or lam[j] > lam[j - 1])
-              and (j == n - 1 or lam[j] >= lam[j + 1])]
-    maxima.sort(key=lambda j: (-lam[j], j))
-    return maxima[:c]
+    up = np.ones(lam.size, dtype=bool)      # strictly above the left neighbor
+    up[1:] = lam[1:] > lam[:-1]
+    down = np.ones(lam.size, dtype=bool)    # at least the right neighbor
+    down[:-1] = lam[:-1] >= lam[1:]
+    maxima = np.flatnonzero(up & down)
+    # a stable sort of the ascending maxima by -score ranks ties by shift
+    order = np.argsort(-lam[maxima], kind="stable")
+    return maxima[order[:c]].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +475,16 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
 
     Candidate inversion indices come from the shift scores (or all n shifts
     when num_candidates is None).  Each candidate j flips the sign of the
-    first j LLRs and runs BP.  A parity-satisfying output z is re-paired with
-    its own minimal balancing index fbi(z) rather than the shift that found
-    it: a channel error at the prefix boundary makes the adjacent shift the
-    better BP input, yet both decode to the same codeword.  Each surviving
+    first j clipped LLRs, and BP runs on all candidates together, one row
+    each, in blocks of _BP_BLOCK rows; every row decodes exactly as
+    bp_decode would decode it alone.  A parity-satisfying output z is
+    re-paired with its own minimal balancing index fbi(z) rather than the
+    shift that found it: a channel error at the prefix boundary makes the
+    adjacent shift the better BP input, yet both decode to the same
+    codeword.  Going through the rows in candidate order, each distinct
     (z, fbi(z)) pair is scored by the correlation of its balanced form with
-    the raw LLRs, which orders the pairs exactly by observation likelihood on
-    a symmetric channel; the best pair wins.
+    the raw LLRs, which orders the pairs exactly by observation likelihood
+    on a symmetric channel; the best pair wins, the earlier one on a tie.
     """
     base = np.asarray(llr, dtype=np.float64)
     if num_candidates is None:
@@ -419,27 +492,26 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     else:
         cands = candidate_inversions(lambda_scores(code, base, depth), num_candidates)
     clipped = np.clip(base, -LLR_CLIP, LLR_CLIP)
+    pos = np.arange(clipped.size)
     best_score = None
     best = None
     seen: set[bytes] = set()
-    for j in cands:
-        lj = base.copy()
-        lj[:j] = -lj[:j]
-        res = bp_decode(code, lj, max_iter=max_iter)
-        if not res.satisfied:
-            continue
-        z = res.word
-        key = z.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        i_min = find_balancing_index(z)
-        x_hat = z.copy()
-        x_hat[:i_min] ^= 1
-        corr = float(np.sum((1.0 - 2.0 * x_hat.astype(np.float64)) * clipped))
-        if best_score is None or corr > best_score:
-            best_score = corr
-            best = (i_min, z)
+    for start in range(0, len(cands), _BP_BLOCK):
+        shifts = np.array(cands[start:start + _BP_BLOCK])
+        rows = np.where(pos < shifts[:, None], -clipped, clipped)
+        words, satisfied, _ = _bp_rows(code, rows, max_iter)
+        for z in words[satisfied]:
+            key = z.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            i_min = find_balancing_index(z)
+            x_hat = z.copy()
+            x_hat[:i_min] ^= 1
+            corr = float(np.sum((1.0 - 2.0 * x_hat.astype(np.float64)) * clipped))
+            if best_score is None or corr > best_score:
+                best_score = corr
+                best = (i_min, z)
     if best is None:
         return BalancedDecodeResult(ok=False, u=None, z=None, i=None,
                                     candidates=tuple(cands), score=None)

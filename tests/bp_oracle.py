@@ -1,0 +1,81 @@
+"""Reference semantics of belief propagation, kept as the tests' oracle.
+
+`bp_decode` is the one-word flooding sum-product loop that `ldpc.bp_decode`
+ran before BP moved into a batched kernel, and `balanced_decode` the serial
+candidate loop over it.  `ldpc.bp_decode` and `ldpc.balanced_decode` must
+equal them exactly: the same word, `satisfied` and `iterations`, and the
+same decoded index, candidates and score.
+"""
+
+import numpy as np
+
+from balmod.ldpc import (LLR_CLIP, _ATANH_LIMIT, BalancedDecodeResult, BpResult, LdpcCode,
+                         _loo_prod, candidate_inversions, lambda_scores, syndrome)
+from balmod.words import find_balancing_index
+
+
+def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
+    """Flooding sum-product decoding; positive LLR favors bit 0.
+
+    Stops once the hard decision satisfies every check, else after max_iter
+    (at least 1) iterations with satisfied = False.  Messages are clipped to +-30 to keep
+    tanh / arctanh stable.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
+    if L.size != code.n:
+        raise ValueError(f"llr length {L.size} != n = {code.n}")
+    r, b = code.r, code.b
+    vei = code.var_edge_ids
+    m_vc = L[code.check_nbrs.ravel()]      # flat check-major edges
+    hard = (L < 0).astype(np.uint8)
+    for it in range(1, max_iter + 1):
+        t = np.tanh(0.5 * m_vc.reshape(r, b))
+        m_cv = 2.0 * np.arctanh(np.clip(_loo_prod(t), -_ATANH_LIMIT, _ATANH_LIMIT))
+        inc = m_cv.reshape(-1)[vei]          # (n, a) check messages per variable
+        post = L + inc.sum(axis=1)
+        m_vc[vei] = np.clip(post[:, None] - inc, -LLR_CLIP, LLR_CLIP)
+        hard = (post < 0).astype(np.uint8)
+        if not np.any(syndrome(code, hard)):
+            return BpResult(word=hard, satisfied=True, iterations=it)
+    return BpResult(word=hard, satisfied=False, iterations=max_iter)
+
+
+def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | None = 4,
+                    max_iter: int = 50) -> BalancedDecodeResult:
+    """One oracle BP decode per candidate shift, in candidate order; the
+    first satisfied copy of each word is scored, the best score wins."""
+    base = np.asarray(llr, dtype=np.float64)
+    if num_candidates is None:
+        cands = list(range(code.n))
+    else:
+        cands = candidate_inversions(lambda_scores(code, base, depth), num_candidates)
+    clipped = np.clip(base, -LLR_CLIP, LLR_CLIP)
+    best_score = None
+    best = None
+    seen: set[bytes] = set()
+    for j in cands:
+        lj = base.copy()
+        lj[:j] = -lj[:j]
+        res = bp_decode(code, lj, max_iter=max_iter)
+        if not res.satisfied:
+            continue
+        z = res.word
+        key = z.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        i_min = find_balancing_index(z)
+        x_hat = z.copy()
+        x_hat[:i_min] ^= 1
+        corr = float(np.sum((1.0 - 2.0 * x_hat.astype(np.float64)) * clipped))
+        if best_score is None or corr > best_score:
+            best_score = corr
+            best = (i_min, z)
+    if best is None:
+        return BalancedDecodeResult(ok=False, u=None, z=None, i=None,
+                                    candidates=tuple(cands), score=None)
+    i_min, z = best
+    return BalancedDecodeResult(ok=True, u=z[code.message_positions], z=z, i=i_min,
+                                candidates=tuple(cands), score=best_score)

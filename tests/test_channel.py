@@ -91,6 +91,13 @@ class TestAnalyticBer:
         vals = [analytic_ber_variance_growth(0.5, t, 0.2) for t in np.linspace(0, 1, 11)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("kind", [MEAN_DRIFT, VARIANCE_GROWTH])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_age_rejected(self, kind, t):
+        # the mean-drift formula never reads level_params: a NaN age gave NaN
+        with pytest.raises(ValueError, match=f"age t must be finite, got {t}"):
+            analytic_ber(DriftModel(kind, 0.2), 0.5, t)
+
 
 class TestModelThresholds:
     def test_mean_drift_closed_form(self):
@@ -109,6 +116,13 @@ class TestModelThresholds:
         lhs = math.exp(-mt.vo ** 2 / (2 * sigma ** 2))
         rhs = sigma / (sigma + t) * math.exp(-(1 - mt.vo) ** 2 / (2 * (sigma + t) ** 2))
         assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("kind", [MEAN_DRIFT, VARIANCE_GROWTH])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_age_rejected(self, kind, t):
+        # the mean-drift closed form gave vb = vo = nan for a NaN age
+        with pytest.raises(ValueError, match=f"age t must be finite, got {t}"):
+            model_thresholds(DriftModel(kind, 0.2), t)
 
     def test_optimal_is_no_worse_than_balancing(self):
         model = DriftModel(VARIANCE_GROWTH, 0.2)

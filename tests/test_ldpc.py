@@ -1,12 +1,15 @@
 import collections
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from balmod import channel, ldpc
 from balmod.words import BitWord, find_balancing_index, invert_prefix, weight
+import bp_oracle
 from score_oracle import _score_full, lambda_scores_scratch
 
 # small codes for the noise-free property, built once
@@ -192,12 +195,129 @@ class TestBeliefPropagation:
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_below_one_rejected(self, full_scale_code, max_iter):
         # zero iterations would report every word, codewords too, as unsatisfied
+        llr = np.ones(full_scale_code.n)
         with pytest.raises(ValueError, match="max_iter"):
-            ldpc.bp_decode(full_scale_code, np.ones(full_scale_code.n), max_iter=max_iter)
+            ldpc.bp_decode(full_scale_code, llr, max_iter=max_iter)
+        for num_candidates in (4, None):
+            with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+                ldpc.balanced_decode(full_scale_code, llr, num_candidates=num_candidates,
+                                     max_iter=max_iter)
 
     def test_bsc_llr_validates_p(self):
         with pytest.raises(ValueError):
             ldpc.bsc_llr([0, 1], 0.6)
+
+
+def _noisy_llrs(code, rng, count: int, kind: str) -> np.ndarray:
+    """LLRs of random codewords: Gaussian around +-2, or BSC reads at p = 0.07.
+    Most rows converge, each after its own number of iterations."""
+    rows = []
+    for _ in range(count):
+        z = ldpc.encode(code, rng.integers(0, 2, code.k))
+        if kind == "gauss":
+            rows.append((1.0 - 2.0 * z) * 2.0 + rng.normal(0, 1.6, code.n))
+        else:
+            rows.append(ldpc.bsc_llr(z ^ (rng.random(code.n) < 0.07), 0.07))
+    return np.array(rows)
+
+
+def _assert_kernel_matches_oracle(code, llrs, max_iter=50):
+    """The batch kernel, and bp_decode row by row, equal the oracle exactly."""
+    clipped = np.clip(llrs, -ldpc.LLR_CLIP, ldpc.LLR_CLIP)
+    words, satisfied, iterations = ldpc._bp_rows(code, clipped, max_iter)
+    ref = [bp_oracle.bp_decode(code, llr, max_iter=max_iter) for llr in llrs]
+    assert np.array_equal(words, np.array([res.word for res in ref]))
+    assert np.array_equal(satisfied, [res.satisfied for res in ref])
+    assert np.array_equal(iterations, [res.iterations for res in ref])
+    for llr, want in zip(llrs, ref):
+        got = ldpc.bp_decode(code, llr, max_iter=max_iter)
+        assert np.array_equal(got.word, want.word) and got.word.dtype == np.uint8
+        assert (got.satisfied, got.iterations) == (want.satisfied, want.iterations)
+    return iterations
+
+
+def _same_decode(got, want) -> bool:
+    same_word = (got.z is None and want.z is None) or (
+        np.array_equal(got.z, want.z) and np.array_equal(got.u, want.u))
+    return (same_word and (got.ok, got.i, got.candidates, got.score)
+            == (want.ok, want.i, want.candidates, want.score))
+
+
+class TestBpKernel:
+    """The batched kernel against the one-word loop in bp_oracle, exactly."""
+
+    @pytest.mark.parametrize("n", [280, 1120])
+    @pytest.mark.parametrize("kind", ["gauss", "bsc"])
+    def test_matches_oracle_at_paper_scale(self, n, kind):
+        code = ldpc.build_gallager(n, 4, 7, seed=1)
+        rng = channel.make_rng((36, n, kind == "bsc"))
+        iterations = _assert_kernel_matches_oracle(code, _noisy_llrs(code, rng, 40, kind))
+        # rows retire at many different iterations within one batch
+        assert len(set(iterations.tolist())) >= 4
+
+    @pytest.mark.parametrize("shape", [(28, 4, 7, 1), (256, 3, 4, 11), (56, 2, 7, 3),
+                                       (64, 8, 16, 1)])
+    @pytest.mark.parametrize("kind", ["gauss", "bsc"])
+    def test_matches_oracle_for_other_column_weights(self, shape, kind):
+        # a = 8 sums its incoming messages through numpy's own sum, as one row does
+        code = ldpc.build_gallager(*shape)
+        rng = channel.make_rng((37, shape[0], kind == "bsc"))
+        _assert_kernel_matches_oracle(code, _noisy_llrs(code, rng, 40, kind))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_matches_oracle_at_small_max_iter(self, full_scale_code, max_iter):
+        rng = channel.make_rng((38, max_iter))
+        llrs = np.concatenate([_noisy_llrs(full_scale_code, rng, 20, "bsc"),
+                               _noisy_llrs(full_scale_code, rng, 20, "gauss")])
+        _assert_kernel_matches_oracle(full_scale_code, llrs, max_iter=max_iter)
+
+    def test_syndrome_clearing_at_max_iter_is_satisfied(self, full_scale_code):
+        rng = channel.make_rng(39)
+        llrs = _noisy_llrs(full_scale_code, rng, 30, "bsc")
+        its = [bp_oracle.bp_decode(full_scale_code, llr).iterations for llr in llrs]
+        row = next(k for k, it in enumerate(its) if 3 <= it < 50)
+        # the row clears on its last allowed iteration, in a batch with rows
+        # that retire before it and rows that never clear
+        words, satisfied, iterations = ldpc._bp_rows(full_scale_code, llrs, its[row])
+        assert satisfied[row] and iterations[row] == its[row]
+        assert not satisfied.all() and (iterations < its[row]).any()
+        _assert_kernel_matches_oracle(full_scale_code, llrs, max_iter=its[row])
+        _, satisfied, iterations = ldpc._bp_rows(full_scale_code, llrs, its[row] - 1)
+        assert not satisfied[row] and iterations[row] == its[row] - 1
+
+    def test_llr_shape_checked(self, full_scale_code):
+        with pytest.raises(ValueError, match=r"llr shape \(279,\) != \(280,\)"):
+            ldpc.bp_decode(full_scale_code, np.ones(279))
+        # one word's worth of LLRs in another shape is not one word
+        with pytest.raises(ValueError, match=r"llr shape \(2, 140\) != \(280,\)"):
+            ldpc.bp_decode(full_scale_code, np.ones((2, 140)))
+        with pytest.raises(ValueError, match=r"llr shape \(279,\) != \(280,\)"):
+            ldpc.balanced_decode(full_scale_code, np.ones(279), num_candidates=None)
+
+    def test_balanced_decode_matches_serial_oracle(self, full_scale_code):
+        rng = channel.make_rng(40)
+        for trial in range(30):
+            x, _ = ldpc.balanced_encode(full_scale_code, rng.integers(0, 2, full_scale_code.k))
+            noise = (rng.random(full_scale_code.n) < 0.06).astype(np.uint8)
+            llr = ldpc.bsc_llr(x.to_array() ^ noise, 0.06)
+            depth, c = (1 + trial % 3, (4, 2, 8)[trial % 3])
+            got = ldpc.balanced_decode(full_scale_code, llr, depth=depth, num_candidates=c)
+            want = bp_oracle.balanced_decode(full_scale_code, llr, depth=depth, num_candidates=c)
+            assert _same_decode(got, want), trial
+
+    @pytest.mark.parametrize("shape, trials", [((28, 4, 7, 1), 20), ((56, 2, 7, 3), 20),
+                                               ((280, 4, 7, 1), 2)])
+    def test_exhaustive_matches_serial_oracle(self, shape, trials):
+        # n = 280 runs its shifts in several blocks of _BP_BLOCK rows
+        code = ldpc.build_gallager(*shape)
+        rng = channel.make_rng((41, shape[0]))
+        for trial in range(trials):
+            x, _ = ldpc.balanced_encode(code, rng.integers(0, 2, code.k))
+            noise = (rng.random(code.n) < 0.05).astype(np.uint8)
+            llr = ldpc.bsc_llr(x.to_array() ^ noise, 0.05)
+            got = ldpc.balanced_decode(code, llr, num_candidates=None)
+            want = bp_oracle.balanced_decode(code, llr, num_candidates=None)
+            assert _same_decode(got, want), trial
 
 
 def _mixed_llrs(rng, n: int, count: int):
@@ -293,6 +413,28 @@ class TestCandidateSelection:
         for scores in ([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]):
             assert ldpc.candidate_inversions(np.array(scores), 2)
 
+    @staticmethod
+    def _scan(scores, c):
+        """The local-maximum scan as a comprehension over every shift."""
+        lam, n = np.asarray(scores, dtype=np.float64), len(scores)
+        maxima = [j for j in range(n)
+                  if (j == 0 or lam[j] > lam[j - 1]) and (j == n - 1 or lam[j] >= lam[j + 1])]
+        maxima.sort(key=lambda j: (-lam[j], j))
+        return maxima[:c]
+
+    def test_matches_scan_on_random_and_tied_scores(self, mid_code):
+        rng = np.random.default_rng(42)
+        cases = [rng.normal(size=int(rng.integers(1, 60))) for _ in range(200)]
+        # small integers tie often, like BSC depth-1 scores
+        cases += [rng.integers(-3, 4, int(rng.integers(1, 60))).astype(float) for _ in range(200)]
+        cases += [ldpc.lambda_scores(mid_code, ldpc.bsc_llr(rng.integers(0, 2, mid_code.n), 0.06), 1)
+                  for _ in range(50)]
+        for scores in cases:
+            for c in (1, 2, 4, 100):
+                got = ldpc.candidate_inversions(scores, c)
+                assert got == self._scan(scores, c)
+                assert all(type(j) is int for j in got)
+
 
 class TestBalancedDecoding:
     def test_error_free_recovery(self, full_scale_code):
@@ -382,6 +524,18 @@ class TestBalancedDecoding:
             assert res.u is None and res.z is None
 
 
+@st.composite
+def _small_codes(draw):
+    b = draw(st.integers(3, 8))
+    a = draw(st.integers(2, b - 1))
+    n = b * draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 10_000))
+    try:
+        return ldpc.build_gallager(n, a, b, seed)
+    except RuntimeError:     # no draw with the minimal rank deficit
+        reject()
+
+
 class TestSerialization:
     def test_round_trip(self, mid_code, tmp_path):
         path = tmp_path / "code.mtx"
@@ -447,6 +601,22 @@ class TestSerialization:
         path = self._edit_listing(mid_code, tmp_path, lambda lines: lines[:-1])
         with pytest.raises(ValueError, match=r"code\.mtx:3: header declares 112 entries"):
             ldpc.load_code(path)
+
+    @given(_small_codes())
+    @settings(max_examples=40, deadline=None)
+    def test_save_load_round_trips(self, code):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "code.mtx"
+            ldpc.save_code(code, path)
+            loaded = ldpc.load_code(path)
+            again = Path(tmp) / "again.mtx"
+            ldpc.save_code(loaded, again)
+            assert path.read_bytes() == again.read_bytes()
+        assert (loaded.n, loaded.k, loaded.a, loaded.b, loaded.seed, loaded.seed_used,
+                loaded.rank) == (code.n, code.k, code.a, code.b, code.seed, code.seed_used,
+                                 code.rank)
+        for name in ("H", "G", "message_positions", "check_nbrs", "var_edge_ids"):
+            assert np.array_equal(getattr(loaded, name), getattr(code, name)), name
 
 
 class TestUniqueShiftRecovery:
