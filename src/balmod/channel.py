@@ -80,27 +80,22 @@ def sample_levels(x: BitWord, model: DriftModel, t: float, seed) -> AgedBlock:
     return AgedBlock(truth=x, levels=levels, t=t)
 
 
+def analytic_ber(model: DriftModel, v, t):
+    """0.5 * Phi((mean0 - v) / sd0) + 0.5 * Phi((v - mean1) / sd1): the error
+    rate of reading at threshold v at age t, half the cells storing each bit."""
+    mean0, sd0, mean1, sd1 = model.level_params(t)
+    v = np.asarray(v)
+    return 0.5 * ndtr((mean0 - v) / sd0) + 0.5 * ndtr((v - mean1) / sd1)
+
+
 def analytic_ber_mean_drift(v, t, sigma: float):
     """0.5 * Phi(-v / sigma) + 0.5 * Phi(-(1 - t - v) / sigma)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return 0.5 * ndtr(-np.asarray(v) / sigma) + 0.5 * ndtr(-(1.0 - t - np.asarray(v)) / sigma)
+    return analytic_ber(DriftModel(MEAN_DRIFT, sigma), v, t)
 
 
 def analytic_ber_variance_growth(v, t, sigma: float):
     """0.5 * Phi(-v / sigma) + 0.5 * Phi(-(1 - v) / (sigma + t))."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return 0.5 * ndtr(-np.asarray(v) / sigma) + 0.5 * ndtr(-(1.0 - np.asarray(v)) / (sigma + t))
-
-
-def analytic_ber(model: DriftModel, v, t):
-    _check_age(t)
-    if model.kind == MEAN_DRIFT:
-        return analytic_ber_mean_drift(v, t, model.sigma)
-    return analytic_ber_variance_growth(v, t, model.sigma)
+    return analytic_ber(DriftModel(VARIANCE_GROWTH, sigma), v, t)
 
 
 @dataclass(frozen=True)

@@ -164,9 +164,7 @@ def syndrome(code: LdpcCode, bits) -> np.ndarray:
     word = np.asarray(bits, dtype=np.uint8)
     if word.ndim not in (1, 2) or word.shape[-1] != code.n:
         raise ValueError(f"word shape {word.shape} != ({code.n},)")
-    # a plain gather for one word: `...` indexing costs ~2 us per BP iteration
-    nbr_bits = word[code.check_nbrs] if word.ndim == 1 else word[:, code.check_nbrs]
-    return nbr_bits.sum(axis=-1, dtype=np.uint8) % 2
+    return word[..., code.check_nbrs].sum(axis=-1, dtype=np.uint8) % 2
 
 
 def encode(code: LdpcCode, u) -> np.ndarray:
@@ -203,15 +201,20 @@ class BpResult:
     iterations: int
 
 
-def _loo_prod(t: np.ndarray) -> np.ndarray:
-    """Leave-one-out products along the last axis via prefix/suffix scans."""
-    pre = np.empty_like(t)
-    pre[..., 0] = 1.0
-    np.cumprod(t[..., :-1], axis=-1, out=pre[..., 1:])
-    suf = np.empty_like(t)
-    suf[..., -1] = 1.0
-    suf[..., :-1] = np.cumprod(t[..., :0:-1], axis=-1)[..., ::-1]
-    return pre * suf
+def _check_step(t: np.ndarray) -> np.ndarray:
+    """Check-to-variable messages 2 atanh(loo) from the tanh'd incoming
+    messages t, slot axis first: the leave-one-out product of a slot is its
+    prefix product times its suffix product, each a scan away from the slot,
+    so any batch of checks computes exactly what each check computes alone."""
+    loo = np.empty_like(t)                      # prefix products, then loo
+    suf = np.empty_like(t)                      # suffix products; the last slot unused
+    loo[1], suf[-2] = t[0], t[-1]
+    for s in range(2, len(t)):
+        np.multiply(loo[s - 1], t[s - 1], out=loo[s])
+        np.multiply(suf[-s], t[-s], out=suf[-s - 1])
+    np.multiply(loo[1:-1], suf[1:-1], out=loo[1:-1])
+    loo[0] = suf[0]
+    return 2.0 * np.arctanh(np.clip(loo, -_ATANH_LIMIT, _ATANH_LIMIT, out=loo))
 
 
 def bsc_llr(y, p: float) -> np.ndarray:
@@ -220,6 +223,14 @@ def bsc_llr(y, p: float) -> np.ndarray:
         raise ValueError("crossover probability must be in (0, 0.5)")
     mag = np.log((1.0 - p) / p)
     return np.where(np.asarray(y, dtype=np.uint8) == 0, mag, -mag)
+
+
+def _clipped_llr(code: LdpcCode, llr) -> np.ndarray:
+    """The clipped float64 LLRs of one word; any shape but (n,) is rejected."""
+    L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
+    if L.shape != (code.n,):
+        raise ValueError(f"llr shape {L.shape} != ({code.n},)")
+    return L
 
 
 def _bp_maps(code: LdpcCode, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,18 +258,15 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int):
     Returns the uint8 hard decisions, `satisfied` and `iterations` per row.
     A row leaves the batch at the iteration its hard decision clears the
     syndrome, so it runs exactly the iterations a one-row decode runs.  Each
-    step repeats the one-row arithmetic in its order: the leave-one-out
-    product of a check slot is its prefix product times its suffix product,
-    a variable sums its a incoming messages left to right, as numpy sums up
-    to 7 terms (more go through numpy's own sum, as in one row), and an
-    outgoing message is that total minus the edge's own incoming message.
-    So every row is bit-equal to decoding it alone.
+    step repeats the one-row arithmetic in its order: the checks run
+    _check_step, a variable sums its a incoming messages left to right, as
+    numpy sums up to 7 terms (more go through numpy's own sum, as in one
+    row), and an outgoing message is that total minus the edge's own
+    incoming message.  So every row is bit-equal to decoding it alone.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if L.shape[1:] != (code.n,):
-        raise ValueError(f"llr shape {L.shape[1:]} != ({code.n},)")
-    a, b = code.a, code.b
+    a = code.a
     words = np.empty(L.shape, dtype=np.uint8)   # every row is written when it leaves
     satisfied = np.empty(len(L), dtype=bool)
     iterations = np.empty(len(L), dtype=int)
@@ -266,18 +274,7 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int):
     to_var, to_check = _bp_maps(code, len(L))
     m = L.ravel()[to_check]                     # (b, rows, r) variable-to-check
     for it in range(1, max_iter + 1):
-        t = np.tanh(0.5 * m)
-        loo = np.empty_like(t)                  # prefix products, then loo
-        suf = np.empty_like(t[1:])
-        loo[1] = t[0]
-        for s in range(2, b):
-            np.multiply(loo[s - 1], t[s - 1], out=loo[s])
-        suf[b - 2] = t[b - 1]
-        for s in range(b - 3, -1, -1):
-            np.multiply(suf[s + 1], t[s + 1], out=suf[s])
-        np.multiply(loo[1:-1], suf[1:], out=loo[1:-1])
-        loo[0] = suf[0]
-        m_cv = 2.0 * np.arctanh(np.clip(loo, -_ATANH_LIMIT, _ATANH_LIMIT, out=loo))
+        m_cv = _check_step(np.tanh(0.5 * m))
         inc = m_cv.ravel()[to_var]              # (a, rows, n) check-to-variable
         if a <= 7:
             total = inc[0] + inc[1]
@@ -311,8 +308,7 @@ def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
     +-30 to keep tanh / arctanh stable.  This is the one-row call of the
     batched kernel that balanced_decode runs on all its candidates at once.
     """
-    L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
-    words, satisfied, iterations = _bp_rows(code, L[None], max_iter)
+    words, satisfied, iterations = _bp_rows(code, _clipped_llr(code, llr)[None], max_iter)
     return BpResult(word=words[0], satisfied=bool(satisfied[0]),
                     iterations=int(iterations[0]))
 
@@ -333,10 +329,11 @@ class _ScorePlan:
     A message of round l depends only on the variables within l hops of it,
     so as a function of the shift j it steps only where j passes one of them.
     A node with k such variables has k + 1 segments (segment s: the s lowest
-    flipped), and each level's table has one row per (node, segment): rows
-    2v / 2v + 1 hold the unflipped / flipped channel LLR of v, a check row its
-    b edges in check order, a variable row its a edges in check order.  Each
-    index array is (parent segments, inputs) into a flattened child table.
+    flipped), and each level's table is slot-major like the BP kernel's,
+    (slots, segments): segments 2v / 2v + 1 of the channel level hold the
+    unflipped / flipped LLR of v in one slot, a check segment its b edges in
+    check order, a variable segment its a edges in check order.  Each index
+    array is (inputs, parent segments) into a flattened child table.
     """
 
     rounds: tuple            # per round: (check_idx, own_idx, inc_idx)
@@ -346,56 +343,57 @@ class _ScorePlan:
 
 def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Sorted dependency sets (CSR ptr, deps) of parent nodes, and per group
-    ((ptr, deps), ids, width, cols) of child levels the flat child-table index
-    that parent x's segments read for input k: column cols[x, k] of child
-    ids[x, k], in a table `width` columns wide."""
-    keys, cols = [], []
-    for (ptr, deps), ids, _, _ in groups:
-        flat = ids.ravel()
-        lens = ptr[flat + 1] - ptr[flat]
+    ((ptr, deps), ids, slots) of child levels the (inputs, parent segments)
+    indices that parent x's segments read for input k: slot slots[x, k] of
+    child ids[x, k], at slot * segments + segment of the flattened child table."""
+    def keys(ptr, deps, child):     # parent * n + dep for every dep of child[parent]
+        lens = ptr[child + 1] - ptr[child]
         first = np.cumsum(lens) - lens
-        slot = np.repeat(np.arange(flat.size), lens)
-        elem = deps[np.repeat(ptr[flat] - first, lens) + np.arange(first[-1] + lens[-1])]
-        keys.append(slot // ids.shape[1] * n + elem)
-        cols.append(slot % ids.shape[1])
-    uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
+        elem = deps[np.repeat(ptr[child] - first, lens) + np.arange(first[-1] + lens[-1])]
+        return np.repeat(np.arange(child.size) * n, lens) + elem
+
+    # a sort, not np.unique, whose hashing is many times slower on these keys
+    uniq = np.sort(np.concatenate([keys(*level, child) for level, ids, _ in groups
+                                   for child in ids.T]))
+    uniq = uniq[np.insert(uniq[1:] != uniq[:-1], 0, True)]
     num = groups[0][1].shape[0]
     ptr = np.searchsorted(uniq, np.arange(num + 1) * n)
     seg_start = ptr[:-1] + np.arange(num)
     nseg = np.diff(ptr) + 1
     out = []
-    done = 0
-    for ((cptr, _), ids, width, col), key, k in zip(groups, keys, cols):
-        pos = inv[done:done + key.size]
-        done += key.size
-        # the child's segment advances at the parent segment that flips one
-        # more of the child's own dependencies
-        marks = np.zeros((ptr[-1] + num, ids.shape[1]), dtype=np.intp)
-        marks[pos + key // n + 1, k] = 1
-        count = np.cumsum(marks, axis=0)
-        child_row = (cptr[:-1] + np.arange(cptr.size - 1))[ids]
-        out.append(width * count + np.repeat(
-            width * (child_row - count[seg_start]) + col, nseg, axis=0))
+    for (cptr, cdeps), ids, slots in groups:
+        child_segs = cptr[-1] + cptr.size - 1
+        first_seg = cptr[:-1] + np.arange(cptr.size - 1)
+        idx = np.empty((ids.shape[1], ptr[-1] + num), dtype=np.intp)
+        for k, (child, slot) in enumerate(zip(ids.T, slots.T)):
+            key = keys(cptr, cdeps, child)
+            # the child's segment advances at the parent segment that flips one
+            # more of the child's own dependencies
+            steps = np.bincount(np.searchsorted(uniq, key) + key // n + 1, minlength=idx.shape[1])
+            count = np.cumsum(steps, out=steps)
+            idx[k] = count + np.repeat(slot * child_segs + first_seg[child] - count[seg_start],
+                                       nseg)
+        out.append(idx)
     return ptr, uniq % n, out
 
 
 def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
     n, r, a, b = code.n, code.r, code.a, code.b
     chan = (np.arange(n + 1), np.arange(n))     # variable v depends on itself
-    # column of each check-major edge among its variable's edges
+    # slot of each check-major edge among its variable's edges
     var_slot = np.empty(r * b, dtype=np.intp)
     var_slot[code.var_edge_ids] = np.arange(a)
     check_of_var, slot_in_check = divmod(code.var_edge_ids, b)
-    var_level, width, cols = chan, 1, np.zeros((r, b), dtype=np.intp)
+    var_level, slots = chan, np.zeros((r, b), dtype=np.intp)
     rounds = []
     for _ in range(1, depth):
-        *check_level, (check_idx,) = _join(n, [(var_level, code.check_nbrs, width, cols)])
+        *check_level, (check_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
         *var_level, (own_idx, inc_idx) = _join(n, [
-            (chan, np.arange(n)[:, None], 1, np.zeros((n, 1), dtype=np.intp)),
-            (check_level, check_of_var, b, slot_in_check)])
+            (chan, np.arange(n)[:, None], np.zeros((n, 1), dtype=np.intp)),
+            (check_level, check_of_var, slot_in_check)])
         rounds.append((check_idx, own_idx, inc_idx))
-        width, cols = a, var_slot.reshape(r, b)
-    ptr, deps, (prod_idx,) = _join(n, [(var_level, code.check_nbrs, width, cols)])
+        slots = var_slot.reshape(r, b)
+    ptr, deps, (prod_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
     # segment s of a check covers the shifts j with exactly s dependencies < j
     runs = np.insert(deps, ptr[1:], n - 1) - np.insert(deps, ptr[:-1], -1)
     return _ScorePlan(rounds=tuple(rounds), prod_idx=prod_idx, runs=runs)
@@ -405,14 +403,14 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     """Scores of all n prefix shifts; shift j negates the first j LLRs.
 
     Each message is evaluated once per segment of its dependency set (see
-    _ScorePlan) with the per-node arithmetic of the per-shift reference, and
-    each shift's score sums one contiguous row of check products in check
-    order, so the result is bit-equal to recomputing every shift from scratch.
+    _ScorePlan) with the per-node arithmetic of the per-shift reference: the
+    checks run BP's _check_step, and a variable's sums and a check's product
+    scan their inputs in order.  Each shift's score sums one contiguous row
+    of check products in check order, so the result is bit-equal to
+    recomputing every shift from scratch.
     """
     _validate_depth(depth)
-    base = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
-    if base.size != code.n:
-        raise ValueError(f"llr length {base.size} != n = {code.n}")
+    base = _clipped_llr(code, llr)
     plan = code._plans.get(("score", depth))
     if plan is None:
         plan = code._plans["score", depth] = _build_score_plan(code, depth)
@@ -420,17 +418,15 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     # tanh, like every step here, is elementwise, so it runs once per distinct
     # message, before the gather that fans messages out to segments
     for check_idx, own_idx, inc_idx in plan.rounds:
-        t = np.tanh(0.5 * m)[check_idx]
-        rc = 2.0 * np.arctanh(np.clip(_loo_prod(t), -_ATANH_LIMIT, _ATANH_LIMIT))
-        csum = np.cumsum(rc.ravel()[inc_idx], axis=1)
+        rc = _check_step(np.tanh(0.5 * m)[check_idx])
+        csum = rc.ravel()[inc_idx]      # prefix-summed in place: np.cumsum on axis 0 is ~10x slower
+        for k in range(1, len(csum)):
+            csum[k] += csum[k - 1]
         pre = np.zeros_like(csum)
-        pre[:, 1:] = csum[:, :-1]
-        suf = csum[:, -1:] - csum
-        m = np.clip(chan[own_idx] + pre + suf, -LLR_CLIP, LLR_CLIP).ravel()
-    if depth == 1:
-        prod = np.prod(np.where(m >= 0, 1.0, -1.0)[plan.prod_idx], axis=1)
-    else:
-        prod = np.prod(np.tanh(0.5 * m)[plan.prod_idx], axis=1)
+        pre[1:] = csum[:-1]
+        m = np.clip(chan[own_idx] + pre + (csum[-1] - csum), -LLR_CLIP, LLR_CLIP).ravel()
+    t = np.where(m >= 0, 1.0, -1.0) if depth == 1 else np.tanh(0.5 * m)
+    prod = np.prod(t[plan.prod_idx], axis=0)
     per_check = np.repeat(prod, plan.runs).reshape(code.r, code.n)
     return np.ascontiguousarray(per_check.T).sum(axis=1)
 
@@ -486,13 +482,12 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     the raw LLRs, which orders the pairs exactly by observation likelihood
     on a symmetric channel; the best pair wins, the earlier one on a tie.
     """
-    base = np.asarray(llr, dtype=np.float64)
+    clipped = _clipped_llr(code, llr)
     if num_candidates is None:
         cands = list(range(code.n))
     else:
-        cands = candidate_inversions(lambda_scores(code, base, depth), num_candidates)
-    clipped = np.clip(base, -LLR_CLIP, LLR_CLIP)
-    pos = np.arange(clipped.size)
+        cands = candidate_inversions(lambda_scores(code, clipped, depth), num_candidates)
+    pos = np.arange(code.n)
     best_score = None
     best = None
     seen: set[bytes] = set()

@@ -10,8 +10,19 @@ same decoded index, candidates and score.
 import numpy as np
 
 from balmod.ldpc import (LLR_CLIP, _ATANH_LIMIT, BalancedDecodeResult, BpResult, LdpcCode,
-                         _loo_prod, candidate_inversions, lambda_scores, syndrome)
+                         candidate_inversions, lambda_scores, syndrome)
 from balmod.words import find_balancing_index
+
+
+def _loo_prod(t: np.ndarray) -> np.ndarray:
+    """Leave-one-out products along the last axis via prefix/suffix scans."""
+    pre = np.empty_like(t)
+    pre[..., 0] = 1.0
+    np.cumprod(t[..., :-1], axis=-1, out=pre[..., 1:])
+    suf = np.empty_like(t)
+    suf[..., -1] = 1.0
+    suf[..., :-1] = np.cumprod(t[..., :0:-1], axis=-1)[..., ::-1]
+    return pre * suf
 
 
 def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:

@@ -9,8 +9,18 @@ check.  Nothing here is fast: every shift is recomputed from scratch.
 
 import numpy as np
 
-from balmod.ldpc import (LLR_CLIP, _ATANH_LIMIT, LdpcCode, _loo_prod,
-                         _validate_depth)
+from balmod.ldpc import LLR_CLIP, _ATANH_LIMIT, LdpcCode, _validate_depth
+
+
+def _loo_prod(t: np.ndarray) -> np.ndarray:
+    """Leave-one-out products along the last axis via prefix/suffix scans."""
+    pre = np.empty_like(t)
+    pre[..., 0] = 1.0
+    np.cumprod(t[..., :-1], axis=-1, out=pre[..., 1:])
+    suf = np.empty_like(t)
+    suf[..., -1] = 1.0
+    suf[..., :-1] = np.cumprod(t[..., :0:-1], axis=-1)[..., ::-1]
+    return pre * suf
 
 
 class _ScoreState:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from balmod import channel
 from balmod.channel import (DriftModel, MEAN_DRIFT, VARIANCE_GROWTH,
@@ -97,6 +98,33 @@ class TestAnalyticBer:
         # the mean-drift formula never reads level_params: a NaN age gave NaN
         with pytest.raises(ValueError, match=f"age t must be finite, got {t}"):
             analytic_ber(DriftModel(kind, 0.2), 0.5, t)
+
+    def test_equals_closed_forms_exactly(self):
+        # the two closed forms the level-parameter formula replaced
+        def mean_drift(v, t, sigma):
+            return 0.5 * ndtr(-v / sigma) + 0.5 * ndtr(-(1.0 - t - v) / sigma)
+
+        def variance_growth(v, t, sigma):
+            return 0.5 * ndtr(-v / sigma) + 0.5 * ndtr(-(1.0 - v) / (sigma + t))
+
+        v = np.concatenate((np.linspace(-1.0, 2.0, 2001), [0.0, -0.0, 0.5]))
+        for sigma in (0.01, 0.07, 0.2, 1.3):
+            for t in (0.0, 0.05, 0.33, 1.7):
+                for kind, closed, public in ((MEAN_DRIFT, mean_drift, analytic_ber_mean_drift),
+                                             (VARIANCE_GROWTH, variance_growth,
+                                              analytic_ber_variance_growth)):
+                    want = closed(v, t, sigma)
+                    assert np.array_equal(analytic_ber(DriftModel(kind, sigma), v, t), want)
+                    assert np.array_equal(public(v, t, sigma), want)
+                    assert public(0.3, t, sigma) == closed(0.3, t, sigma)
+
+    @pytest.mark.parametrize("fn", [analytic_ber_mean_drift, analytic_ber_variance_growth])
+    def test_closed_forms_check_age(self, fn):
+        # the mean-drift form took any age: -0.1 gave 0.00378 and nan gave nan
+        with pytest.raises(ValueError, match="age t must be nonnegative"):
+            fn(0.5, -0.1, 0.2)
+        with pytest.raises(ValueError, match="age t must be finite, got nan"):
+            fn(0.5, math.nan, 0.2)
 
 
 class TestModelThresholds:

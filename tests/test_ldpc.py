@@ -320,6 +320,18 @@ class TestBpKernel:
             assert _same_decode(got, want), trial
 
 
+@st.composite
+def _small_codes(draw):
+    b = draw(st.integers(3, 8))
+    a = draw(st.integers(2, b - 1))
+    n = b * draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 10_000))
+    try:
+        return ldpc.build_gallager(n, a, b, seed)
+    except RuntimeError:     # no draw with the minimal rank deficit
+        reject()
+
+
 def _mixed_llrs(rng, n: int, count: int):
     """Gaussian LLRs alternating with constant-magnitude BSC LLRs, whose
     scores tie exactly and so expose any rounding difference."""
@@ -389,6 +401,28 @@ class TestShiftScores:
             ldpc.lambda_scores(mid_code, np.zeros(mid_code.n), 4)
         with pytest.raises(ValueError):
             ldpc.lambda_scores(mid_code, np.zeros(mid_code.n - 1), 2)
+
+    def test_llr_shape_checked(self, small_code):
+        # one word's worth of LLRs in another shape is not one word: the
+        # scorer used to score it as if flat, and the decoder failed in numpy
+        llr = channel.make_rng(31).normal(0, 4, small_code.n).reshape(2, 14)
+        with pytest.raises(ValueError, match=r"llr shape \(2, 14\) != \(28,\)"):
+            ldpc.lambda_scores(small_code, llr, 2)
+        for num_candidates in (4, None):
+            with pytest.raises(ValueError, match=r"llr shape \(2, 14\) != \(28,\)"):
+                ldpc.balanced_decode(small_code, llr, num_candidates=num_candidates)
+
+    @given(_small_codes(), st.integers(1, 3), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scratch_on_any_small_code(self, code, depth, data):
+        # exact zeros sit on the sign boundary of the depth-1 product, and
+        # magnitudes past LLR_CLIP are clipped before any message is formed
+        llr = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, ldpc.LLR_CLIP, -35.0, 1e3, -1e300]),
+                      st.floats(-40.0, 40.0)),
+            min_size=code.n, max_size=code.n))
+        assert np.array_equal(ldpc.lambda_scores(code, llr, depth),
+                              lambda_scores_scratch(code, llr, depth))
 
 
 class TestCandidateSelection:
@@ -522,18 +556,6 @@ class TestBalancedDecoding:
         res = ldpc.balanced_decode(full_scale_code, llr, max_iter=5)
         if not res.ok:
             assert res.u is None and res.z is None
-
-
-@st.composite
-def _small_codes(draw):
-    b = draw(st.integers(3, 8))
-    a = draw(st.integers(2, b - 1))
-    n = b * draw(st.integers(2, 12))
-    seed = draw(st.integers(0, 10_000))
-    try:
-        return ldpc.build_gallager(n, a, b, seed)
-    except RuntimeError:     # no draw with the minimal rank deficit
-        reject()
 
 
 class TestSerialization:
