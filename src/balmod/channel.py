@@ -46,8 +46,8 @@ class DriftModel:
     def __post_init__(self):
         if self.kind not in (MEAN_DRIFT, VARIANCE_GROWTH):
             raise ValueError(f"unknown drift model {self.kind!r}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def level_params(self, t: float) -> tuple[float, float, float, float]:
         """(mean0, sd0, mean1, sd1) of the level distributions at time t."""

@@ -1,16 +1,21 @@
 """Command-line front end.
 
 Subcommands: encode, decode, threshold, sim {ber, wer-bec, wer-bsc,
-inversion-set}, and mlc {rank, unrank, balance, unbalance}.  A JSON config
-file can supply model and code parameters (sigma, code = [n, a, b], ell, c,
-eps, a_const) and the run's trials and seed; any other key, or a value of the
-wrong JSON type, is an error.  Explicit flags win over the config, which wins
-over defaults.
+inversion-set}, and mlc {rank, unrank, balance, unbalance}.
+
+Each parameter has one path: an explicit flag wins over the JSON config
+file, which wins over the default of the spec or function that takes it.
+Flag dests and config keys are parameter names (the keys ell, c and a_const
+via CONFIG_NAMES; code = [n, a, b] sets n, col_weight and row_weight).  A
+sim's harness spec gets the set parameters that are its fields, so every
+sim default is the spec's own, echoed in the CSV header.  An unknown config
+key or a config value of the wrong JSON type is an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,6 +28,13 @@ from .channel import MEAN_DRIFT, VARIANCE_GROWTH
 # the JSON type of each config key; "code" is [n, a, b] or the flag's "n,a,b"
 CONFIG_TYPES = {"sigma": float, "code": tuple, "ell": int, "c": int, "eps": float,
                 "a_const": float, "trials": int, "seed": int}
+# config keys named unlike the parameter they set
+CONFIG_NAMES = {"ell": "depth", "c": "num_candidates", "a_const": "second_order_a"}
+
+SIMS = {"ber": (harness.BerCurveSpec, harness.run_ber_curve),
+        "wer-bec": (harness.WerBecSpec, harness.run_wer_bec),
+        "wer-bsc": (harness.WerBscSpec, harness.run_wer_bsc),
+        "inversion-set": (harness.InversionSetSpec, harness.run_inversion_set)}
 
 
 def _code_triple(raw) -> tuple[int, int, int]:
@@ -31,7 +43,7 @@ def _code_triple(raw) -> tuple[int, int, int]:
         parts = [int(v) for v in raw.split(",")] if isinstance(raw, str) else raw
     except ValueError:
         parts = None
-    if not (isinstance(parts, list) and len(parts) == 3
+    if not (isinstance(parts, (list, tuple)) and len(parts) == 3
             and all(type(v) is int for v in parts)):
         raise ValueError(f"code must be three integers n,a,b, got {json.dumps(raw)}")
     return tuple(parts)
@@ -80,22 +92,36 @@ def _load_config(path: str | None) -> dict:
         raise ValueError(f"config {path}: {exc}") from None
 
 
-def _pick(args_value, cfg: dict, key: str, default):
-    if args_value is not None:
-        return args_value
-    if key in cfg:
-        return cfg[key]
-    return default
+def _params(args) -> dict:
+    """Every parameter that was set, by name: the config's values, then the
+    flags given on top of them; a code triple becomes n, col_weight and
+    row_weight."""
+    params = {CONFIG_NAMES.get(k, k): v for k, v in _load_config(args.config).items()}
+    params.update((k, v) for k, v in vars(args).items() if v is not None)
+    if "code" in params:
+        params.update(zip(("n", "col_weight", "row_weight"),
+                          _code_triple(params.pop("code"))))
+    return params
 
 
-def _code_from(cfg: dict, args, default=(280, 4, 7)) -> tuple[int, int, int]:
-    if args.code is not None:
-        return _code_triple(args.code)
-    return cfg.get("code", default)
+def _given(params: dict, names) -> dict:
+    """The parameters among names that a flag or the config set."""
+    return {k: params[k] for k in names if k in params}
 
 
-def _bits_arg(s: str) -> words.BitWord:
-    return words.BitWord.from_string(s)
+def _ldpc_code(params: dict) -> ldpc.LdpcCode:
+    """The code that encode and decode build for --scheme ldpc."""
+    p = {"n": 280, "col_weight": 4, "row_weight": 7, "seed": 1} | params
+    return ldpc.build_gallager(p["n"], p["col_weight"], p["row_weight"], p["seed"])
+
+
+# argparse names a converter in its error: "invalid float_list value: '0,x'"
+def float_list(s: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in s.split(","))
+
+
+def int_list(s: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in s.split(","))
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool) -> None:
@@ -104,39 +130,39 @@ def _add_common(p: argparse.ArgumentParser, seed: bool) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON key/value config")
 
 
-def _add_sim_common(p: argparse.ArgumentParser) -> None:
+def _add_sim_common(p: argparse.ArgumentParser, code_help: str | None = None) -> None:
+    """The flags of every sim, and --code and --code-seed for those on an LDPC code."""
     _add_common(p, seed=True)
+    if code_help:
+        p.add_argument("--code", type=str, help=code_help)
+        p.add_argument("--code-seed", dest="code_seed", type=int)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--out", type=str, required=True, help="output file path")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
+    p.set_defaults(func=cmd_sim)
 
 
 def cmd_encode(args) -> int:
-    cfg = _load_config(args.config)
-    u = _bits_arg(args.bits)
+    params = _params(args)
+    u = words.BitWord.from_string(args.bits)
     if args.scheme == "knuth":
         cw = words.knuth_encode(u)
         print(f"prefix={cw.prefix} payload={cw.payload}")
         print(f"codeword={cw.prefix}{cw.payload}")
     else:
-        n, a, b = _code_from(cfg, args)
-        code = ldpc.build_gallager(n, a, b, _pick(args.seed, cfg, "seed", 1))
-        x, i = ldpc.balanced_encode(code, u.to_array())
+        x, i = ldpc.balanced_encode(_ldpc_code(params), u.to_array())
         print(f"codeword={x}")
         print(f"inversion_index={i}")
     return 0
 
 
 def cmd_decode(args) -> int:
-    cfg = _load_config(args.config)
-    y = _bits_arg(args.bits)
+    params = _params(args)
+    y = words.BitWord.from_string(args.bits)
     if args.scheme == "knuth":
         total = len(y)
-        k = None
-        for cand in range(2, total, 2):
-            if cand + words.prefix_length(cand) == total:
-                k = cand
-                break
+        k = next((k for k in range(2, total, 2) if k + words.prefix_length(k) == total),
+                 None)
         if k is None:
             raise ValueError(f"no Knuth codeword has total length {total}")
         p = total - k
@@ -144,12 +170,8 @@ def cmd_decode(args) -> int:
                                  prefix=words.BalancedWord(y[:p]))
         print(f"message={words.knuth_decode(cw)}")
     else:
-        n, a, b = _code_from(cfg, args)
-        code = ldpc.build_gallager(n, a, b, _pick(args.seed, cfg, "seed", 1))
-        res = ldpc.balanced_decode_bsc(
-            code, y, p=args.p,
-            depth=_pick(args.ell, cfg, "ell", 2),
-            num_candidates=_pick(args.cands, cfg, "c", 4))
+        res = ldpc.balanced_decode_bsc(_ldpc_code(params), y, p=args.p,
+                                       **_given(params, ("depth", "num_candidates")))
         if not res.ok:
             print("decode failure")
             return 1
@@ -159,69 +181,36 @@ def cmd_decode(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    cfg = _load_config(args.config)
+    params = _params(args)
     levels = np.array([float(v) for v in args.levels.split(",")])
     if args.method == "exact":
         res = thresholds.balancing_threshold_exact(levels)
         v, note = res.value, f" exact={res.exact}"
     elif args.method == "bisect":
-        eps = _pick(args.eps, cfg, "eps", 1e-9)
         v, note = thresholds.balancing_threshold_bisect(
-            levels, args.lo, args.hi, eps), ""
+            levels, args.lo, args.hi, params.get("eps", 1e-9)), ""
     elif args.method == "mean":
         v, note = thresholds.relaxed_threshold_mean(levels), ""
     else:
-        a_const = _pick(args.a_const, cfg, "a_const", 0.0)
-        v, note = thresholds.relaxed_threshold_second_order(levels, a_const), ""
-    wt = int(np.sum(levels >= v))
-    print(f"threshold={v!r} ones={wt}/{levels.size}{note}")
+        v, note = thresholds.relaxed_threshold_second_order(
+            levels, *_given(params, ("second_order_a",)).values()), ""
+    print(f"threshold={v!r} ones={int(np.sum(levels >= v))}/{levels.size}{note}")
     return 0
 
 
+def _sim_spec(args):
+    """The experiment's spec from the parameters that were set and that are
+    its fields; the spec's own defaults fill in the rest."""
+    spec_cls, _ = SIMS[args.experiment]
+    return spec_cls(**_given(_params(args), [f.name for f in dataclasses.fields(spec_cls)]))
+
+
 def cmd_sim(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _pick(args.seed, cfg, "seed", 1)
-    if args.experiment == "ber":
-        spec = harness.BerCurveSpec(
-            model=args.model,
-            sigma=_pick(args.sigma, cfg, "sigma", 0.2),
-            t_grid=tuple(float(t) for t in args.t_grid.split(",")),
-            cells=args.cells,
-            trials=_pick(args.trials, cfg, "trials", 1),
-            seed=seed,
-            second_order_a=_pick(args.a_const, cfg, "a_const", 0.0))
-        table = harness.run_ber_curve(spec)
-    elif args.experiment == "wer-bec":
-        n_list = tuple(int(v) for v in args.n_list.split(","))
-        _, a, b = _code_from(cfg, args, (0, 3, 4))
-        spec = harness.WerBecSpec(
-            block_lengths=n_list, col_weight=a, row_weight=b,
-            erasure_p=args.p,
-            trials=_pick(args.trials, cfg, "trials", 200),
-            seed=seed, code_seed=args.code_seed, budget=args.budget)
-        table = harness.run_wer_bec(spec)
-    elif args.experiment == "wer-bsc":
-        n, a, b = _code_from(cfg, args)
-        spec = harness.WerBscSpec(
-            n=n, col_weight=a, row_weight=b,
-            p_grid=tuple(float(p) for p in args.p_grid.split(",")),
-            depth=_pick(args.ell, cfg, "ell", 2),
-            num_candidates=_pick(args.cands, cfg, "c", 4),
-            max_iter=args.max_iter,
-            trials=_pick(args.trials, cfg, "trials", 2000),
-            seed=seed, code_seed=args.code_seed,
-            include_exhaustive=args.exhaustive)
-        table = harness.run_wer_bsc(spec)
-    else:
-        n_list = tuple(int(v) for v in args.n_list.split(","))
-        _, a, b = _code_from(cfg, args, (0, 3, 4))
-        spec = harness.InversionSetSpec(
-            block_lengths=n_list, col_weight=a, row_weight=b,
-            p_grid=tuple(float(p) for p in args.p_grid.split(",")),
-            trials=_pick(args.trials, cfg, "trials", 200),
-            seed=seed, code_seed=args.code_seed)
-        table = harness.run_inversion_set(spec)
-    harness.emit(table, args.out, args.format)
+    table = SIMS[args.experiment][1](_sim_spec(args))
+    try:
+        harness.emit(table, args.out, args.format)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return 0
 
@@ -241,10 +230,8 @@ def cmd_mlc(args) -> int:
         print(f"groups={','.join(str(v) for v in trace.groups)}")
     else:
         word = [int(ch) for ch in args.word]
-        locs = tuple(int(v) for v in args.trace.split(","))
-        grps = (tuple(int(v) for v in args.groups.split(","))
-                if args.groups else (0,) * len(locs))
-        x = mlc.knuth_q_unbalance(word, mlc.BalancingTrace(locs, grps), args.q)
+        grps = args.groups or (0,) * len(args.trace)
+        x = mlc.knuth_q_unbalance(word, mlc.BalancingTrace(args.trace, grps), args.q)
         print(f"word={''.join(str(s) for s in x)}")
     return 0
 
@@ -257,17 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encode", help="encode a binary message")
     p_enc.add_argument("--bits", required=True)
     p_enc.add_argument("--scheme", choices=("knuth", "ldpc"), default="knuth")
-    p_enc.add_argument("--code", type=str, default=None, help="n,a,b")
+    p_enc.add_argument("--code", type=str, help="n,a,b")
     _add_common(p_enc, seed=True)
     p_enc.set_defaults(func=cmd_encode)
 
     p_dec = sub.add_parser("decode", help="decode a received word")
     p_dec.add_argument("--bits", required=True)
     p_dec.add_argument("--scheme", choices=("knuth", "ldpc"), default="knuth")
-    p_dec.add_argument("--code", type=str, default=None, help="n,a,b")
+    p_dec.add_argument("--code", type=str, help="n,a,b")
     p_dec.add_argument("--p", type=float, default=0.02, help="assumed crossover")
-    p_dec.add_argument("--ell", type=int, default=None)
-    p_dec.add_argument("--cands", type=int, default=None)
+    p_dec.add_argument("--ell", dest="depth", type=int)
+    p_dec.add_argument("--cands", dest="num_candidates", type=int)
     _add_common(p_dec, seed=True)
     p_dec.set_defaults(func=cmd_decode)
 
@@ -277,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="exact")
     p_thr.add_argument("--lo", type=float, default=0.0)
     p_thr.add_argument("--hi", type=float, default=1.0)
-    p_thr.add_argument("--eps", type=float, default=None)
-    p_thr.add_argument("--a-const", dest="a_const", type=float, default=None)
+    p_thr.add_argument("--eps", type=float)
+    p_thr.add_argument("--a-const", dest="second_order_a", type=float)
     _add_common(p_thr, seed=False)
     p_thr.set_defaults(func=cmd_threshold)
 
@@ -286,64 +273,51 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = p_sim.add_subparsers(dest="experiment", required=True)
 
     s_ber = sim_sub.add_parser("ber")
-    s_ber.add_argument("--model", choices=(MEAN_DRIFT, VARIANCE_GROWTH),
-                       default=MEAN_DRIFT)
-    s_ber.add_argument("--sigma", type=float, default=None)
-    s_ber.add_argument("--t-grid", dest="t_grid", default="0,0.1,0.2,0.3,0.4,0.5")
-    s_ber.add_argument("--cells", type=int, default=10_000)
-    s_ber.add_argument("--a-const", dest="a_const", type=float, default=None)
+    s_ber.add_argument("--model", choices=(MEAN_DRIFT, VARIANCE_GROWTH))
+    s_ber.add_argument("--sigma", type=float)
+    s_ber.add_argument("--t-grid", dest="t_grid", type=float_list)
+    s_ber.add_argument("--cells", type=int)
+    s_ber.add_argument("--a-const", dest="second_order_a", type=float)
     _add_sim_common(s_ber)
-    s_ber.set_defaults(func=cmd_sim)
 
     s_bec = sim_sub.add_parser("wer-bec")
-    s_bec.add_argument("--n-list", dest="n_list", default="64,128,256")
-    s_bec.add_argument("--code", type=str, default=None, help="ignored n field: n,a,b")
-    s_bec.add_argument("--p", type=float, default=0.35)
-    s_bec.add_argument("--budget", type=int, default=None)
-    s_bec.add_argument("--code-seed", dest="code_seed", type=int, default=11)
-    _add_sim_common(s_bec)
-    s_bec.set_defaults(func=cmd_sim)
+    s_bec.add_argument("--n-list", dest="block_lengths", type=int_list)
+    s_bec.add_argument("--p", dest="erasure_p", type=float)
+    s_bec.add_argument("--budget", type=int)
+    _add_sim_common(s_bec, "ignored n field: n,a,b")
 
     s_bsc = sim_sub.add_parser("wer-bsc")
-    s_bsc.add_argument("--code", type=str, default=None, help="n,a,b")
-    s_bsc.add_argument("--p-grid", dest="p_grid", default="0.05,0.055,0.06,0.065")
-    s_bsc.add_argument("--ell", type=int, default=None)
-    s_bsc.add_argument("--cands", type=int, default=None)
-    s_bsc.add_argument("--max-iter", dest="max_iter", type=int, default=50)
-    s_bsc.add_argument("--exhaustive", action="store_true")
-    s_bsc.add_argument("--code-seed", dest="code_seed", type=int, default=1)
-    _add_sim_common(s_bsc)
-    s_bsc.set_defaults(func=cmd_sim)
+    s_bsc.add_argument("--p-grid", dest="p_grid", type=float_list)
+    s_bsc.add_argument("--ell", dest="depth", type=int)
+    s_bsc.add_argument("--cands", dest="num_candidates", type=int)
+    s_bsc.add_argument("--max-iter", dest="max_iter", type=int)
+    s_bsc.add_argument("--exhaustive", dest="include_exhaustive", action="store_true",
+                       default=None)
+    _add_sim_common(s_bsc, "n,a,b")
 
     s_inv = sim_sub.add_parser("inversion-set")
-    s_inv.add_argument("--n-list", dest="n_list", default="64,128,256")
-    s_inv.add_argument("--code", type=str, default=None, help="ignored n field: n,a,b")
-    s_inv.add_argument("--p-grid", dest="p_grid", default="0.15,0.25,0.35,0.45")
-    s_inv.add_argument("--code-seed", dest="code_seed", type=int, default=11)
-    _add_sim_common(s_inv)
-    s_inv.set_defaults(func=cmd_sim)
+    s_inv.add_argument("--n-list", dest="block_lengths", type=int_list)
+    s_inv.add_argument("--p-grid", dest="p_grid", type=float_list)
+    _add_sim_common(s_inv, "ignored n field: n,a,b")
 
     p_mlc = sub.add_parser("mlc", help="multi-level-cell balanced codecs")
+    p_mlc.set_defaults(func=cmd_mlc)
     mlc_sub = p_mlc.add_subparsers(dest="action", required=True)
     m_rank = mlc_sub.add_parser("rank")
     m_rank.add_argument("--word", required=True)
     m_rank.add_argument("--q", type=int, default=None)
-    m_rank.set_defaults(func=cmd_mlc)
     m_unrank = mlc_sub.add_parser("unrank")
     m_unrank.add_argument("--rank", type=int, required=True)
     m_unrank.add_argument("--q", type=int, required=True)
     m_unrank.add_argument("--m", type=int, required=True)
-    m_unrank.set_defaults(func=cmd_mlc)
     m_bal = mlc_sub.add_parser("balance")
     m_bal.add_argument("--word", required=True)
     m_bal.add_argument("--q", type=int, required=True)
-    m_bal.set_defaults(func=cmd_mlc)
     m_unbal = mlc_sub.add_parser("unbalance")
     m_unbal.add_argument("--word", required=True)
-    m_unbal.add_argument("--trace", required=True, help="comma-separated locations")
-    m_unbal.add_argument("--groups", default=None, help="comma-separated group ids")
+    m_unbal.add_argument("--trace", type=int_list, required=True, help="locations")
+    m_unbal.add_argument("--groups", type=int_list, help="group ids")
     m_unbal.add_argument("--q", type=int, required=True)
-    m_unbal.set_defaults(func=cmd_mlc)
 
     return parser
 

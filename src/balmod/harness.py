@@ -179,6 +179,9 @@ def run_ber_curve(spec: BerCurveSpec) -> ResultTable:
     """Empirical BER of each threshold strategy per age t, with the model's
     closed-form error rates as overlay rows (trials = 0)."""
     table = _new_table("ber-curve", spec)
+    if not (isinstance(spec.cells, (int, np.integer))
+            and spec.cells > 0 and spec.cells % 2 == 0):
+        raise ValueError(f"cells must be a positive even integer, got cells={spec.cells}")
     model = channel.DriftModel(spec.model, spec.sigma)
     half = spec.cells // 2
     strategies = ("fixed", "balancing", "optimal", "mean", "second_order")

@@ -116,6 +116,9 @@ def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:
     """Half-interval search: probe the midpoint, count ones, and shrink the
     interval toward weight n/2; stops on exact balance or width <= eps."""
     levels = _as_levels(c)
+    for name, value in (("lo", lo), ("hi", hi), ("eps", eps)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not lo < hi:
         raise ValueError("need lo < hi")
     if eps <= 0:

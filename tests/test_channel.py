@@ -56,6 +56,14 @@ class TestSampling:
             DriftModel(MEAN_DRIFT, 0.0)
 
     @pytest.mark.parametrize("kind", [MEAN_DRIFT, VARIANCE_GROWTH])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, kind, sigma):
+        # nan <= 0 is False: a NaN or infinite sigma used to surface later as
+        # non-finite cell levels, a NaN error rate or a root-finder failure
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+            DriftModel(kind, sigma)
+
+    @pytest.mark.parametrize("kind", [MEAN_DRIFT, VARIANCE_GROWTH])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_age_rejected(self, kind, t):
         # nan < 0 is False: without its own check a NaN age became NaN levels

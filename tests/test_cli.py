@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -135,6 +137,8 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["encode", "--bits", "111"],
         ["sim", "ber", "--t-grid", "0.1", "--cells", "11", "--out", "x.csv"],
+        ["sim", "ber", "--t-grid", "0.1", "--cells", "-4", "--out", "x.csv"],
+        ["sim", "ber", "--t-grid", "0.1", "--cells", "0", "--out", "x.csv"],
     ])
     def test_value_error_is_one_line_exit_2(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -166,6 +170,30 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("balmod: error: ") and "budget -3" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["sim", "ber", "--t-grid", "0.1", "--cells", "100", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"balmod: error: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv, config, value", [
+        (["--sigma", "nan"], None, "nan"),
+        (["--sigma", "inf", "--model", "variance_growth"], None, "inf"),
+        (["--config", "cfg.json"], {"sigma": float("nan")}, "nan"),
+    ], ids=["nan", "inf", "config nan"])
+    def test_non_finite_sigma(self, capsys, tmp_path, monkeypatch, argv, config, value):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            # Python's json writes and reads NaN
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["sim", "ber", "--t-grid", "0.1", "--cells", "100", *argv, "--out", "x.csv"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"balmod: error: sigma must be positive and finite, got {value}\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("age", ["nan", "inf", "-inf"])
@@ -212,6 +240,52 @@ class TestErrors:
         assert err.startswith("balmod: error: ") and f"trials={trials}" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+SIM_PARSERS = _subcommands(_subcommands(cli.build_parser())["sim"])
+# the sim flags that set no spec field (code sets n, col_weight and row_weight)
+CLI_DESTS = {"help", "config", "out", "format", "code"}
+
+
+class TestParameterNames:
+    """A sim flag or config key sets the spec field of its name; the cli
+    keeps only names that are fields, so a misspelt one would be dropped."""
+
+    @pytest.mark.parametrize("sim", sorted(cli.SIMS))
+    def test_every_sim_flag_sets_a_spec_field(self, sim):
+        fields = {f.name for f in dataclasses.fields(cli.SIMS[sim][0])}
+        dests = {a.dest for a in SIM_PARSERS[sim]._actions}
+        assert dests - CLI_DESTS <= fields
+        if "code" in dests:
+            assert {"col_weight", "row_weight"} <= fields
+
+    @pytest.mark.parametrize("sim", sorted(cli.SIMS))
+    def test_no_flags_build_the_default_spec(self, sim):
+        args = cli.build_parser().parse_args(["sim", sim, "--out", "x.csv"])
+        assert cli._sim_spec(args) == cli.SIMS[sim][0]()
+
+    @pytest.mark.parametrize("argv, config, expect", [
+        (["ber", "--t-grid", "0.1", "--cells", "100"], {"a_const": 0.5},
+         ["second_order_a=0.5"]),
+        (["wer-bsc", "--p-grid", "0.06", "--trials", "1"],
+         {"ell": 1, "c": 2, "code": [28, 4, 7]}, ["n=28", "depth=1", "num_candidates=2"]),
+        (["wer-bec", "--n-list", "36", "--trials", "1"], {"code": [0, 3, 6]},
+         ["col_weight=3", "row_weight=6"]),
+        (["inversion-set", "--n-list", "36", "--p-grid", "0.2", "--trials", "1"],
+         {"code": [0, 3, 6]}, ["col_weight=3", "row_weight=6"]),
+    ], ids=["ber", "wer-bsc", "wer-bec", "inversion-set"])
+    def test_config_key_reaches_its_field(self, capsys, tmp_path, argv, config, expect):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        run(capsys, "sim", *argv, "--config", str(cfg), "--out", str(out))
+        header = out.read_text().splitlines()[1].split()
+        assert set(expect) <= set(header)
 
 
 class TestConfigErrors:

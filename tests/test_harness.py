@@ -75,6 +75,13 @@ class TestBerCurve:
         assert again == ber_table
 
 
+    @pytest.mark.parametrize("cells", [-4, 0, 11, 10.0])
+    def test_cells_must_be_positive_even_integer(self, cells):
+        with pytest.raises(ValueError, match="cells must be a positive even integer, "
+                                             f"got cells={cells}"):
+            run_ber_curve(BerCurveSpec(cells=cells, t_grid=(0.1,)))
+
+
 class TestWerBec:
     def test_zero_erasures_no_errors(self):
         spec = WerBecSpec(block_lengths=(32,), erasure_p=0.0, trials=20, seed=7)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -201,6 +202,28 @@ class TestBisect:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             balancing_threshold_bisect([0.1, 0.9], 1.0, 0.0, 1e-9)
+
+    @pytest.mark.parametrize("lo, hi, eps, name, value", [
+        (0.0, math.inf, 1e-9, "hi", "inf"),
+        (-math.inf, math.inf, 1e-9, "lo", "-inf"),
+        (math.nan, 1.0, 1e-9, "lo", "nan"),
+        (0.0, math.nan, 1e-9, "hi", "nan"),
+        (0.0, 1.0, math.nan, "eps", "nan"),
+        (0.0, 1.0, math.inf, "eps", "inf"),
+    ])
+    def test_non_finite_argument_rejected(self, lo, hi, eps, name, value):
+        # an infinite hi kept hi - lo infinite, so the search never returned;
+        # the alarm makes such a regression fail instead of hang
+        def hang(signum, frame):
+            raise TimeoutError("bisection did not return")
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                balancing_threshold_bisect([0.1, 0.9, 0.2, 0.8], lo, hi, eps)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @given(distinct_levels)
     @settings(max_examples=60)
