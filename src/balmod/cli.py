@@ -15,9 +15,12 @@ key or a config value of the wrong JSON type is an error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -182,7 +185,7 @@ def cmd_decode(args) -> int:
 
 def cmd_threshold(args) -> int:
     params = _params(args)
-    levels = np.array([float(v) for v in args.levels.split(",")])
+    levels = np.array(args.levels)
     if args.method == "exact":
         res = thresholds.balancing_threshold_exact(levels)
         v, note = res.value, f" exact={res.exact}"
@@ -205,12 +208,24 @@ def _sim_spec(args):
     return spec_cls(**_given(_params(args), [f.name for f in dataclasses.fields(spec_cls)]))
 
 
-def cmd_sim(args) -> int:
-    table = SIMS[args.experiment][1](_sim_spec(args))
+@contextlib.contextmanager
+def _writing(path: str):
+    """An OSError while writing path as a one-line error naming it."""
     try:
-        harness.emit(table, args.out, args.format)
+        yield
     except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def cmd_sim(args) -> int:
+    spec = _sim_spec(args)
+    with _writing(args.out):
+        # a file that vanishes on close: a missing or unwritable directory
+        # fails before the run, and a run that fails leaves no file behind
+        tempfile.TemporaryFile(dir=Path(args.out).absolute().parent).close()
+    table = SIMS[args.experiment][1](spec)
+    with _writing(args.out):
+        harness.emit(table, args.out, args.format)
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return 0
 
@@ -259,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decode)
 
     p_thr = sub.add_parser("threshold", help="compute a read threshold")
-    p_thr.add_argument("--levels", required=True, help="comma-separated levels")
+    p_thr.add_argument("--levels", type=float_list, required=True,
+                       help="comma-separated levels")
     p_thr.add_argument("--method", choices=("exact", "bisect", "mean", "second-order"),
                        default="exact")
     p_thr.add_argument("--lo", type=float, default=0.0)

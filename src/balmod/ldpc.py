@@ -28,7 +28,7 @@ from .words import BalancedWord, BitWord, find_balancing_index
 LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
 _MAX_DRAWS = 32     # Gallager draws tried before giving up on a seed
-_BP_BLOCK = 32      # BP rows per kernel call in balanced_decode; bounds its memory
+_BP_BLOCK = 32      # BP rows per kernel call of the exhaustive decoder; bounds its memory
 
 # the benchmark (perfbench/) calls and traces the balancing index by this name
 _balancing_index_arr = find_balancing_index
@@ -252,17 +252,20 @@ def _bp_maps(code: LdpcCode, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return to_var, to_check
 
 
-def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int):
+def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = False):
     """Flooding sum-product on every row of the (rows, n) clipped LLRs L.
 
     Returns the uint8 hard decisions, `satisfied` and `iterations` per row.
     A row leaves the batch at the iteration its hard decision clears the
-    syndrome, so it runs exactly the iterations a one-row decode runs.  Each
-    step repeats the one-row arithmetic in its order: the checks run
-    _check_step, a variable sums its a incoming messages left to right, as
-    numpy sums up to 7 terms (more go through numpy's own sum, as in one
-    row), and an outgoing message is that total minus the edge's own
-    incoming message.  So every row is bit-equal to decoding it alone.
+    syndrome, so it runs exactly the iterations a one-row decode runs.  With
+    first_stop, every row leaves at the first iteration that clears any
+    row's syndrome, and the rows satisfied then are those a one-row decode
+    clears at that iteration.  Each step repeats the one-row arithmetic in
+    its order: the checks run _check_step, a variable sums its a incoming
+    messages left to right, as numpy sums up to 7 terms (more go through
+    numpy's own sum, as in one row), and an outgoing message is that total
+    minus the edge's own incoming message.  So every row is bit-equal to
+    decoding it alone.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -288,7 +291,7 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int):
         unsat = np.bitwise_xor.reduce(post_chk < 0, axis=0).any(axis=1)
         if it < max_iter and unsat.all():
             continue
-        done = ~unsat | (it == max_iter)
+        done = ~unsat | (it == max_iter) | first_stop
         rows = live[done]
         words[rows] = post[done] < 0
         satisfied[rows] = ~unsat[done]
@@ -472,29 +475,35 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     Candidate inversion indices come from the shift scores (or all n shifts
     when num_candidates is None).  Each candidate j flips the sign of the
     first j clipped LLRs, and BP runs on all candidates together, one row
-    each, in blocks of _BP_BLOCK rows; every row decodes exactly as
-    bp_decode would decode it alone.  A parity-satisfying output z is
-    re-paired with its own minimal balancing index fbi(z) rather than the
-    shift that found it: a channel error at the prefix boundary makes the
-    adjacent shift the better BP input, yet both decode to the same
-    codeword.  Going through the rows in candidate order, each distinct
+    each.  The top candidates form one batch that stops at the first
+    iteration where any row clears its syndrome: the rows satisfied then
+    are the ones bp_decode clears at that iteration, and only they compete,
+    so wrong shifts, which rarely converge, do not run to max_iter.  The
+    exhaustive decoder runs its shifts in blocks of _BP_BLOCK rows with no
+    shared stop, every row decoding exactly as bp_decode would decode it
+    alone.  A parity-satisfying output z is re-paired with its own minimal
+    balancing index fbi(z) rather than the shift that found it: a channel
+    error at the prefix boundary makes the adjacent shift the better BP
+    input, yet both decode to the same codeword.  Going through the rows in candidate order, each distinct
     (z, fbi(z)) pair is scored by the correlation of its balanced form with
     the raw LLRs, which orders the pairs exactly by observation likelihood
     on a symmetric channel; the best pair wins, the earlier one on a tie.
     """
     clipped = _clipped_llr(code, llr)
     if num_candidates is None:
-        cands = list(range(code.n))
+        cands, block = list(range(code.n)), _BP_BLOCK
     else:
         cands = candidate_inversions(lambda_scores(code, clipped, depth), num_candidates)
+        block = len(cands)
     pos = np.arange(code.n)
     best_score = None
     best = None
     seen: set[bytes] = set()
-    for start in range(0, len(cands), _BP_BLOCK):
-        shifts = np.array(cands[start:start + _BP_BLOCK])
+    for start in range(0, len(cands), block):
+        shifts = np.array(cands[start:start + block])
         rows = np.where(pos < shifts[:, None], -clipped, clipped)
-        words, satisfied, _ = _bp_rows(code, rows, max_iter)
+        words, satisfied, _ = _bp_rows(code, rows, max_iter,
+                                       first_stop=num_candidates is not None)
         for z in words[satisfied]:
             key = z.tobytes()
             if key in seen:

@@ -2,7 +2,11 @@
 
 `bp_decode` is the one-word flooding sum-product loop that `ldpc.bp_decode`
 ran before BP moved into a batched kernel, and `balanced_decode` the serial
-candidate loop over it.  `ldpc.bp_decode` and `ldpc.balanced_decode` must
+candidate loop over it.  With top candidates, each candidate still runs to
+its own convergence, but only the rows that converge at the smallest
+iteration count of any satisfied row compete for the win (the kernel stops
+the whole candidate batch there); the exhaustive decoder lets every
+satisfied row compete.  `ldpc.bp_decode` and `ldpc.balanced_decode` must
 equal them exactly: the same word, `satisfied` and `iterations`, and the
 same decoded index, candidates and score.
 """
@@ -53,23 +57,31 @@ def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
     return BpResult(word=hard, satisfied=False, iterations=max_iter)
 
 
-def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | None = 4,
-                    max_iter: int = 50) -> BalancedDecodeResult:
-    """One oracle BP decode per candidate shift, in candidate order; the
-    first satisfied copy of each word is scored, the best score wins."""
+def candidate_decodes(code: LdpcCode, llr, depth: int = 2, num_candidates: int | None = 4,
+                      max_iter: int = 50) -> tuple[list[int], list[BpResult]]:
+    """The candidate shifts, and one oracle BP decode per shift in their order."""
     base = np.asarray(llr, dtype=np.float64)
     if num_candidates is None:
         cands = list(range(code.n))
     else:
         cands = candidate_inversions(lambda_scores(code, base, depth), num_candidates)
-    clipped = np.clip(base, -LLR_CLIP, LLR_CLIP)
-    best_score = None
-    best = None
-    seen: set[bytes] = set()
+    results = []
     for j in cands:
         lj = base.copy()
         lj[:j] = -lj[:j]
-        res = bp_decode(code, lj, max_iter=max_iter)
+        results.append(bp_decode(code, lj, max_iter=max_iter))
+    return cands, results
+
+
+def pick_winner(code: LdpcCode, llr, cands: list[int],
+                results: list[BpResult]) -> BalancedDecodeResult:
+    """Going through the results in candidate order, the first satisfied
+    copy of each word is scored; the best score wins, the earlier on a tie."""
+    clipped = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
+    best_score = None
+    best = None
+    seen: set[bytes] = set()
+    for res in results:
         if not res.satisfied:
             continue
         z = res.word
@@ -90,3 +102,15 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     i_min, z = best
     return BalancedDecodeResult(ok=True, u=z[code.message_positions], z=z, i=i_min,
                                 candidates=tuple(cands), score=best_score)
+
+
+def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | None = 4,
+                    max_iter: int = 50) -> BalancedDecodeResult:
+    """One oracle BP decode per candidate shift, then pick_winner; with top
+    candidates only the rows satisfied at the smallest iteration count of any
+    satisfied row compete."""
+    cands, results = candidate_decodes(code, llr, depth, num_candidates, max_iter)
+    if num_candidates is not None:
+        first = min((res.iterations for res in results if res.satisfied), default=None)
+        results = [res for res in results if res.satisfied and res.iterations == first]
+    return pick_winner(code, llr, cands, results)

@@ -180,6 +180,36 @@ class TestErrors:
         assert err == f"balmod: error: cannot write {out}: No such file or directory\n"
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("parent, reason", [("missing", "No such file or directory"),
+                                                ("a-file", "Not a directory")])
+    def test_out_checked_before_run(self, capsys, tmp_path, monkeypatch, parent, reason):
+        def runner(spec):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setitem(cli.SIMS, "wer-bsc", (cli.SIMS["wer-bsc"][0], runner))
+        (tmp_path / "a-file").write_text("")
+        out = tmp_path / parent / "x.csv"
+        argv = ["sim", "wer-bsc", "--code", "70,4,7", "--trials", "200", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"balmod: error: cannot write {out}: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
+
+    def test_failed_run_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        def runner(spec):
+            raise ValueError("the run failed")
+
+        monkeypatch.setitem(cli.SIMS, "ber", (cli.SIMS["ber"][0], runner))
+        argv = ["sim", "ber", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "balmod: error: the run failed\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_bad_threshold_levels_named(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["threshold", "--levels", "0.1,x"])
+        assert exc.value.code == 2
+        assert "argument --levels: invalid float_list value: '0.1,x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, config, value", [
         (["--sigma", "nan"], None, "nan"),
         (["--sigma", "inf", "--model", "variance_growth"], None, "inf"),

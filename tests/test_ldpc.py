@@ -319,6 +319,74 @@ class TestBpKernel:
             want = bp_oracle.balanced_decode(code, llr, num_candidates=None)
             assert _same_decode(got, want), trial
 
+    def test_first_convergence_rule_matches_oracle(self):
+        # on this toy code the rule changes some winners: a wrong codeword that
+        # converges first now beats a likelier one that converges later
+        code = ldpc.build_gallager(28, 4, 7, seed=1)
+        rng = channel.make_rng(42)
+        changed = 0
+        for trial in range(100):
+            x, _ = ldpc.balanced_encode(code, rng.integers(0, 2, code.k))
+            noise = (rng.random(code.n) < 0.06).astype(np.uint8)
+            llr = ldpc.bsc_llr(x.to_array() ^ noise, 0.06)
+            want = bp_oracle.balanced_decode(code, llr)
+            assert _same_decode(ldpc.balanced_decode(code, llr), want), trial
+            # the rule before: every satisfied candidate row competes
+            cands, results = bp_oracle.candidate_decodes(code, llr)
+            changed += not _same_decode(bp_oracle.pick_winner(code, llr, cands, results), want)
+        assert changed > 0
+
+    def test_first_convergence_stop_covers_every_candidate(self, full_scale_code, monkeypatch):
+        calls = []
+
+        def spy(code, L, max_iter, first_stop=False):
+            calls.append((len(L), first_stop))
+            return bp_rows(code, L, max_iter, first_stop=first_stop)
+
+        bp_rows = ldpc._bp_rows
+        monkeypatch.setattr(ldpc, "_bp_rows", spy)
+        rng = channel.make_rng(43)
+        for trial in range(6):
+            x, _ = ldpc.balanced_encode(full_scale_code, rng.integers(0, 2, full_scale_code.k))
+            noise = (rng.random(full_scale_code.n) < 0.07).astype(np.uint8)
+            llr = ldpc.bsc_llr(x.to_array() ^ noise, 0.07)
+            calls.clear()
+            got = ldpc.balanced_decode(full_scale_code, llr, num_candidates=40)
+            # more candidates than an exhaustive block, all in one stopping batch
+            assert len(got.candidates) == 40 > ldpc._BP_BLOCK
+            assert calls == [(40, True)]
+            want = bp_oracle.balanced_decode(full_scale_code, llr, num_candidates=40)
+            assert _same_decode(got, want), trial
+        # the exhaustive decoder keeps its blocks and lets every row run on
+        calls.clear()
+        ldpc.balanced_decode(full_scale_code, llr, num_candidates=None)
+        assert calls == [(min(ldpc._BP_BLOCK, full_scale_code.n - start), False)
+                         for start in range(0, full_scale_code.n, ldpc._BP_BLOCK)]
+
+    def test_first_stop_leaves_at_first_convergence(self, full_scale_code):
+        rng = channel.make_rng(44)
+        llrs = _noisy_llrs(full_scale_code, rng, 30, "bsc")
+        ref = [bp_oracle.bp_decode(full_scale_code, llr) for llr in llrs]
+        its = np.array([res.iterations for res in ref])
+        own_sat = np.array([res.satisfied for res in ref])
+        first = its[own_sat].min()
+        # the rows converge at different iterations, some never
+        assert len(set(its[own_sat].tolist())) >= 3 and not own_sat.all()
+        clipped = np.clip(llrs, -ldpc.LLR_CLIP, ldpc.LLR_CLIP)
+        words, satisfied, iterations = ldpc._bp_rows(full_scale_code, clipped, 50,
+                                                     first_stop=True)
+        assert (iterations == first).all()
+        assert np.array_equal(satisfied, own_sat & (its == first))
+        assert 0 < satisfied.sum() < len(llrs)
+        # every row is the hard decision a one-row decode has after that many
+        # iterations, and so is every row when max_iter comes first
+        for max_iter in (first, first - 1):
+            got = ldpc._bp_rows(full_scale_code, clipped, max_iter, first_stop=True)
+            want = [bp_oracle.bp_decode(full_scale_code, llr, max_iter=max_iter) for llr in llrs]
+            assert np.array_equal(got[0], np.array([res.word for res in want]))
+            assert np.array_equal(got[1], [res.satisfied for res in want])
+            assert np.array_equal(got[2], [res.iterations for res in want])
+
 
 @st.composite
 def _small_codes(draw):
