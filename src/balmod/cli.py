@@ -223,6 +223,8 @@ def cmd_sim(args) -> int:
         # a file that vanishes on close: a missing or unwritable directory
         # fails before the run, and a run that fails leaves no file behind
         tempfile.TemporaryFile(dir=Path(args.out).absolute().parent).close()
+    if Path(args.out).is_dir():
+        raise ValueError(f"cannot write {args.out}: Is a directory")
     table = SIMS[args.experiment][1](spec)
     with _writing(args.out):
         harness.emit(table, args.out, args.format)

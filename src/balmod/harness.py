@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bec, channel, ldpc, thresholds
-from .words import BitWord, find_balancing_index
+from .words import BitWord, balance
 
 CSV_COLUMNS = ("x", "strategy", "metric", "value", "stderr", "trials", "seed")
 
@@ -322,9 +322,7 @@ def run_wer_bsc(spec: WerBscSpec) -> ResultTable:
             rng = channel.make_rng((spec.seed, p_idx, trial))
             u = rng.integers(0, 2, code.k)
             z = ldpc.encode(code, u)
-            i_true = find_balancing_index(z)
-            x = z.copy()
-            x[:i_true] ^= 1
+            x, _ = balance(z)
             noise = (channel.make_rng((spec.seed, p_idx, trial, 1)).random(code.n)
                      < p).astype(np.uint8)
 
@@ -375,7 +373,9 @@ def run_inversion_set(spec: InversionSetSpec) -> ResultTable:
     for n_idx, n in enumerate(spec.block_lengths):
         code = ldpc.build_gallager(n, spec.col_weight, spec.row_weight, spec.code_seed)
         for p_idx, p in enumerate(spec.p_grid):
+            # bec_decode sets the residual size before it enumerates: budget 0
+            # skips the enumeration, which this sweep never reads
             residuals = [res.residual_set_size for *_, res in _bec_trials(
-                code, p, n + 1, (spec.seed, n_idx, p_idx), spec.trials)]
+                code, p, 0, (spec.seed, n_idx, p_idx), spec.trials)]
             _add_mean_residual(table, p, f"n{n}", residuals, spec)
     return table

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import make_rng
-from .words import BalancedWord, BitWord, find_balancing_index
+from .words import BalancedWord, BitWord, balance, find_balancing_index
 
 LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
@@ -142,7 +142,7 @@ def build_gallager(n: int, a: int, b: int, seed: int) -> LdpcCode:
     next seed (bounded retries)."""
     if a < 2:
         raise ValueError("column weight a must be at least 2")
-    if b < 2 or n % b:
+    if b < 2 or n <= 0 or n % b:
         raise ValueError("n must be a positive multiple of the row weight b")
     rows_per = n // b
     base = np.repeat(np.eye(rows_per, dtype=np.uint8), b, axis=1)
@@ -184,9 +184,7 @@ def balanced_encode(code: LdpcCode, u) -> tuple[BalancedWord, int]:
     """
     if code.n % 2:
         raise ValueError("balancing needs even block length")
-    x = encode(code, u)
-    i = find_balancing_index(x)
-    x[:i] ^= 1
+    x, i = balance(encode(code, u))
     return BalancedWord.from_array(x), i
 
 
@@ -256,24 +254,24 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
     """Flooding sum-product on every row of the (rows, n) clipped LLRs L.
 
     Returns the uint8 hard decisions, `satisfied` and `iterations` per row.
-    A row leaves the batch at the iteration its hard decision clears the
-    syndrome, so it runs exactly the iterations a one-row decode runs.  With
-    first_stop, every row leaves at the first iteration that clears any
-    row's syndrome, and the rows satisfied then are those a one-row decode
-    clears at that iteration.  Each step repeats the one-row arithmetic in
-    its order: the checks run _check_step, a variable sums its a incoming
-    messages left to right, as numpy sums up to 7 terms (more go through
-    numpy's own sum, as in one row), and an outgoing message is that total
-    minus the edge's own incoming message.  So every row is bit-equal to
-    decoding it alone.
+    The batch stays whole until every row is recorded; a row is recorded
+    once, at the iteration its hard decision clears the syndrome (or at
+    max_iter), and iterates on unread after that, so its results are those
+    of a one-row decode.  With first_stop, every row is recorded at the
+    first iteration that clears any row's syndrome, and the rows satisfied
+    then are those a one-row decode clears at that iteration.  Each step
+    repeats the one-row arithmetic in its order: the checks run
+    _check_step, a variable sums its a incoming messages left to right, as
+    numpy sums up to 7 terms (more go through numpy's own sum, as in one
+    row), and an outgoing message is that total minus the edge's own
+    incoming message.  So every row is bit-equal to decoding it alone.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     a = code.a
-    words = np.empty(L.shape, dtype=np.uint8)   # every row is written when it leaves
+    words = np.empty(L.shape, dtype=np.uint8)   # every row is written once, when recorded
     satisfied = np.empty(len(L), dtype=bool)
-    iterations = np.empty(len(L), dtype=int)
-    live = np.arange(len(L))
+    iterations = np.zeros(len(L), dtype=int)    # 0 until the row is recorded
     to_var, to_check = _bp_maps(code, len(L))
     m = L.ravel()[to_check]                     # (b, rows, r) variable-to-check
     for it in range(1, max_iter + 1):
@@ -291,15 +289,12 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
         unsat = np.bitwise_xor.reduce(post_chk < 0, axis=0).any(axis=1)
         if it < max_iter and unsat.all():
             continue
-        done = ~unsat | (it == max_iter) | first_stop
-        rows = live[done]
-        words[rows] = post[done] < 0
-        satisfied[rows] = ~unsat[done]
-        iterations[rows] = it
-        if done.all():
+        done = (iterations == 0) & (~unsat | (it == max_iter) | first_stop)
+        words[done] = post[done] < 0
+        satisfied[done] = ~unsat[done]
+        iterations[done] = it
+        if iterations.all():
             break
-        live, L, m = live[~done], L[~done], np.ascontiguousarray(m[:, ~done])
-        to_var, to_check = _bp_maps(code, len(live))
     return words, satisfied, iterations
 
 
@@ -484,10 +479,12 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     alone.  A parity-satisfying output z is re-paired with its own minimal
     balancing index fbi(z) rather than the shift that found it: a channel
     error at the prefix boundary makes the adjacent shift the better BP
-    input, yet both decode to the same codeword.  Going through the rows in candidate order, each distinct
-    (z, fbi(z)) pair is scored by the correlation of its balanced form with
-    the raw LLRs, which orders the pairs exactly by observation likelihood
-    on a symmetric channel; the best pair wins, the earlier one on a tie.
+    input, yet both decode to the same codeword.  All satisfied rows, in
+    candidate order, are balanced at once and each (z, fbi(z)) pair is
+    scored by the correlation of its balanced form with the clipped LLRs,
+    which orders the pairs exactly by observation likelihood on a symmetric
+    channel; the first best row wins, so the earlier candidate wins a tie
+    (copies of one word score alike).
     """
     clipped = _clipped_llr(code, llr)
     if num_candidates is None:
@@ -496,38 +493,25 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
         cands = candidate_inversions(lambda_scores(code, clipped, depth), num_candidates)
         block = len(cands)
     pos = np.arange(code.n)
-    best_score = None
-    best = None
-    seen: set[bytes] = set()
+    found = []
     for start in range(0, len(cands), block):
         shifts = np.array(cands[start:start + block])
         rows = np.where(pos < shifts[:, None], -clipped, clipped)
         words, satisfied, _ = _bp_rows(code, rows, max_iter,
                                        first_stop=num_candidates is not None)
-        for z in words[satisfied]:
-            key = z.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            i_min = find_balancing_index(z)
-            x_hat = z.copy()
-            x_hat[:i_min] ^= 1
-            corr = float(np.sum((1.0 - 2.0 * x_hat.astype(np.float64)) * clipped))
-            if best_score is None or corr > best_score:
-                best_score = corr
-                best = (i_min, z)
-    if best is None:
+        found.append(words[satisfied])
+    z = np.concatenate(found)
+    if not len(z):
         return BalancedDecodeResult(ok=False, u=None, z=None, i=None,
                                     candidates=tuple(cands), score=None)
-    i_min, z = best
-    return BalancedDecodeResult(
-        ok=True,
-        u=z[code.message_positions],
-        z=z,
-        i=i_min,
-        candidates=tuple(cands),
-        score=best_score,
-    )
+    x_hat, i_min = balance(z)
+    # numpy sums each C-ordered row by the pairwise tree of a 1-D sum, so every
+    # score equals that of its row scored alone
+    scores = ((1.0 - 2.0 * x_hat) * clipped).sum(axis=1)
+    best = int(np.argmax(scores))
+    return BalancedDecodeResult(ok=True, u=z[best, code.message_positions], z=z[best],
+                                i=int(i_min[best]), candidates=tuple(cands),
+                                score=float(scores[best]))
 
 
 def balanced_decode_bsc(code: LdpcCode, y: BitWord, p: float, depth: int = 2,

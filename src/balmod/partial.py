@@ -19,7 +19,7 @@ import numpy as np
 from .channel import make_rng
 from .ldpc import LdpcCode, bp_decode, bsc_llr, encode
 from .thresholds import balancing_threshold_exact, read_with_threshold
-from .words import BalancedWord, BitWord, find_balancing_index
+from .words import BalancedWord, BitWord, balance
 
 
 # crossover probability the inner decoder's constant-magnitude LLRs assume
@@ -83,9 +83,7 @@ def pb_encode(scheme: PartialScheme, u: BitWord) -> PartialCodeword:
     and scatter the bits into physical cell order."""
     if len(u) != scheme.k_info:
         raise ValueError(f"message length {len(u)} != {scheme.k_info}")
-    u_tilde = u.to_array()
-    i = find_balancing_index(u_tilde)
-    u_tilde[:i] ^= 1
+    u_tilde, i = balance(u.to_array())
     idx = np.array([(i >> (scheme.i_bits - 1 - t)) & 1 for t in range(scheme.i_bits)],
                    dtype=np.uint8)
     message = np.zeros(scheme.code.k, dtype=np.uint8)

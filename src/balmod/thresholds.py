@@ -146,6 +146,8 @@ def relaxed_threshold_mean(c) -> float:
 
 def relaxed_threshold_second_order(c, a: float = 0.0) -> float:
     """mean(c) + a * (1/2 - mean(c))**2 with a model-dependent constant a."""
+    if not np.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     mu = relaxed_threshold_mean(c)
     return mu + a * (0.5 - mu) ** 2
 

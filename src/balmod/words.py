@@ -135,6 +135,16 @@ def find_balancing_index(w: BitWord | np.ndarray) -> int | np.ndarray:
     return int(first) if bits.ndim == 1 else first
 
 
+def balance(w: BitWord | np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+    """The word with its minimal balancing prefix inverted, as a fresh uint8
+    array, and that index (find_balancing_index); a 2-D array has each row
+    balanced by its own index."""
+    x = np.array(w, dtype=np.uint8)
+    i = find_balancing_index(x)
+    x ^= np.arange(x.shape[-1]) < np.asarray(i)[..., None]
+    return x, i
+
+
 def prefix_length(k: int) -> int:
     """Smallest even p whose balanced words can index all i in [0, k)."""
     if k < 2 or k % 2:
@@ -158,10 +168,9 @@ def decode_prefix(prefix: BitWord) -> int:
 def knuth_encode(u: BitWord) -> KnuthCodeword:
     """Balance u by minimal prefix inversion; the inversion index is carried
     in a balanced prefix, so the whole codeword is balanced."""
-    i = find_balancing_index(u.to_array())
-    payload = BalancedWord(invert_prefix(u, i).bits)
+    payload, i = balance(u.to_array())
     p = prefix_length(len(u))
-    return KnuthCodeword(payload=payload, prefix=encode_prefix(i, p))
+    return KnuthCodeword(payload=BalancedWord.from_array(payload), prefix=encode_prefix(i, p))
 
 
 def knuth_decode(cw: KnuthCodeword) -> BitWord:

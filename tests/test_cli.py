@@ -181,18 +181,20 @@ class TestErrors:
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("parent, reason", [("missing", "No such file or directory"),
-                                                ("a-file", "Not a directory")])
+                                                ("a-file", "Not a directory"),
+                                                ("a-dir", "Is a directory")])
     def test_out_checked_before_run(self, capsys, tmp_path, monkeypatch, parent, reason):
         def runner(spec):
             raise AssertionError("the run started before --out was checked")
 
         monkeypatch.setitem(cli.SIMS, "wer-bsc", (cli.SIMS["wer-bsc"][0], runner))
         (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-dir" / "x.csv").mkdir(parents=True)    # --out an existing directory
         out = tmp_path / parent / "x.csv"
         argv = ["sim", "wer-bsc", "--code", "70,4,7", "--trials", "200", "--out", str(out)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"balmod: error: cannot write {out}: {reason}\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
 
     def test_failed_run_leaves_no_file(self, capsys, tmp_path, monkeypatch):
         def runner(spec):
@@ -225,6 +227,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"balmod: error: sigma must be positive and finite, got {value}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, value", [
+        (["threshold", "--levels", "0.1,0.2", "--method", "second-order", "--a-const", "nan"],
+         "nan"),
+        (["sim", "ber", "--t-grid", "0.1", "--cells", "100", "--a-const", "nan",
+          "--out", "x.csv"], "nan"),
+        (["sim", "ber", "--t-grid", "0.1", "--cells", "100", "--a-const", "inf",
+          "--out", "x.csv"], "inf"),
+    ], ids=["threshold nan", "sim nan", "sim inf"])
+    def test_non_finite_a_const(self, capsys, tmp_path, monkeypatch, argv, value):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"balmod: error: a must be finite, got {value}\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("age", ["nan", "inf", "-inf"])
     def test_non_finite_age(self, capsys, tmp_path, monkeypatch, age):

@@ -117,6 +117,9 @@ class TestConstruction:
             ldpc.build_gallager(27, 2, 7, seed=1)
         with pytest.raises(ValueError):
             ldpc.build_gallager(28, 1, 7, seed=1)
+        for n in (0, -7):
+            with pytest.raises(ValueError, match="n must be a positive multiple of the row weight b"):
+                ldpc.build_gallager(n, 4, 7, seed=1)
 
 
 class TestBalancedEncode:
@@ -294,15 +297,30 @@ class TestBpKernel:
         with pytest.raises(ValueError, match=r"llr shape \(279,\) != \(280,\)"):
             ldpc.balanced_decode(full_scale_code, np.ones(279), num_candidates=None)
 
-    def test_balanced_decode_matches_serial_oracle(self, full_scale_code):
+    @pytest.mark.parametrize("llrs", ["bsc", "gaussian"])
+    def test_balanced_decode_matches_serial_oracle(self, full_scale_code, llrs):
+        # Gaussian LLRs are arbitrary floats, so their scores pin the order in
+        # which each row's correlation is summed
+        def observe(code, rng):
+            x = ldpc.balanced_encode(code, rng.integers(0, 2, code.k))[0].to_array()
+            if llrs == "bsc":
+                return ldpc.bsc_llr(x ^ (rng.random(code.n) < 0.06).astype(np.uint8), 0.06)
+            sigma = 0.7
+            return 2.0 * (1.0 - 2.0 * x + sigma * rng.standard_normal(code.n)) / sigma ** 2
+
         rng = channel.make_rng(40)
         for trial in range(30):
-            x, _ = ldpc.balanced_encode(full_scale_code, rng.integers(0, 2, full_scale_code.k))
-            noise = (rng.random(full_scale_code.n) < 0.06).astype(np.uint8)
-            llr = ldpc.bsc_llr(x.to_array() ^ noise, 0.06)
+            llr = observe(full_scale_code, rng)
             depth, c = (1 + trial % 3, (4, 2, 8)[trial % 3])
             got = ldpc.balanced_decode(full_scale_code, llr, depth=depth, num_candidates=c)
             want = bp_oracle.balanced_decode(full_scale_code, llr, depth=depth, num_candidates=c)
+            assert _same_decode(got, want), trial
+        # the exhaustive decoder, where many rows decode to one word
+        small = ldpc.build_gallager(28, 4, 7, seed=1)
+        for trial in range(10):
+            llr = observe(small, rng)
+            got = ldpc.balanced_decode(small, llr, num_candidates=None)
+            want = bp_oracle.balanced_decode(small, llr, num_candidates=None)
             assert _same_decode(got, want), trial
 
     @pytest.mark.parametrize("shape, trials", [((28, 4, 7, 1), 20), ((56, 2, 7, 3), 20),

@@ -258,6 +258,11 @@ class TestRelaxed:
     def test_default_constant_is_zero(self):
         assert relaxed_threshold_second_order([0.1, 0.1, 0.1, 0.9]) == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), float("-inf")])
+    def test_second_order_rejects_non_finite_constant(self, a):
+        with pytest.raises(ValueError, match=f"a must be finite, got {a}"):
+            relaxed_threshold_second_order([0.1, 0.9], a=a)
+
 
 class TestOptimalOracle:
     def test_separable(self):

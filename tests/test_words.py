@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmod.words import (BalancedWord, BitWord, KnuthCodeword, decode_prefix,
+from balmod.words import (BalancedWord, BitWord, KnuthCodeword, balance, decode_prefix,
                           encode_prefix, find_balancing_index, invert_prefix,
                           knuth_decode, knuth_encode, prefix_length, weight)
 
@@ -150,6 +150,26 @@ class TestFindBalancingIndex:
         w = BitWord(tuple(bits))
         walk = [weight(invert_prefix(w, i)) for i in range(len(bits) + 1)]
         assert all(abs(b - a) == 1 for a, b in zip(walk, walk[1:]))
+
+
+class TestBalance:
+    @given(even_words)
+    def test_inverts_the_minimal_prefix(self, bits):
+        w = BitWord(tuple(bits))
+        x, i = balance(w.to_array())
+        assert type(i) is int and i == brute_force_balancing_index(w)
+        assert x.dtype == np.uint8 and tuple(x) == invert_prefix(w, i).bits
+
+    def test_rows_balanced_by_their_own_index(self):
+        rows = np.array([[1, 1, 1, 1], [0, 1, 1, 0], [1, 0, 0, 0]], dtype=np.uint8)
+        x, i = balance(rows)
+        assert i.tolist() == [2, 0, 3]
+        assert x.tolist() == [[0, 0, 1, 1], [0, 1, 1, 0], [0, 1, 1, 0]]
+
+    def test_input_left_alone(self):
+        z = np.array([1, 1, 1, 1], dtype=np.uint8)
+        x, _ = balance(z)
+        assert z.tolist() == [1, 1, 1, 1] and x.tolist() == [0, 0, 1, 1]
 
 
 class TestBalancedWord:
