@@ -29,6 +29,7 @@ LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
 _MAX_DRAWS = 32     # Gallager draws tried before giving up on a seed
 _BP_BLOCK = 32      # BP rows per kernel call of the exhaustive decoder; bounds its memory
+_SCORE_BLOCK = 64   # shifts per step of the scorer's per-shift sums; bounds its table
 
 # the benchmark (perfbench/) calls and traces the balancing index by this name
 _balancing_index_arr = find_balancing_index
@@ -199,20 +200,24 @@ class BpResult:
     iterations: int
 
 
-def _check_step(t: np.ndarray) -> np.ndarray:
+def _check_step(t: np.ndarray, loo: np.ndarray | None = None,
+                suf: np.ndarray | None = None) -> np.ndarray:
     """Check-to-variable messages 2 atanh(loo) from the tanh'd incoming
     messages t, slot axis first: the leave-one-out product of a slot is its
     prefix product times its suffix product, each a scan away from the slot,
-    so any batch of checks computes exactly what each check computes alone."""
-    loo = np.empty_like(t)                      # prefix products, then loo
-    suf = np.empty_like(t)                      # suffix products; the last slot unused
+    so any batch of checks computes exactly what each check computes alone.
+    loo and suf are t-shaped scratch tables (fresh when not given); the
+    messages are written into loo, which is returned."""
+    loo = np.empty_like(t) if loo is None else loo  # prefix products, then loo
+    suf = np.empty_like(t) if suf is None else suf  # suffix products; the last slot unused
     loo[1], suf[-2] = t[0], t[-1]
     for s in range(2, len(t)):
         np.multiply(loo[s - 1], t[s - 1], out=loo[s])
         np.multiply(suf[-s], t[-s], out=suf[-s - 1])
     np.multiply(loo[1:-1], suf[1:-1], out=loo[1:-1])
     loo[0] = suf[0]
-    return 2.0 * np.arctanh(np.clip(loo, -_ATANH_LIMIT, _ATANH_LIMIT, out=loo))
+    np.clip(loo, -_ATANH_LIMIT, _ATANH_LIMIT, out=loo)
+    return np.multiply(2.0, np.arctanh(loo, out=loo), out=loo)
 
 
 def bsc_llr(y, p: float) -> np.ndarray:
@@ -224,10 +229,14 @@ def bsc_llr(y, p: float) -> np.ndarray:
 
 
 def _clipped_llr(code: LdpcCode, llr) -> np.ndarray:
-    """The clipped float64 LLRs of one word; any shape but (n,) is rejected."""
+    """The clipped float64 LLRs of one word; any shape but (n,) is rejected,
+    and so is a NaN, which no decision can be read from (+-inf clip)."""
     L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
     if L.shape != (code.n,):
         raise ValueError(f"llr shape {L.shape} != ({code.n},)")
+    nan = np.flatnonzero(np.isnan(L))
+    if nan.size:
+        raise ValueError(f"llr holds {nan.size} NaN value(s), the first at index {nan[0]}")
     return L
 
 
@@ -321,8 +330,27 @@ def _validate_depth(depth: int) -> None:
 
 
 @dataclass(frozen=True)
+class _ScoreRound:
+    """One message-passing round of the all-shift scorer: its gather indices
+    (see _ScorePlan) and the tables it writes, reused call after call."""
+
+    check_idx: np.ndarray    # (b, check segments) into the tanh table
+    own_idx: np.ndarray      # (1, variable segments) into the channel table
+    inc_idx: np.ndarray      # (a, variable segments) into the flattened check messages
+    tanh: np.ndarray         # tanh(m / 2) of the round's input messages
+    t: np.ndarray            # (b, check segments): the tanh gathered per check slot
+    loo: np.ndarray          # check messages (_check_step's output)
+    suf: np.ndarray          # _check_step's suffix products
+    csum: np.ndarray         # (a, variable segments): incoming messages, prefix-summed
+    pre: np.ndarray          # own LLR plus the exclusive prefix sums
+    own: np.ndarray          # (1, variable segments): the own channel LLRs
+    m: np.ndarray            # (a, variable segments): outgoing messages
+
+
+@dataclass(frozen=True)
 class _ScorePlan:
-    """Gather indices of the all-shift scorer; they depend only on the graph.
+    """Gather indices and reused tables of the all-shift scorer; the indices
+    depend only on the graph.
 
     A message of round l depends only on the variables within l hops of it,
     so as a function of the shift j it steps only where j passes one of them.
@@ -331,12 +359,19 @@ class _ScorePlan:
     (slots, segments): segments 2v / 2v + 1 of the channel level hold the
     unflipped / flipped LLR of v in one slot, a check segment its b edges in
     check order, a variable segment its a edges in check order.  Each index
-    array is (inputs, parent segments) into a flattened child table.
+    array is (inputs, parent segments) into a flattened child table.  Every
+    table a call writes is held here too, so calls on one code must not
+    overlap (one call per code runs at a time).
     """
 
-    rounds: tuple            # per round: (check_idx, own_idx, inc_idx)
-    prod_idx: np.ndarray     # last round's variable messages per check segment
-    runs: np.ndarray         # shifts covered by each check segment, check-major
+    rounds: tuple            # a _ScoreRound per round before the last product
+    prod_idx: np.ndarray     # (b, check segments): last messages per check segment
+    seg: np.ndarray          # (n, r) int32: check c's segment at shift j, into prod
+    chan: np.ndarray         # (n, 2) channel table: each LLR unflipped, flipped
+    factors: np.ndarray      # (b, check segments): the gathered last messages
+    prod: np.ndarray         # (check segments,) check products
+    block_idx: np.ndarray    # (_SCORE_BLOCK, r) intp: one block of shifts' segments
+    block: np.ndarray        # (_SCORE_BLOCK, r): their check products
 
 
 def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -383,18 +418,32 @@ def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
     var_slot[code.var_edge_ids] = np.arange(a)
     check_of_var, slot_in_check = divmod(code.var_edge_ids, b)
     var_level, slots = chan, np.zeros((r, b), dtype=np.intp)
-    rounds = []
+    rounds, inputs = [], 2 * n
     for _ in range(1, depth):
         *check_level, (check_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
         *var_level, (own_idx, inc_idx) = _join(n, [
             (chan, np.arange(n)[:, None], np.zeros((n, 1), dtype=np.intp)),
             (check_level, check_of_var, slot_in_check)])
-        rounds.append((check_idx, own_idx, inc_idx))
-        slots = var_slot.reshape(r, b)
+        rounds.append(_ScoreRound(
+            check_idx=check_idx, own_idx=own_idx, inc_idx=inc_idx,
+            tanh=np.empty(inputs), t=np.empty(check_idx.shape),
+            loo=np.empty(check_idx.shape), suf=np.empty(check_idx.shape),
+            csum=np.empty(inc_idx.shape), pre=np.empty(inc_idx.shape),
+            own=np.empty(own_idx.shape), m=np.empty(inc_idx.shape)))
+        slots, inputs = var_slot.reshape(r, b), inc_idx.size
     ptr, deps, (prod_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
-    # segment s of a check covers the shifts j with exactly s dependencies < j
-    runs = np.insert(deps, ptr[1:], n - 1) - np.insert(deps, ptr[:-1], -1)
-    return _ScorePlan(rounds=tuple(rounds), prod_idx=prod_idx, runs=runs)
+    # segment s of a check covers the shifts j with exactly s dependencies < j:
+    # the segment index starts at the check's first and steps at j = dep + 1
+    seg = np.zeros((n + 1, r), dtype=np.int32)
+    seg[0] = ptr[:-1] + np.arange(r)
+    seg[deps + 1, np.repeat(np.arange(r), np.diff(ptr))] = 1
+    for j in range(1, n):       # row by row: np.cumsum on axis 0 is ~10x slower
+        seg[j] += seg[j - 1]
+    return _ScorePlan(rounds=tuple(rounds), prod_idx=prod_idx, seg=seg[:n],
+                      chan=np.empty((n, 2)), factors=np.empty(prod_idx.shape),
+                      prod=np.empty(prod_idx.shape[1]),
+                      block_idx=np.empty((_SCORE_BLOCK, r), dtype=np.intp),
+                      block=np.empty((_SCORE_BLOCK, r)))
 
 
 def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
@@ -404,29 +453,49 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     _ScorePlan) with the per-node arithmetic of the per-shift reference: the
     checks run BP's _check_step, and a variable's sums and a check's product
     scan their inputs in order.  Each shift's score sums one contiguous row
-    of check products in check order, so the result is bit-equal to
-    recomputing every shift from scratch.
+    of check products in check order, gathered through the plan's segment
+    table a block of shifts at a time, so the result is bit-equal to
+    recomputing every shift from scratch.  Every intermediate table is one
+    of the plan's, written in place; only the returned scores are fresh.
     """
     _validate_depth(depth)
     base = _clipped_llr(code, llr)
     plan = code._plans.get(("score", depth))
     if plan is None:
         plan = code._plans["score", depth] = _build_score_plan(code, depth)
-    m = chan = np.stack((base, -base), axis=1).ravel()
+    plan.chan[:, 0] = base
+    np.negative(base, out=plan.chan[:, 1])
+    m = chan = plan.chan.ravel()
     # tanh, like every step here, is elementwise, so it runs once per distinct
-    # message, before the gather that fans messages out to segments
-    for check_idx, own_idx, inc_idx in plan.rounds:
-        rc = _check_step(np.tanh(0.5 * m)[check_idx])
-        csum = rc.ravel()[inc_idx]      # prefix-summed in place: np.cumsum on axis 0 is ~10x slower
-        for k in range(1, len(csum)):
+    # message, before the gather that fans messages out to segments.  Every
+    # gather clips its (in-range) indices: numpy's default mode would
+    # buffer the output instead of writing it in place
+    for rd in plan.rounds:
+        np.tanh(np.multiply(0.5, m, out=rd.tanh), out=rd.tanh)
+        np.take(rd.tanh, rd.check_idx, out=rd.t, mode="clip")
+        rc = _check_step(rd.t, rd.loo, rd.suf)
+        csum = np.take(rc.ravel(), rd.inc_idx, out=rd.csum, mode="clip")
+        for k in range(1, len(csum)):   # in place: np.cumsum on axis 0 is ~10x slower
             csum[k] += csum[k - 1]
-        pre = np.zeros_like(csum)
-        pre[1:] = csum[:-1]
-        m = np.clip(chan[own_idx] + pre + (csum[-1] - csum), -LLR_CLIP, LLR_CLIP).ravel()
-    t = np.where(m >= 0, 1.0, -1.0) if depth == 1 else np.tanh(0.5 * m)
-    prod = np.prod(t[plan.prod_idx], axis=0)
-    per_check = np.repeat(prod, plan.runs).reshape(code.r, code.n)
-    return np.ascontiguousarray(per_check.T).sum(axis=1)
+        rd.pre[0] = 0.0
+        rd.pre[1:] = csum[:-1]
+        pre = np.add(np.take(chan, rd.own_idx, out=rd.own, mode="clip"), rd.pre, out=rd.pre)
+        m = np.add(pre, np.subtract(csum[-1], csum, out=rd.m), out=rd.m)
+        m = np.clip(m, -LLR_CLIP, LLR_CLIP, out=m).ravel()
+    if depth == 1:
+        t = np.where(m >= 0, 1.0, -1.0)
+    else:       # in place: the last messages are not read again
+        t = np.tanh(np.multiply(0.5, m, out=m), out=m)
+    prod = np.prod(np.take(t, plan.prod_idx, out=plan.factors, mode="clip"), axis=0,
+                   out=plan.prod)
+    scores = np.empty(code.n)
+    for j in range(0, code.n, _SCORE_BLOCK):
+        # widened here, as np.take would widen int32 indices into a fresh array
+        idx = plan.block_idx[:code.n - j]
+        np.copyto(idx, plan.seg[j:j + _SCORE_BLOCK])
+        rows = np.take(prod, idx, out=plan.block[:len(idx)], mode="clip")
+        rows.sum(axis=1, out=scores[j:j + len(rows)])
+    return scores
 
 
 def candidate_inversions(scores, c: int) -> list[int]:
@@ -563,14 +632,19 @@ def load_code(path) -> LdpcCode:
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
+            where = f"{path}:{lineno}: {line!r}"
             if line.startswith("%gallager"):
                 for item in line.split()[1:]:
-                    key, val = item.split("=")
+                    key, _, val = item.partition("=")
+                    if not val.isdigit():
+                        raise ValueError(f"{where}: expected key=value pairs with "
+                                         "non-negative integer values")
                     meta[key] = int(val)
             if not line or line.startswith("%"):
                 continue
-            where = f"{path}:{lineno}: {line!r}"
-            nums = [int(f) for f in line.split() if f.isdigit()]
+            # every token must be a non-negative integer (the file is ASCII)
+            fields = line.split()
+            nums = [int(f) for f in fields] if all(f.isdigit() for f in fields) else []
             if header is None:
                 if len(nums) != 3:
                     raise ValueError(f"{where}: expected header 'rows cols entries'")

@@ -1,5 +1,7 @@
 import collections
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,11 @@ def mid_code():
 @pytest.fixture(scope="module")
 def full_scale_code():
     return ldpc.build_gallager(280, 4, 7, seed=1)
+
+
+@pytest.fixture(scope="module")
+def long_code():
+    return ldpc.build_gallager(1120, 4, 7, seed=1)
 
 
 def loop_construction(n, a, b, seed):
@@ -209,6 +216,24 @@ class TestBeliefPropagation:
     def test_bsc_llr_validates_p(self):
         with pytest.raises(ValueError):
             ldpc.bsc_llr([0, 1], 0.6)
+
+    def test_nan_llr_rejected(self, small_code):
+        # a NaN compares false everywhere: BP read it as a satisfied word
+        llr = np.ones(small_code.n)
+        llr[5] = np.nan
+        with pytest.raises(ValueError, match="llr holds 1 NaN value.*index 5"):
+            ldpc.bp_decode(small_code, llr)
+
+    def test_infinite_llr_clips(self, small_code):
+        llr = channel.make_rng(32).normal(0, 4, small_code.n)
+        llr[[2, 9]] = np.inf, -np.inf
+        clipped = llr.copy()
+        clipped[[2, 9]] = ldpc.LLR_CLIP, -ldpc.LLR_CLIP
+        got, want = ldpc.bp_decode(small_code, llr), ldpc.bp_decode(small_code, clipped)
+        assert np.array_equal(got.word, want.word)
+        assert (got.satisfied, got.iterations) == (want.satisfied, want.iterations)
+        assert np.array_equal(ldpc.lambda_scores(small_code, llr, 2),
+                              ldpc.lambda_scores(small_code, clipped, 2))
 
 
 def _noisy_llrs(code, rng, count: int, kind: str) -> np.ndarray:
@@ -406,6 +431,15 @@ class TestBpKernel:
             assert np.array_equal(got[2], [res.iterations for res in want])
 
 
+def _written_tables(plan):
+    """(name, array) of every table a scorer call writes into."""
+    for name in ("chan", "factors", "prod", "block_idx", "block"):
+        yield name, getattr(plan, name)
+    for k, rd in enumerate(plan.rounds):
+        for name in ("tanh", "t", "loo", "suf", "csum", "pre", "own", "m"):
+            yield f"round {k} {name}", getattr(rd, name)
+
+
 @st.composite
 def _small_codes(draw):
     b = draw(st.integers(3, 8))
@@ -464,6 +498,63 @@ class TestShiftScores:
         assert len({id(plan) for plan in plans}) == len(plans)
         ldpc.lambda_scores(mid_code, llr, 2)
         assert mid_code._plans["score", 2] is plans[1]
+        # the tables a call writes belong to one (code, depth)
+        tables = [table for plan in plans for table in _written_tables(plan)]
+        for i, (name_i, table_i) in enumerate(tables):
+            for name_j, table_j in tables[i + 1:]:
+                assert not np.shares_memory(table_i, table_j), (name_i, name_j)
+        # the returned scores are fresh: writing to them changes no later call
+        for depth in (1, 2, 3):
+            scores = ldpc.lambda_scores(mid_code, llr, depth)
+            want = scores.copy()
+            assert not any(np.shares_memory(scores, table) for _, table in tables)
+            scores[:] = 99.0
+            again = ldpc.lambda_scores(mid_code, llr, depth)
+            assert np.array_equal(again, want)
+            assert not np.shares_memory(again, scores)
+
+    def test_warm_call_allocates_little(self, long_code):
+        # the call writes the plan's tables in place; it used to allocate
+        # 11.0 / 15.4 MiB of temporaries here at depth 1 / 2
+        llr = ldpc.bsc_llr(channel.make_rng(33).integers(0, 2, long_code.n), 0.06)
+        for depth in (1, 2):
+            ldpc.lambda_scores(long_code, llr, depth)
+            tracemalloc.start()
+            try:
+                ldpc.lambda_scores(long_code, llr, depth)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 << 20, (depth, peak)
+
+    def test_matches_dense_per_shift_table(self, long_code):
+        # the dense last step the segment table replaced: every check's
+        # product repeated over the shifts of its segment as an (r, n)
+        # table, then summed per shift on a C-ordered transposed copy.
+        # n = 1120 is no multiple of the block of shifts, and each sum has
+        # r = 640 terms, so numpy's pairwise tree is deep
+        code, n = long_code, long_code.n
+        assert n % ldpc._SCORE_BLOCK
+        H = code.H.astype(np.int64)
+        near = (H.T @ H) > 0                   # variables sharing a check, and v itself
+        reach = H > 0                          # a check's dependencies at depth 1
+        rng = channel.make_rng(34)
+        for depth in (1, 2):
+            deps = [np.flatnonzero(row) for row in reach]
+            runs = np.concatenate([np.diff(np.concatenate(([-1], d, [n - 1]))) for d in deps])
+            for llr in _mixed_llrs(rng, n, 4):
+                scores = ldpc.lambda_scores(code, llr, depth)
+                prod = code._plans["score", depth].prod
+                assert prod.size == runs.size
+                per_check = np.repeat(prod, runs).reshape(code.r, n)
+                assert np.array_equal(scores, np.ascontiguousarray(per_check.T).sum(axis=1))
+            reach = (reach.astype(np.int64) @ near) > 0
+
+    def test_nan_llr_rejected(self, mid_code):
+        llr = np.zeros(mid_code.n)
+        llr[[3, 40]] = np.nan
+        with pytest.raises(ValueError, match="llr holds 2 NaN value.*index 3"):
+            ldpc.lambda_scores(mid_code, llr, 2)
 
     def test_depth_one_closed_form(self, mid_code):
         rng = channel.make_rng(18)
@@ -557,6 +648,14 @@ class TestCandidateSelection:
 
 
 class TestBalancedDecoding:
+    def test_nan_llr_rejected(self, small_code):
+        # NaN scores have no local maximum: the top-c path failed on an empty candidate list
+        llr = channel.make_rng(35).normal(0, 4, small_code.n)
+        llr[-1] = np.nan
+        for num_candidates in (4, None):
+            with pytest.raises(ValueError, match="llr holds 1 NaN value.*index 27"):
+                ldpc.balanced_decode(small_code, llr, num_candidates=num_candidates)
+
     def test_error_free_recovery(self, full_scale_code):
         rng = channel.make_rng(21)
         for _ in range(5):
@@ -703,6 +802,30 @@ class TestSerialization:
     def test_reject_duplicate_entry(self, mid_code, tmp_path):
         path = self._edit_listing(mid_code, tmp_path, lambda lines: lines[:4] + lines[3:-1])
         with pytest.raises(ValueError, match=r"code\.mtx:5: .*duplicate"):
+            ldpc.load_code(path)
+
+    @pytest.mark.parametrize("line, token, message", [
+        (3, "x", "expected header 'rows cols entries'"),
+        (4, "x", "expected an entry 'row col'"),
+        (4, "-1", "expected an entry 'row col'"),
+        (4, "1.0", "expected an entry 'row col'"),
+    ])
+    def test_reject_non_integer_token(self, mid_code, tmp_path, line, token, message):
+        # tokens that are not non-negative integers used to be dropped, so
+        # the entry '1 x 5' was read as (1, 5)
+        def insert_token(lines):
+            fields = lines[line - 1].split()
+            return lines[:line - 1] + [" ".join(fields[:1] + [token] + fields[1:])] + lines[line:]
+        path = self._edit_listing(mid_code, tmp_path, insert_token)
+        where = rf"code\.mtx:{line}: '\d+ {re.escape(token)} "
+        with pytest.raises(ValueError, match=where + ".*" + message):
+            ldpc.load_code(path)
+
+    def test_reject_non_integer_parameter(self, mid_code, tmp_path):
+        def bad_seed(lines):
+            return lines[:1] + [lines[1].replace("seed=3", "seed=x")] + lines[2:]
+        path = self._edit_listing(mid_code, tmp_path, bad_seed)
+        with pytest.raises(ValueError, match=r"code\.mtx:2: .*non-negative integer values"):
             ldpc.load_code(path)
 
     def test_reject_entry_count_mismatch(self, mid_code, tmp_path):
