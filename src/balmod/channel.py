@@ -5,6 +5,11 @@ N(0, sigma).  Under mean drift, cells storing 1 draw from N(1 - t, sigma);
 under variance growth they draw from N(1, sigma + t).  Sigma values are
 standard deviations.
 
+Both models' thresholds come from level_params alone.  The balancing cut
+vb = mean0 + (mean1 - mean0) * sd0 / (sd0 + sd1) leaves equal tail mass;
+the optimal cut vo is whichever errs least of -inf, +inf and the real roots
+of the density equality g_t(v) = h_t(v), a quadratic in v.
+
 All sampling uses the counter-based Philox generator keyed by an explicit
 seed, so outputs are reproducible across platforms and safe to parallelize
 with disjoint seeds.
@@ -12,10 +17,10 @@ with disjoint seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .words import BitWord
@@ -31,13 +36,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _check_age(t: float) -> None:
-    if not np.isfinite(t):
-        raise ValueError(f"age t must be finite, got {t}")
-    if t < 0:
-        raise ValueError("age t must be nonnegative")
-
-
 @dataclass(frozen=True)
 class DriftModel:
     kind: str
@@ -51,7 +49,10 @@ class DriftModel:
 
     def level_params(self, t: float) -> tuple[float, float, float, float]:
         """(mean0, sd0, mean1, sd1) of the level distributions at time t."""
-        _check_age(t)
+        if not np.isfinite(t):
+            raise ValueError(f"age t must be finite, got {t}")
+        if t < 0:
+            raise ValueError("age t must be nonnegative")
         if self.kind == MEAN_DRIFT:
             return 0.0, self.sigma, 1.0 - t, self.sigma
         return 0.0, self.sigma, 1.0, self.sigma + t
@@ -107,31 +108,27 @@ class ModelThresholds:
     vf: float
 
 
-def _log_density_gap(model: DriftModel, v: float, t: float) -> float:
-    """log g_t(v) - log h_t(v) for the model's 0/1 level densities."""
-    mean0, sd0, mean1, sd1 = model.level_params(t)
-    lg = -0.5 * ((v - mean0) / sd0) ** 2 - np.log(sd0)
-    lh = -0.5 * ((v - mean1) / sd1) ** 2 - np.log(sd1)
-    return float(lg - lh)
-
-
 def model_thresholds(model: DriftModel, t: float) -> ModelThresholds:
-    """Thresholds implied by the level model at age t.
+    """Thresholds implied by the level model at age t, one path for both.
 
-    Mean drift admits closed forms vb = vo = (1 - t) / 2.  For variance
-    growth vb = 1 / (2 + t / sigma) and vo solves the density equality
-    g_t(v) = h_t(v); the interior root is found by bisection on (0, 1) and
-    compared against the infinite-threshold candidates.
+    vb = mean0 + (mean1 - mean0) * sd0 / (sd0 + sd1).  vo is the candidate
+    of least analytic_ber among -inf, +inf and the roots of qa v^2 + qb v +
+    qc = 0 (log g_t = log h_t): 0.5 * (mean0 + mean1) when sd0 == sd1, else
+    qc / q and q / qa, q = -0.5 * (qb + sign(qb) sqrt(qb^2 - 4 qa qc)).
+    Mean drift gives vb = vo = (1 - t) / 2 up to t = 1, an infinite vo after.
     """
-    _check_age(t)
-    if model.kind == MEAN_DRIFT:
-        vb = vo = (1.0 - t) / 2.0
-        return ModelThresholds(vb=vb, vo=vo, vf=0.5)
-    vb = 1.0 / (2.0 + t / model.sigma)
-    root = brentq(lambda v: _log_density_gap(model, v, t), 1e-12, 1.0 - 1e-12,
-                  xtol=1e-14, rtol=8.9e-16)
-    candidates = [float(root), -np.inf, np.inf]
-    vo = min(candidates, key=lambda v: float(analytic_ber(model, v, t)))
+    mean0, sd0, mean1, sd1 = model.level_params(t)
+    vb = mean0 + (mean1 - mean0) * (sd0 / (sd0 + sd1))
+    roots = [0.5 * (mean0 + mean1)]
+    if sd0 != sd1:
+        qa, log_ratio = (sd1 - sd0) * (sd1 + sd0), math.log(sd1 / sd0)
+        qb = 2.0 * (sd0 * sd0 * mean1 - sd1 * sd1 * mean0)
+        qc = (sd1 * mean0) ** 2 - (sd0 * mean1) ** 2 - 2.0 * (sd0 * sd1) ** 2 * log_ratio
+        # qb^2 - 4 qa qc factored into terms of one sign: qa and log_ratio agree
+        disc = 4.0 * (sd0 * sd1) ** 2 * ((mean1 - mean0) ** 2 + 2.0 * qa * log_ratio)
+        q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+        roots = [qc / q, q / qa]
+    vo = min(roots + [-math.inf, math.inf], key=lambda v: float(analytic_ber(model, v, t)))
     return ModelThresholds(vb=float(vb), vo=float(vo), vf=0.5)
 
 

@@ -127,6 +127,10 @@ def int_list(s: str) -> tuple[int, ...]:
     return tuple(int(v) for v in s.split(","))
 
 
+def digits(s: str) -> list[int]:
+    return [int(ch) for ch in s]
+
+
 def _add_common(p: argparse.ArgumentParser, seed: bool) -> None:
     if seed:
         p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
@@ -173,7 +177,10 @@ def cmd_decode(args) -> int:
                                  prefix=words.BalancedWord(y[:p]))
         print(f"message={words.knuth_decode(cw)}")
     else:
-        res = ldpc.balanced_decode_bsc(_ldpc_code(params), y, p=args.p,
+        code = _ldpc_code(params)
+        if len(y) != code.n:
+            raise ValueError(f"--bits has {len(y)} bits, the code length n is {code.n}")
+        res = ldpc.balanced_decode_bsc(code, y, p=args.p,
                                        **_given(params, ("depth", "num_candidates")))
         if not res.ok:
             print("decode failure")
@@ -234,21 +241,18 @@ def cmd_sim(args) -> int:
 
 def cmd_mlc(args) -> int:
     if args.action == "rank":
-        word = [int(ch) for ch in args.word]
-        print(f"rank={mlc.rank_balanced(word, q=args.q)}")
+        print(f"rank={mlc.rank_balanced(args.word, q=args.q)}")
     elif args.action == "unrank":
         x = mlc.unrank_balanced(args.rank, args.q, args.m)
         print(f"word={''.join(str(s) for s in x)}")
     elif args.action == "balance":
-        word = [int(ch) for ch in args.word]
-        x, trace = mlc.knuth_q_balance(word, args.q)
+        x, trace = mlc.knuth_q_balance(args.word, args.q)
         print(f"word={''.join(str(s) for s in x)}")
         print(f"trace={','.join(str(v) for v in trace.locations)}")
         print(f"groups={','.join(str(v) for v in trace.groups)}")
     else:
-        word = [int(ch) for ch in args.word]
         grps = args.groups or (0,) * len(args.trace)
-        x = mlc.knuth_q_unbalance(word, mlc.BalancingTrace(args.trace, grps), args.q)
+        x = mlc.knuth_q_unbalance(args.word, mlc.BalancingTrace(args.trace, grps), args.q)
         print(f"word={''.join(str(s) for s in x)}")
     return 0
 
@@ -322,17 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_mlc.set_defaults(func=cmd_mlc)
     mlc_sub = p_mlc.add_subparsers(dest="action", required=True)
     m_rank = mlc_sub.add_parser("rank")
-    m_rank.add_argument("--word", required=True)
+    m_rank.add_argument("--word", type=digits, required=True)
     m_rank.add_argument("--q", type=int, default=None)
     m_unrank = mlc_sub.add_parser("unrank")
     m_unrank.add_argument("--rank", type=int, required=True)
     m_unrank.add_argument("--q", type=int, required=True)
     m_unrank.add_argument("--m", type=int, required=True)
     m_bal = mlc_sub.add_parser("balance")
-    m_bal.add_argument("--word", required=True)
+    m_bal.add_argument("--word", type=digits, required=True)
     m_bal.add_argument("--q", type=int, required=True)
     m_unbal = mlc_sub.add_parser("unbalance")
-    m_unbal.add_argument("--word", required=True)
+    m_unbal.add_argument("--word", type=digits, required=True)
     m_unbal.add_argument("--trace", type=int_list, required=True, help="locations")
     m_unbal.add_argument("--groups", type=int_list, help="group ids")
     m_unbal.add_argument("--q", type=int, required=True)

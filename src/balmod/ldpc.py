@@ -30,6 +30,7 @@ _ATANH_LIMIT = 1.0 - 1e-15
 _MAX_DRAWS = 32     # Gallager draws tried before giving up on a seed
 _BP_BLOCK = 32      # BP rows per kernel call of the exhaustive decoder; bounds its memory
 _SCORE_BLOCK = 64   # shifts per step of the scorer's per-shift sums; bounds its table
+_LISTING_KEYS = ("n", "a", "b", "seed", "seed_used")    # of a code listing's %gallager line
 
 # the benchmark (perfbench/) calls and traces the balancing index by this name
 _balancing_index_arr = find_balancing_index
@@ -613,7 +614,7 @@ def save_code(code: LdpcCode, path) -> None:
     ensemble parameters in the header so experiments can be replayed."""
     lines = [
         "%%MatrixMarket matrix coordinate pattern general",
-        f"%gallager n={code.n} a={code.a} b={code.b} seed={code.seed} seed_used={code.seed_used}",
+        "%gallager " + " ".join(f"{key}={getattr(code, key)}" for key in _LISTING_KEYS),
         f"{code.r} {code.n} {code.r * code.b}",
     ]
     for c in range(code.r):
@@ -634,11 +635,12 @@ def load_code(path) -> LdpcCode:
             line = line.strip()
             where = f"{path}:{lineno}: {line!r}"
             if line.startswith("%gallager"):
+                gallager = where
                 for item in line.split()[1:]:
                     key, _, val = item.partition("=")
-                    if not val.isdigit():
-                        raise ValueError(f"{where}: expected key=value pairs with "
-                                         "non-negative integer values")
+                    if key not in _LISTING_KEYS or not val.isdigit():
+                        raise ValueError(f"{where}: expected key=value pairs, keys among "
+                                         f"{_LISTING_KEYS}, non-negative integer values")
                     meta[key] = int(val)
             if not line or line.startswith("%"):
                 continue
@@ -658,8 +660,10 @@ def load_code(path) -> LdpcCode:
                 raise ValueError(f"{where}: duplicate entry")
             H[nums[0] - 1, nums[1] - 1] = 1
             entries += 1
-    if header is None or not {"a", "b", "seed", "seed_used"} <= meta.keys():
+    if header is None or meta.keys() != set(_LISTING_KEYS):
         raise ValueError(f"{path} is not a saved code listing")
+    if meta["n"] != H.shape[1]:
+        raise ValueError(f"{gallager}: n={meta['n']} but the matrix has {H.shape[1]} columns")
     if entries != header[1]:
         raise ValueError(f"{path}:{header[0]}: header declares {header[1]} entries, "
                          f"the body lists {entries}")

@@ -62,15 +62,10 @@ def unrank_multiset(r: int, counts: Sequence[int]) -> QaryWord:
     return out
 
 
-def rank_multiset(word, counts: Sequence[int] | None = None) -> int:
+def rank_multiset(word, counts: Sequence[int]) -> int:
     """Lexicographic rank of a multiset arrangement; inverse of unrank_multiset."""
     syms = _as_symbols(word)
-    if counts is None:
-        counts = [0] * (max(syms) + 1 if syms else 1)
-        for s in syms:
-            counts[s] += 1
-    else:
-        counts = [int(c) for c in counts]
+    counts = [int(c) for c in counts]
     n = sum(counts)
     if n != len(syms):
         raise ValueError("counts do not match word length")
@@ -103,8 +98,14 @@ def is_balanced(word, q: int) -> bool:
     return len(set(counts)) == 1
 
 
+def _check_alphabet(q: int) -> None:
+    if q < 2:
+        raise ValueError("alphabet size must be at least 2")
+
+
 def unrank_balanced(r: int, q: int, m: int) -> QaryWord:
     """r-th balanced word of length q*m over {0,..,q-1}, lexicographic order."""
+    _check_alphabet(q)
     return unrank_multiset(r, [m] * q)
 
 
@@ -113,6 +114,8 @@ def rank_balanced(word, q: int | None = None) -> int:
     syms = _as_symbols(word)
     if q is None:
         q = max(syms) + 1 if syms else 1
+    else:
+        _check_alphabet(q)
     counts = symbol_counts(syms, q)
     if len(set(counts)) != 1:
         raise ValueError(f"word is not balanced: counts {counts}")
@@ -177,14 +180,7 @@ class BalancingTrace:
 
 
 def _smallest_prime_factor(x: int) -> int:
-    if x < 2:
-        raise ValueError("no prime factor")
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return d
-        d += 1
-    return x
+    return next((d for d in range(2, math.isqrt(x) + 1) if x % d == 0), x)
 
 
 def _on_groups(values: list[int], alphabet: list[int], j_star: int, alpha: int,
@@ -256,8 +252,7 @@ def knuth_q_balance(word, q: int) -> tuple[QaryWord, BalancingTrace]:
     0->2, 1->3, 2->0, 3->1 applied to the word prefix.
     """
     syms = _as_symbols(word)
-    if q < 2:
-        raise ValueError("alphabet size must be at least 2")
+    _check_alphabet(q)
     if len(syms) % q:
         raise ValueError(f"length {len(syms)} not divisible by q={q}")
     symbol_counts(syms, q)  # validates symbol range
@@ -299,6 +294,7 @@ def _unbalance_rec(values: list[int], alphabet: list[int],
 def knuth_q_unbalance(word, trace: BalancingTrace, q: int) -> QaryWord:
     """Invert knuth_q_balance using the recorded trace."""
     syms = _as_symbols(word)
+    _check_alphabet(q)
     if len(syms) % q:
         raise ValueError(f"length {len(syms)} not divisible by q={q}")
     values = list(syms)
@@ -323,7 +319,6 @@ def trace_bit_cost(q: int, m: int) -> int:
 def redundancy_factor(q: int) -> float:
     """Redundancy of the prefix-operation construction relative to codes using
     full sets of balanced words: 2(q-1)log2(q) / (q - log2(q))."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    _check_alphabet(q)
     lq = math.log2(q)
     return 2.0 * (q - 1) * lq / (q - lq)

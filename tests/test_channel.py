@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,13 @@ def phi(x: float) -> float:
 
 def make_word(bits: np.ndarray) -> BitWord:
     return BitWord.from_array(bits)
+
+
+def log_density_gap(model: DriftModel, v: float, t: float) -> float:
+    # log g_t(v) - log h_t(v), zero where the two level densities cross
+    mean0, sd0, mean1, sd1 = model.level_params(t)
+    return ((-0.5 * ((v - mean0) / sd0) ** 2 - math.log(sd0))
+            - (-0.5 * ((v - mean1) / sd1) ** 2 - math.log(sd1)))
 
 
 class TestSampling:
@@ -137,8 +148,13 @@ class TestAnalyticBer:
 
 class TestModelThresholds:
     def test_mean_drift_closed_form(self):
-        mt = model_thresholds(DriftModel(MEAN_DRIFT, 0.2), t=0.3)
-        assert (mt.vb, mt.vo, mt.vf) == (pytest.approx(0.35), pytest.approx(0.35), 0.5)
+        # bit for bit: both cuts are (1 - t) / 2 exactly, as before the
+        # thresholds became one path for both models
+        for sigma in (0.05, 0.2, 0.7):
+            for t in np.linspace(0.0, 1.0, 101):
+                t = float(t)
+                mt = model_thresholds(DriftModel(MEAN_DRIFT, sigma), t)
+                assert (mt.vb, mt.vo, mt.vf) == ((1.0 - t) / 2.0, (1.0 - t) / 2.0, 0.5)
 
     def test_variance_growth_fresh(self):
         mt = model_thresholds(DriftModel(VARIANCE_GROWTH, 0.2), t=0.0)
@@ -161,10 +177,71 @@ class TestModelThresholds:
             model_thresholds(DriftModel(kind, 0.2), t)
 
     def test_optimal_is_no_worse_than_balancing(self):
+        # nor than either infinite cut, for both models; variance growth
+        # raised wherever the optimum lies above 1
+        for kind in (MEAN_DRIFT, VARIANCE_GROWTH):
+            for sigma in (0.05, 0.2, 0.5, 1.0, 2.0):
+                model = DriftModel(kind, sigma)
+                for t in np.linspace(0.0, 3.0, 31):
+                    t = float(t)
+                    mt = model_thresholds(model, t)
+                    ber_o = analytic_ber(model, mt.vo, t)
+                    assert ber_o <= analytic_ber(model, mt.vb, t) + 1e-15
+                    assert ber_o <= min(analytic_ber(model, -math.inf, t),
+                                        analytic_ber(model, math.inf, t))
+
+    @pytest.mark.parametrize("t", [0.7, 1.0, 2.0])
+    def test_variance_growth_optimum_above_one(self, t):
+        # the optimum leaves (0, 1) from t ~ 0.65 on (0.97 at t = 0.6); a root
+        # search bracketed on (0, 1) raised here
+        model = DriftModel(VARIANCE_GROWTH, 1.0)
+        mt = model_thresholds(model, t)
+        assert 1.0 < mt.vo < math.inf
+        assert abs(log_density_gap(model, mt.vo, t)) < 1e-12
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_variance_growth_tiny_age_keeps_precision(self, t):
+        # qa ~ 2 sigma t is tiny here: the textbook root (-qb + sqrt(disc)) / 2qa
+        # cancels and lands ~7e-9 (1.2e8 ulp) off the root at t = 1e-9
         model = DriftModel(VARIANCE_GROWTH, 0.2)
-        for t in (0.1, 0.2, 0.4):
-            mt = model_thresholds(model, t)
-            assert analytic_ber(model, mt.vo, t) <= analytic_ber(model, mt.vb, t) + 1e-15
+        assert abs(log_density_gap(model, model_thresholds(model, t).vo, t)) < 1e-13
+
+    def test_variance_growth_matches_bracketed_root(self):
+        # reference: the interior root found by a root finder wherever (0, 1)
+        # brackets it; the closed form must agree to within 1e-12
+        from scipy.optimize import brentq
+        checked = 0
+        for sigma in np.linspace(0.02, 1.0, 8):
+            model = DriftModel(VARIANCE_GROWTH, float(sigma))
+            for t in np.linspace(0.0, 2.0, 21):
+                t = float(t)
+                if t == 0 or log_density_gap(model, 1.0 - 1e-12, t) > 0:
+                    continue
+                root = brentq(lambda v: log_density_gap(model, v, t), 1e-12, 1.0 - 1e-12,
+                              xtol=1e-14, rtol=8.9e-16)
+                assert model_thresholds(model, t).vo == pytest.approx(root, abs=1e-12)
+                checked += 1
+        assert checked == 124
+
+    @pytest.mark.parametrize("t", [1.2, 1.5, 3.0])
+    def test_mean_drift_past_full_drift_reads_at_infinity(self, t):
+        # once the 1-level drifts below the 0-level, every finite cut does worse
+        # than reading all cells alike; the midpoint gave BER 0.894 at t = 1.5
+        model = DriftModel(MEAN_DRIFT, 0.2)
+        mt = model_thresholds(model, t)
+        assert math.isinf(mt.vo)
+        assert analytic_ber(model, mt.vo, t) == 0.5
+        assert mt.vb == (1.0 - t) / 2.0
+
+
+class TestImportWeight:
+    def test_import_leaves_out_scipy_optimize(self):
+        # the thresholds are closed forms; scipy.optimize doubled the import time
+        src = Path(channel.__file__).resolve().parents[1]
+        code = ("import sys, balmod; "
+                "sys.exit('scipy.optimize' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestBitChannels:

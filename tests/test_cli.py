@@ -88,6 +88,16 @@ class TestSimCommands:
         run(capsys, "sim", *argv.split(), "--out", str(out_path))
         assert out_path.read_bytes() == (GOLDEN / f"{golden}.csv").read_bytes()
 
+    def test_variance_growth_optimum_above_one(self, capsys, tmp_path):
+        # the optimal cut passes 1 at sigma = 1, t = 1; this line exited 2
+        out_path = tmp_path / "ber.csv"
+        run(capsys, "sim", "ber", "--model", "variance_growth", "--sigma", "1",
+            "--t-grid", "0.5,1.0", "--cells", "100", "--out", str(out_path))
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[3:]]
+        analytic = {(x, s): float(v) for x, s, _, v, *_ in rows if s.startswith("analytic")}
+        for x in ("0.5", "1.0"):
+            assert analytic[x, "analytic_optimal"] < analytic[x, "analytic_balancing"]
+
     def test_svg_output(self, capsys, tmp_path):
         out_path = tmp_path / "ber.svg"
         run(capsys, "sim", "ber", "--t-grid", "0,0.2", "--cells", "1000",
@@ -205,6 +215,33 @@ class TestErrors:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "balmod: error: the run failed\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["mlc", "unbalance", "--word", "0123", "--trace", "1", "--q", "0"],
+        ["mlc", "unbalance", "--word", "0123", "--trace", "1", "--q", "-2"],
+        ["mlc", "unrank", "--rank", "0", "--q", "0", "--m", "2"],
+        ["mlc", "unrank", "--rank", "0", "--q", "-3", "--m", "2"],
+        ["mlc", "balance", "--word", "0000", "--q", "1"],
+        ["mlc", "rank", "--word", "0101", "--q", "1"],
+    ])
+    def test_alphabet_below_two(self, capsys, argv):
+        # was a ZeroDivisionError traceback, "no prime factor", or an empty word
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "balmod: error: alphabet size must be at least 2\n"
+
+    @pytest.mark.parametrize("action", [["rank"], ["balance", "--q", "2"],
+                                        ["unbalance", "--trace", "1", "--q", "2"]])
+    def test_bad_mlc_word_named(self, capsys, action):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mlc", *action, "--word", "01x1"])
+        assert exc.value.code == 2
+        assert "argument --word: invalid digits value: '01x1'" in capsys.readouterr().err
+
+    def test_ldpc_decode_length_named(self, capsys):
+        # was "llr shape (4,) != (280,)"
+        assert cli.main(["decode", "--scheme", "ldpc", "--bits", "0101"]) == 2
+        assert capsys.readouterr().err == (
+            "balmod: error: --bits has 4 bits, the code length n is 280\n")
 
     def test_bad_threshold_levels_named(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -828,6 +828,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"code\.mtx:2: .*non-negative integer values"):
             ldpc.load_code(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.replace("n=56", "n=99"), r"n=99 but the matrix has 56 columns"),
+        (lambda line: line + " foo=5", r"keys among \('n', 'a', 'b', 'seed', 'seed_used'\)"),
+    ], ids=["n", "unknown key"])
+    def test_reject_inconsistent_parameters(self, mid_code, tmp_path, edit, message):
+        # both listings loaded as the n = 56 code with no complaint
+        path = self._edit_listing(mid_code, tmp_path,
+                                  lambda lines: lines[:1] + [edit(lines[1])] + lines[2:])
+        with pytest.raises(ValueError, match=r"code\.mtx:2: '%gallager .*" + message):
+            ldpc.load_code(path)
+
     def test_reject_entry_count_mismatch(self, mid_code, tmp_path):
         path = self._edit_listing(mid_code, tmp_path, lambda lines: lines[:-1])
         with pytest.raises(ValueError, match=r"code\.mtx:3: header declares 112 entries"):

@@ -149,6 +149,24 @@ class TestKnuthQ:
                 word("0123"), mlc.BalancingTrace((99, 0, 0), (0, 0, 0)), 4)
 
 
+class TestAlphabetSize:
+    @pytest.mark.parametrize("q", [1, 0, -2, -3])
+    def test_every_codec_rejects_alphabet_below_two(self, q):
+        # q = 0 divided by zero in unbalance, and unrank returned an empty word
+        calls = [lambda: mlc.unrank_balanced(0, q, 2),
+                 lambda: mlc.rank_balanced(word("0101"), q=q),
+                 lambda: mlc.knuth_q_balance(word("0123"), q),
+                 lambda: mlc.knuth_q_unbalance(word("0123"), mlc.BalancingTrace((1,), (0,)), q),
+                 lambda: mlc.redundancy_factor(q)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^alphabet size must be at least 2$"):
+                call()
+
+    def test_rank_infers_alphabet_when_not_given(self):
+        assert mlc.rank_balanced(word("0000")) == 0
+        assert mlc.rank_balanced(word("1010")) == mlc.rank_balanced(word("1010"), q=2) == 4
+
+
 class TestCostFormulas:
     def test_published_bit_cost(self):
         assert mlc.trace_bit_cost(8, 128) == 137
