@@ -131,6 +131,10 @@ def digits(s: str) -> list[int]:
     return [int(ch) for ch in s]
 
 
+def bits(s: str) -> words.BitWord:
+    return words.BitWord.from_string(s)
+
+
 def _add_common(p: argparse.ArgumentParser, seed: bool) -> None:
     if seed:
         p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
@@ -151,7 +155,7 @@ def _add_sim_common(p: argparse.ArgumentParser, code_help: str | None = None) ->
 
 def cmd_encode(args) -> int:
     params = _params(args)
-    u = words.BitWord.from_string(args.bits)
+    u = args.bits
     if args.scheme == "knuth":
         cw = words.knuth_encode(u)
         print(f"prefix={cw.prefix} payload={cw.payload}")
@@ -165,7 +169,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     params = _params(args)
-    y = words.BitWord.from_string(args.bits)
+    y = args.bits
     if args.scheme == "knuth":
         total = len(y)
         k = next((k for k in range(2, total, 2) if k + words.prefix_length(k) == total),
@@ -263,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enc = sub.add_parser("encode", help="encode a binary message")
-    p_enc.add_argument("--bits", required=True)
+    p_enc.add_argument("--bits", type=bits, required=True)
     p_enc.add_argument("--scheme", choices=("knuth", "ldpc"), default="knuth")
     p_enc.add_argument("--code", type=str, help="n,a,b")
     _add_common(p_enc, seed=True)
     p_enc.set_defaults(func=cmd_encode)
 
     p_dec = sub.add_parser("decode", help="decode a received word")
-    p_dec.add_argument("--bits", required=True)
+    p_dec.add_argument("--bits", type=bits, required=True)
     p_dec.add_argument("--scheme", choices=("knuth", "ldpc"), default="knuth")
     p_dec.add_argument("--code", type=str, help="n,a,b")
     p_dec.add_argument("--p", type=float, default=0.02, help="assumed crossover")

@@ -31,6 +31,8 @@ _MAX_DRAWS = 32     # Gallager draws tried before giving up on a seed
 _BP_BLOCK = 32      # BP rows per kernel call of the exhaustive decoder; bounds its memory
 _SCORE_BLOCK = 64   # shifts per step of the scorer's per-shift sums; bounds its table
 _LISTING_KEYS = ("n", "a", "b", "seed", "seed_used")    # of a code listing's %gallager line
+_BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8) % 2     # parity of each byte value
 
 # the benchmark (perfbench/) calls and traces the balancing index by this name
 _balancing_index_arr = find_balancing_index
@@ -99,7 +101,9 @@ class LdpcCode:
     check_nbrs: np.ndarray       # (r, b) variable indices per check, ascending
     var_edge_ids: np.ndarray     # (n, a) check-major edge ids per variable
     # per-code tables built on first use: ("score", depth) -> _ScorePlan,
-    # "flip_parity" -> the erasure decoder's flip-parity table
+    # ("bp", rows) -> _BpPlan, "encode" -> G's columns packed along k,
+    # "flip_parity" -> the erasure decoder's flip-parity table.  The score and
+    # BP plans hold the tables their calls write: one call per code at a time
     _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -170,12 +174,22 @@ def syndrome(code: LdpcCode, bits) -> np.ndarray:
 
 
 def encode(code: LdpcCode, u) -> np.ndarray:
-    """Codeword G @ u as a fresh uint8 array, message bits verbatim at
-    message_positions; uint8 sums wrap mod 256, which keeps parity."""
-    msg = np.asarray(u, dtype=np.uint8)
+    """Codeword G @ u mod 2 as a fresh uint8 array, message bits verbatim at
+    message_positions.  G's columns are cached bit-packed along k, as a
+    (bytes, n) table, so each codeword bit is the parity of its bytes ANDed
+    with the packed message: the xor of those bytes, looked up per value."""
+    msg = np.asarray(u)
     if msg.shape != (code.k,):
         raise ValueError(f"message shape {msg.shape} != ({code.k},)")
-    return code.G @ msg % 2
+    bad = np.flatnonzero((msg != 0) & (msg != 1))
+    if bad.size:
+        raise ValueError(f"message entry {msg[bad[0]].item()!r} at index {bad[0]} "
+                         "is not 0 or 1")
+    packed = code._plans.get("encode")
+    if packed is None:     # C-ordered, so the xor below runs along contiguous rows
+        packed = code._plans["encode"] = np.packbits(np.ascontiguousarray(code.G.T), axis=0)
+    masked = packed & np.packbits(msg.astype(np.uint8))[:, None]
+    return _BYTE_PARITY[np.bitwise_xor.reduce(masked, axis=0)]
 
 
 def balanced_encode(code: LdpcCode, u) -> tuple[BalancedWord, int]:
@@ -201,23 +215,36 @@ class BpResult:
     iterations: int
 
 
-def _check_step(t: np.ndarray, loo: np.ndarray | None = None,
-                suf: np.ndarray | None = None) -> np.ndarray:
+def _clip(x: np.ndarray, limit: float) -> np.ndarray:
+    """np.clip(x, -limit, limit, out=x) without np.clip's Python wrapper; NaN
+    stays NaN as it does there."""
+    np.maximum(x, -limit, out=x)
+    return np.minimum(x, limit, out=x)
+
+
+def _check_views(t: np.ndarray, loo: np.ndarray, suf: np.ndarray) -> tuple:
+    """The per-slot views _check_step reads and writes, made once per plan
+    table: indexing a table anew in every step costs more than the step's
+    arithmetic on short slots."""
+    return tuple(t), tuple(loo), tuple(suf), loo[1:-1], suf[1:-1]
+
+
+def _check_step(loo: np.ndarray, views: tuple) -> np.ndarray:
     """Check-to-variable messages 2 atanh(loo) from the tanh'd incoming
     messages t, slot axis first: the leave-one-out product of a slot is its
     prefix product times its suffix product, each a scan away from the slot,
     so any batch of checks computes exactly what each check computes alone.
-    loo and suf are t-shaped scratch tables (fresh when not given); the
-    messages are written into loo, which is returned."""
-    loo = np.empty_like(t) if loo is None else loo  # prefix products, then loo
-    suf = np.empty_like(t) if suf is None else suf  # suffix products; the last slot unused
-    loo[1], suf[-2] = t[0], t[-1]
-    for s in range(2, len(t)):
-        np.multiply(loo[s - 1], t[s - 1], out=loo[s])
-        np.multiply(suf[-s], t[-s], out=suf[-s - 1])
-    np.multiply(loo[1:-1], suf[1:-1], out=loo[1:-1])
-    loo[0] = suf[0]
-    np.clip(loo, -_ATANH_LIMIT, _ATANH_LIMIT, out=loo)
+    views are _check_views(t, loo, suf) of t and two t-shaped scratch
+    tables; the messages are written into loo, which is returned."""
+    ts, loos, sufs, loo_mid, suf_mid = views  # loo: prefix products, then the messages
+    np.copyto(loos[1], ts[0])
+    np.copyto(sufs[-2], ts[-1])                 # suffix products; the last slot unused
+    for s in range(2, len(ts)):
+        np.multiply(loos[s - 1], ts[s - 1], out=loos[s])
+        np.multiply(sufs[-s], ts[-s], out=sufs[-s - 1])
+    np.multiply(loo_mid, suf_mid, out=loo_mid)
+    np.copyto(loos[0], sufs[0])
+    _clip(loo, _ATANH_LIMIT)
     return np.multiply(2.0, np.arctanh(loo, out=loo), out=loo)
 
 
@@ -232,7 +259,7 @@ def bsc_llr(y, p: float) -> np.ndarray:
 def _clipped_llr(code: LdpcCode, llr) -> np.ndarray:
     """The clipped float64 LLRs of one word; any shape but (n,) is rejected,
     and so is a NaN, which no decision can be read from (+-inf clip)."""
-    L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
+    L = _clip(np.array(llr, dtype=np.float64), LLR_CLIP)    # a copy, clipped in place
     if L.shape != (code.n,):
         raise ValueError(f"llr shape {L.shape} != ({code.n},)")
     nan = np.flatnonzero(np.isnan(L))
@@ -241,62 +268,101 @@ def _clipped_llr(code: LdpcCode, llr) -> np.ndarray:
     return L
 
 
-def _bp_maps(code: LdpcCode, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat gathers between the slot-major BP tables of a batch of `rows`.
+@dataclass(frozen=True)
+class _BpPlan:
+    """Gather indices and reused tables of the BP kernel for batches of
+    `rows` rows of one code.
 
-    The check-side table is (b, rows, r): slot s of check c in row q at
+    The check-side tables are (b, rows, r): slot s of check c in row q at
     [s, q, c].  The variable-side table is (a, rows, n): the k-th edge (in
     check order) of variable v at [k, q, v].  Slots lead, so every per-slot
-    step is one contiguous whole-batch operation.  Returns (a, rows, n)
-    indices into the flat check-side table and (b, rows, r) indices into a
-    flat (rows, n) array.
+    step is one contiguous whole-batch operation.  Every table a call writes
+    is held here, so calls on one code must not overlap (one call per code
+    runs at a time).
     """
+
+    to_var: np.ndarray       # (a, rows, n) into the flat check-side table
+    to_check: np.ndarray     # (b, rows, r) into a flat (rows, n) table
+    tanh: np.ndarray         # (b, rows, r): tanh(m / 2) of the variable-to-check messages
+    loo: np.ndarray          # (b, rows, r): check-to-variable messages (_check_step's output)
+    suf: np.ndarray          # (b, rows, r): _check_step's suffix products
+    views: tuple             # _check_views of tanh, loo and suf
+    inc: np.ndarray          # (a, rows, n): check-to-variable messages per variable
+    incs: tuple              # inc's per-edge views
+    total: np.ndarray        # (rows, n): each variable's incoming sum
+    post: np.ndarray         # (rows, n): posterior LLRs
+    post_chk: np.ndarray     # (b, rows, r): posteriors gathered per check slot
+    m: np.ndarray            # (b, rows, r): variable-to-check messages
+    neg: np.ndarray          # (b, rows, r) bool: post_chk < 0
+    parity: np.ndarray       # (rows, r) bool: each check's parity
+    unsat: np.ndarray        # (rows,) bool: any check unsatisfied
+
+
+def _build_bp_plan(code: LdpcCode, rows: int) -> _BpPlan:
+    n, r, a, b = code.n, code.r, code.a, code.b
     # C-ordered maps, so that the gathered tables are C-ordered too and each
     # slot of them is one contiguous block
-    check, slot = divmod(np.ascontiguousarray(code.var_edge_ids.T), code.b)
+    check, slot = divmod(np.ascontiguousarray(code.var_edge_ids.T), b)
     q = np.arange(rows)[:, None]
-    to_var = (slot * (rows * code.r) + check)[:, None, :] + q * code.r
-    to_check = np.ascontiguousarray(code.check_nbrs.T)[:, None, :] + q * code.n
-    return to_var, to_check
+    to_var = (slot * (rows * r) + check)[:, None, :] + q * r
+    to_check = np.ascontiguousarray(code.check_nbrs.T)[:, None, :] + q * n
+    tanh, loo, suf = (np.empty((b, rows, r)) for _ in range(3))
+    inc = np.empty((a, rows, n))
+    return _BpPlan(to_var=to_var, to_check=to_check, tanh=tanh, loo=loo, suf=suf,
+                   views=_check_views(tanh, loo, suf), inc=inc, incs=tuple(inc),
+                   total=np.empty((rows, n)), post=np.empty((rows, n)),
+                   post_chk=np.empty((b, rows, r)), m=np.empty((b, rows, r)),
+                   neg=np.empty((b, rows, r), dtype=bool),
+                   parity=np.empty((rows, r), dtype=bool), unsat=np.empty(rows, dtype=bool))
 
 
 def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = False):
     """Flooding sum-product on every row of the (rows, n) clipped LLRs L.
 
-    Returns the uint8 hard decisions, `satisfied` and `iterations` per row.
-    The batch stays whole until every row is recorded; a row is recorded
-    once, at the iteration its hard decision clears the syndrome (or at
-    max_iter), and iterates on unread after that, so its results are those
-    of a one-row decode.  With first_stop, every row is recorded at the
-    first iteration that clears any row's syndrome, and the rows satisfied
-    then are those a one-row decode clears at that iteration.  Each step
-    repeats the one-row arithmetic in its order: the checks run
-    _check_step, a variable sums its a incoming messages left to right, as
-    numpy sums up to 7 terms (more go through numpy's own sum, as in one
-    row), and an outgoing message is that total minus the edge's own
+    Returns the uint8 hard decisions, `satisfied` and `iterations` per row,
+    fresh arrays.  The batch stays whole until every row is recorded; a row
+    is recorded once, at the iteration its hard decision clears the
+    syndrome (or at max_iter), and iterates on unread after that, so its
+    results are those of a one-row decode.  With first_stop, every row is
+    recorded at the first iteration that clears any row's syndrome, and the
+    rows satisfied then are those a one-row decode clears at that
+    iteration.  Each step repeats the one-row arithmetic in its order: the
+    checks run _check_step, a variable sums its a incoming messages left to
+    right, as numpy sums up to 7 terms (more go through numpy's own sum, as
+    in one row), and an outgoing message is that total minus the edge's own
     incoming message.  So every row is bit-equal to decoding it alone.
+    Every intermediate table is one of the (code, batch size) plan's,
+    written in place; gathers clip their (in-range) indices, as numpy's
+    default mode would buffer the output instead of writing it in place.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    a = code.a
+    plan = code._plans.get(("bp", len(L)))
+    if plan is None:
+        plan = code._plans["bp", len(L)] = _build_bp_plan(code, len(L))
     words = np.empty(L.shape, dtype=np.uint8)   # every row is written once, when recorded
     satisfied = np.empty(len(L), dtype=bool)
     iterations = np.zeros(len(L), dtype=int)    # 0 until the row is recorded
-    to_var, to_check = _bp_maps(code, len(L))
-    m = L.ravel()[to_check]                     # (b, rows, r) variable-to-check
+    inc, incs, total, post, m = plan.inc, plan.incs, plan.total, plan.post, plan.m
+    flat_loo, flat_post = plan.loo.ravel(), post.ravel()
+    L.ravel().take(plan.to_check, out=m, mode="clip")
     for it in range(1, max_iter + 1):
-        m_cv = _check_step(np.tanh(0.5 * m))
-        inc = m_cv.ravel()[to_var]              # (a, rows, n) check-to-variable
-        if a <= 7:
-            total = inc[0] + inc[1]
-            for k in range(2, a):
-                total += inc[k]
+        np.tanh(np.multiply(0.5, m, out=plan.tanh), out=plan.tanh)
+        m_cv = _check_step(plan.loo, plan.views)
+        flat_loo.take(plan.to_var, out=inc, mode="clip")
+        if code.a <= 7:
+            np.add(incs[0], incs[1], out=total)
+            for inc_k in incs[2:]:
+                np.add(total, inc_k, out=total)
         else:
-            total = np.ascontiguousarray(inc.transpose(1, 2, 0)).sum(axis=2)
-        post = L + total
-        post_chk = post.ravel()[to_check]
-        m = np.clip(post_chk - m_cv, -LLR_CLIP, LLR_CLIP)
-        unsat = np.bitwise_xor.reduce(post_chk < 0, axis=0).any(axis=1)
+            np.ascontiguousarray(inc.transpose(1, 2, 0)).sum(axis=2, out=total)
+        np.add(L, total, out=post)
+        post_chk = flat_post.take(plan.to_check, out=plan.post_chk, mode="clip")
+        _clip(np.subtract(post_chk, m_cv, out=m), LLR_CLIP)
+        # a check is unsatisfied when an odd number of its slots are negative
+        parity = np.bitwise_xor.reduce(np.less(post_chk, 0, out=plan.neg), axis=0,
+                                       out=plan.parity)
+        unsat = np.logical_or.reduce(parity, axis=1, out=plan.unsat)
         if it < max_iter and unsat.all():
             continue
         done = (iterations == 0) & (~unsat | (it == max_iter) | first_stop)
@@ -342,6 +408,7 @@ class _ScoreRound:
     t: np.ndarray            # (b, check segments): the tanh gathered per check slot
     loo: np.ndarray          # check messages (_check_step's output)
     suf: np.ndarray          # _check_step's suffix products
+    views: tuple             # _check_views of t, loo and suf
     csum: np.ndarray         # (a, variable segments): incoming messages, prefix-summed
     pre: np.ndarray          # own LLR plus the exclusive prefix sums
     own: np.ndarray          # (1, variable segments): the own channel LLRs
@@ -425,10 +492,10 @@ def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
         *var_level, (own_idx, inc_idx) = _join(n, [
             (chan, np.arange(n)[:, None], np.zeros((n, 1), dtype=np.intp)),
             (check_level, check_of_var, slot_in_check)])
+        t, loo, suf = (np.empty(check_idx.shape) for _ in range(3))
         rounds.append(_ScoreRound(
             check_idx=check_idx, own_idx=own_idx, inc_idx=inc_idx,
-            tanh=np.empty(inputs), t=np.empty(check_idx.shape),
-            loo=np.empty(check_idx.shape), suf=np.empty(check_idx.shape),
+            tanh=np.empty(inputs), t=t, loo=loo, suf=suf, views=_check_views(t, loo, suf),
             csum=np.empty(inc_idx.shape), pre=np.empty(inc_idx.shape),
             own=np.empty(own_idx.shape), m=np.empty(inc_idx.shape)))
         slots, inputs = var_slot.reshape(r, b), inc_idx.size
@@ -473,28 +540,28 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     # buffer the output instead of writing it in place
     for rd in plan.rounds:
         np.tanh(np.multiply(0.5, m, out=rd.tanh), out=rd.tanh)
-        np.take(rd.tanh, rd.check_idx, out=rd.t, mode="clip")
-        rc = _check_step(rd.t, rd.loo, rd.suf)
-        csum = np.take(rc.ravel(), rd.inc_idx, out=rd.csum, mode="clip")
+        rd.tanh.take(rd.check_idx, out=rd.t, mode="clip")
+        rc = _check_step(rd.loo, rd.views)
+        csum = rc.ravel().take(rd.inc_idx, out=rd.csum, mode="clip")
         for k in range(1, len(csum)):   # in place: np.cumsum on axis 0 is ~10x slower
             csum[k] += csum[k - 1]
         rd.pre[0] = 0.0
         rd.pre[1:] = csum[:-1]
-        pre = np.add(np.take(chan, rd.own_idx, out=rd.own, mode="clip"), rd.pre, out=rd.pre)
+        pre = np.add(chan.take(rd.own_idx, out=rd.own, mode="clip"), rd.pre, out=rd.pre)
         m = np.add(pre, np.subtract(csum[-1], csum, out=rd.m), out=rd.m)
-        m = np.clip(m, -LLR_CLIP, LLR_CLIP, out=m).ravel()
+        m = _clip(m, LLR_CLIP).ravel()
     if depth == 1:
         t = np.where(m >= 0, 1.0, -1.0)
     else:       # in place: the last messages are not read again
         t = np.tanh(np.multiply(0.5, m, out=m), out=m)
-    prod = np.prod(np.take(t, plan.prod_idx, out=plan.factors, mode="clip"), axis=0,
+    prod = np.prod(t.take(plan.prod_idx, out=plan.factors, mode="clip"), axis=0,
                    out=plan.prod)
     scores = np.empty(code.n)
     for j in range(0, code.n, _SCORE_BLOCK):
-        # widened here, as np.take would widen int32 indices into a fresh array
+        # widened here, as take would widen int32 indices into a fresh array
         idx = plan.block_idx[:code.n - j]
         np.copyto(idx, plan.seg[j:j + _SCORE_BLOCK])
-        rows = np.take(prod, idx, out=plan.block[:len(idx)], mode="clip")
+        rows = prod.take(idx, out=plan.block[:len(idx)], mode="clip")
         rows.sum(axis=1, out=scores[j:j + len(rows)])
     return scores
 

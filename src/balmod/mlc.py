@@ -297,6 +297,7 @@ def knuth_q_unbalance(word, trace: BalancingTrace, q: int) -> QaryWord:
     _check_alphabet(q)
     if len(syms) % q:
         raise ValueError(f"length {len(syms)} not divisible by q={q}")
+    symbol_counts(syms, q)  # validates symbol range
     values = list(syms)
     records = iter(zip(trace.locations, trace.groups))
     _unbalance_rec(values, list(range(q)), records)

@@ -237,6 +237,21 @@ class TestErrors:
         assert exc.value.code == 2
         assert "argument --word: invalid digits value: '01x1'" in capsys.readouterr().err
 
+    def test_mlc_unbalance_symbol_outside_alphabet(self, capsys):
+        # printed word=2193 and exited 0
+        argv = ["mlc", "unbalance", "--word", "0193", "--trace", "1,0,0", "--q", "4"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "balmod: error: symbol 9 outside alphabet of size 4\n"
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    @pytest.mark.parametrize("value", ["01x1", "0121", "1-1"])
+    def test_bad_bits_named(self, capsys, command, value):
+        # read "invalid literal for int() ..." or "bits must be 0 or 1"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--bits", value])
+        assert exc.value.code == 2
+        assert f"argument --bits: invalid bits value: '{value}'" in capsys.readouterr().err
+
     def test_ldpc_decode_length_named(self, capsys):
         # was "llr shape (4,) != (280,)"
         assert cli.main(["decode", "--scheme", "ldpc", "--bits", "0101"]) == 2

@@ -86,6 +86,35 @@ class TestConstruction:
             z = ldpc.encode(small_code, u)
             assert not ldpc.syndrome(small_code, z).any()
 
+    @pytest.mark.parametrize("shape", [(8, 2, 4, 2), (28, 2, 7, 1), (28, 4, 7, 1),
+                                       (32, 3, 4, 11), (56, 2, 7, 3), (64, 8, 16, 1),
+                                       (70, 4, 7, 2), (256, 3, 4, 11), (280, 4, 7, 1),
+                                       (1120, 4, 7, 1)])
+    def test_packed_encode_equals_generator_product(self, shape):
+        # k = 4, 20 and 12 on the first three codes: a partly filled last byte
+        code = ldpc.build_gallager(*shape)
+        rng = channel.make_rng((12, shape[0]))
+        msgs = [np.zeros(code.k, dtype=int), np.ones(code.k, dtype=int)]
+        msgs += [rng.integers(0, 2, code.k) for _ in range(20)]
+        for u in msgs:
+            z = ldpc.encode(code, u)
+            assert z.dtype == np.uint8 and np.array_equal(z, code.G @ u.astype(np.uint8) % 2)
+        # bools and exact float bits are bits too; the packed table is cached
+        packed = code._plans["encode"]
+        assert np.array_equal(ldpc.encode(code, u.astype(bool)), z)
+        assert np.array_equal(ldpc.encode(code, u.astype(float)), z)
+        assert code._plans["encode"] is packed
+
+    @pytest.mark.parametrize("value", [2, -1, 255, 0.5, float("nan")])
+    def test_non_binary_message_rejected(self, small_code, value):
+        # 2 encoded as 0 and -1 as 1
+        u = np.zeros(small_code.k, dtype=type(value))
+        u[[3, 7]] = value
+        with pytest.raises(ValueError, match=rf"^message entry {value!r} at index 3 is not 0 or 1$"):
+            ldpc.encode(small_code, u)
+        with pytest.raises(ValueError, match="at index 3 is not 0 or 1"):
+            ldpc.balanced_encode(small_code, u)
+
     def test_paper_scale_shape(self, full_scale_code):
         assert full_scale_code.r == 160
         assert full_scale_code.n == 280
@@ -430,6 +459,72 @@ class TestBpKernel:
             assert np.array_equal(got[1], [res.satisfied for res in want])
             assert np.array_equal(got[2], [res.iterations for res in want])
 
+    def test_results_share_nothing_with_the_plan(self, full_scale_code):
+        rng = channel.make_rng(45)
+        llrs = np.clip(_noisy_llrs(full_scale_code, rng, 8, "bsc"), -ldpc.LLR_CLIP,
+                       ldpc.LLR_CLIP)
+        first = ldpc._bp_rows(full_scale_code, llrs[:4], 50)
+        want = [out.copy() for out in first]
+        one = ldpc.bp_decode(full_scale_code, llrs[0])
+        one_word = one.word.copy()
+        # later calls on the same plans leave the returned arrays as they were
+        ldpc._bp_rows(full_scale_code, llrs[4:], 50, first_stop=True)
+        ldpc.bp_decode(full_scale_code, llrs[1])
+        for got, expect in zip(first, want):
+            assert np.array_equal(got, expect)
+        assert np.array_equal(one.word, one_word)
+        tables = [table for size in (1, 4)
+                  for _, table in _bp_written_tables(full_scale_code._plans["bp", size])]
+        for out in (*first, one.word):
+            assert not any(np.shares_memory(out, table) for table in tables)
+
+    def test_warm_call_allocates_little(self, long_code):
+        # a call writes its plan's tables in place; only its results and the
+        # rows recorded at an iteration are fresh
+        rng = channel.make_rng(46)
+        llrs = np.clip(_noisy_llrs(long_code, rng, 4, "bsc"), -ldpc.LLR_CLIP, ldpc.LLR_CLIP)
+        calls = {"bp_decode": lambda: ldpc.bp_decode(long_code, llrs[0]),
+                 "4 rows": lambda: ldpc._bp_rows(long_code, llrs, 50, first_stop=True)}
+        for name, call in calls.items():
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 256 << 10, (name, peak)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_first_stop_matches_oracle_for_small_batches(self, full_scale_code, size):
+        # the top-c decoder's batch sizes, each on its own plan
+        rng = channel.make_rng((47, size))
+        for trial in range(6):
+            llrs = np.clip(_noisy_llrs(full_scale_code, rng, size, "bsc"), -ldpc.LLR_CLIP,
+                           ldpc.LLR_CLIP)
+            ref = [bp_oracle.bp_decode(full_scale_code, llr) for llr in llrs]
+            first = min((res.iterations for res in ref if res.satisfied), default=50)
+            want = [bp_oracle.bp_decode(full_scale_code, llr, max_iter=first) for llr in llrs]
+            words, satisfied, iterations = ldpc._bp_rows(full_scale_code, llrs, 50,
+                                                         first_stop=True)
+            assert np.array_equal(words, [res.word for res in want]), trial
+            assert np.array_equal(satisfied, [res.satisfied for res in want]), trial
+            assert (iterations == first).all(), trial
+
+    def test_exhaustive_blocks_use_one_plan_per_size(self):
+        # n = 56 runs one block of _BP_BLOCK rows and a remainder of 24
+        code = ldpc.build_gallager(56, 2, 7, seed=3)
+        rng = channel.make_rng(48)
+        for trial in range(8):
+            x, _ = ldpc.balanced_encode(code, rng.integers(0, 2, code.k))
+            noise = (rng.random(code.n) < 0.05).astype(np.uint8)
+            llr = ldpc.bsc_llr(x.to_array() ^ noise, 0.05)
+            got = ldpc.balanced_decode(code, llr, num_candidates=None)
+            want = bp_oracle.balanced_decode(code, llr, num_candidates=None)
+            assert _same_decode(got, want), trial
+        assert sorted(key for key in code._plans if key[0] == "bp") == [
+            ("bp", code.n - ldpc._BP_BLOCK), ("bp", ldpc._BP_BLOCK)]
+
 
 def _written_tables(plan):
     """(name, array) of every table a scorer call writes into."""
@@ -438,6 +533,13 @@ def _written_tables(plan):
     for k, rd in enumerate(plan.rounds):
         for name in ("tanh", "t", "loo", "suf", "csum", "pre", "own", "m"):
             yield f"round {k} {name}", getattr(rd, name)
+
+
+def _bp_written_tables(plan):
+    """(name, array) of every table a BP kernel call writes into."""
+    for name in ("tanh", "loo", "suf", "inc", "total", "post", "post_chk", "m", "neg",
+                 "parity", "unsat"):
+        yield name, getattr(plan, name)
 
 
 @st.composite
@@ -498,8 +600,25 @@ class TestShiftScores:
         assert len({id(plan) for plan in plans}) == len(plans)
         ldpc.lambda_scores(mid_code, llr, 2)
         assert mid_code._plans["score", 2] is plans[1]
-        # the tables a call writes belong to one (code, depth)
+        # one BP plan per (code, batch size), built on the first call of that size
+        rows = np.clip(np.array([llr, -llr, llr[::-1]]), -ldpc.LLR_CLIP, ldpc.LLR_CLIP)
+        bp_plans = []
+        for code in (mid_code, other):
+            for size in (1, 3):
+                want = [bp_oracle.bp_decode(code, row) for row in rows[:size]]
+                first = ldpc._bp_rows(code, rows[:size], 50)
+                bp_plans.append(code._plans["bp", size])
+                again = ldpc._bp_rows(code, rows[:size], 50)
+                assert code._plans["bp", size] is bp_plans[-1]
+                for words, _, iterations in (first, again):
+                    assert np.array_equal(words, [res.word for res in want])
+                    assert np.array_equal(iterations, [res.iterations for res in want])
+            ldpc.bp_decode(code, llr)
+            assert code._plans["bp", 1] is bp_plans[-2]
+        assert len({id(plan) for plan in bp_plans}) == len(bp_plans)
+        # the tables a call writes belong to one (code, depth) or (code, batch size)
         tables = [table for plan in plans for table in _written_tables(plan)]
+        tables += [table for plan in bp_plans for table in _bp_written_tables(plan)]
         for i, (name_i, table_i) in enumerate(tables):
             for name_j, table_j in tables[i + 1:]:
                 assert not np.shares_memory(table_i, table_j), (name_i, name_j)

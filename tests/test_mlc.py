@@ -162,6 +162,16 @@ class TestAlphabetSize:
             with pytest.raises(ValueError, match="^alphabet size must be at least 2$"):
                 call()
 
+    @pytest.mark.parametrize("symbol", [4, 9, -1])
+    def test_balance_and_unbalance_reject_symbols_outside_alphabet(self, symbol):
+        # unbalance shifted an out-of-range symbol as if it were valid
+        bad = [0, 1, symbol, 3]
+        message = f"^symbol {symbol} outside alphabet of size 4$"
+        with pytest.raises(ValueError, match=message):
+            mlc.knuth_q_balance(bad, 4)
+        with pytest.raises(ValueError, match=message):
+            mlc.knuth_q_unbalance(bad, mlc.BalancingTrace((1, 0, 0), (0, 0, 0)), 4)
+
     def test_rank_infers_alphabet_when_not_given(self):
         assert mlc.rank_balanced(word("0000")) == 0
         assert mlc.rank_balanced(word("1010")) == mlc.rank_balanced(word("1010"), q=2) == 4
