@@ -30,7 +30,7 @@ from .thresholds import (BalancingThreshold, ErrorCounts,
                          error_counts, optimal_threshold_oracle,
                          read_with_threshold, relaxed_threshold_mean,
                          relaxed_threshold_second_order)
-from .words import (BalancedWord, BitWord, KnuthCodeword, balance, find_balancing_index,
-                    invert_prefix, knuth_decode, knuth_encode, weight)
+from .words import (BalancedWord, BitWord, KnuthCodeword, as_bits, balance,
+                    find_balancing_index, invert_prefix, knuth_decode, knuth_encode, weight)
 
 __version__ = "0.1.0"

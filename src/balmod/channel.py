@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .words import BitWord
+from .words import as_bits
 
 MEAN_DRIFT = "mean_drift"
 VARIANCE_GROWTH = "variance_growth"
@@ -60,25 +60,25 @@ class DriftModel:
 
 @dataclass(frozen=True)
 class AgedBlock:
-    """Stored word and its cell levels after aging for time t."""
+    """Stored word (uint8 bits) and its cell levels after aging for time t."""
 
-    truth: BitWord
+    truth: np.ndarray
     levels: np.ndarray
     t: float
 
     def __post_init__(self):
-        if len(self.truth) != self.levels.size:
+        if self.truth.size != self.levels.size:
             raise ValueError("truth and levels must have equal length")
 
 
-def sample_levels(x: BitWord, model: DriftModel, t: float, seed) -> AgedBlock:
+def sample_levels(x, model: DriftModel, t: float, seed) -> AgedBlock:
     """Draw one level per cell from the model's 0/1 distributions at time t."""
     mean0, sd0, mean1, sd1 = model.level_params(t)
-    bits = x.to_array()
+    bits = as_bits(x)
     means = np.where(bits == 1, mean1, mean0)
     sds = np.where(bits == 1, sd1, sd0)
     levels = make_rng(seed).normal(means, sds)
-    return AgedBlock(truth=x, levels=levels, t=t)
+    return AgedBlock(truth=bits, levels=levels, t=t)
 
 
 def analytic_ber(model: DriftModel, v, t):
@@ -132,23 +132,23 @@ def model_thresholds(model: DriftModel, t: float) -> ModelThresholds:
     return ModelThresholds(vb=float(vb), vo=float(vo), vf=0.5)
 
 
-def apply_bsc(x: BitWord, p: float, seed) -> BitWord:
-    """Flip each bit independently with probability p."""
+def apply_bsc(x, p: float, seed) -> np.ndarray:
+    """Flip each bit independently with probability p; a fresh uint8 array."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("crossover probability must be in [0, 1]")
-    bits = x.to_array()
+    bits = as_bits(x)
     flips = make_rng(seed).random(bits.size) < p
-    return BitWord.from_array(bits ^ flips.astype(np.uint8))
+    return bits ^ flips.astype(np.uint8)
 
 
-def apply_bec(x: BitWord, p: float, seed) -> np.ndarray:
+def apply_bec(x, p: float, seed) -> np.ndarray:
     """Erase each bit independently with probability p.
 
     Returns an int8 array over {0, 1, ERASURE}.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("erasure probability must be in [0, 1]")
-    out = x.to_array().astype(np.int8)
+    out = as_bits(x).astype(np.int8)
     erased = make_rng(seed).random(out.size) < p
     out[erased] = ERASURE
     return out

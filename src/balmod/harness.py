@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bec, channel, ldpc, thresholds
-from .words import BitWord, balance
+from .words import as_bits, balance
 
 CSV_COLUMNS = ("x", "strategy", "metric", "value", "stderr", "trials", "seed")
 
@@ -191,12 +191,11 @@ def run_ber_curve(spec: BerCurveSpec) -> ResultTable:
             rng = channel.make_rng((spec.seed, t_idx, trial))
             bits = np.zeros(spec.cells, dtype=np.uint8)
             bits[rng.permutation(spec.cells)[:half]] = 1
-            x = BitWord.from_array(bits)
-            block = channel.sample_levels(x, model, t, seed=(spec.seed, t_idx, trial, 1))
-            levels = block.levels
+            levels = channel.sample_levels(bits, model, t,
+                                           seed=(spec.seed, t_idx, trial, 1)).levels
 
             vb = thresholds.balancing_threshold_exact(levels).value
-            _, opt_counts = thresholds.optimal_threshold_oracle(levels, x)
+            _, opt_counts = thresholds.optimal_threshold_oracle(levels, bits)
             chosen = {
                 "fixed": 0.5,
                 "balancing": vb,
@@ -205,7 +204,8 @@ def run_ber_curve(spec: BerCurveSpec) -> ResultTable:
                     levels, spec.second_order_a),
             }
             for name, v in chosen.items():
-                errs[name] += int(np.sum((levels >= v).astype(np.uint8) != bits))
+                errs[name] += thresholds.error_counts(
+                    bits, thresholds.read_with_threshold(levels, v)).total
             errs["optimal"] += opt_counts.total
         denom = spec.cells * spec.trials
         for name in strategies:
@@ -269,7 +269,7 @@ def run_wer_bec(spec: WerBecSpec) -> ResultTable:
         residuals = []
         for x, i_true, y, res in _bec_trials(code, spec.erasure_p, budget,
                                              (spec.seed, n_idx), spec.trials):
-            z_true = x.to_array()
+            z_true = as_bits(x).copy()
             z_true[:i_true] ^= 1
             g = bec.genie_peel(code, y, i_true)
             genie_ok += int(g is not None and np.array_equal(g, z_true))

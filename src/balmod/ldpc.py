@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import make_rng
-from .words import BalancedWord, BitWord, balance, find_balancing_index
+from .words import BalancedWord, as_bits, balance, find_balancing_index
 
 LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
@@ -651,10 +651,10 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
                                 score=float(scores[best]))
 
 
-def balanced_decode_bsc(code: LdpcCode, y: BitWord, p: float, depth: int = 2,
+def balanced_decode_bsc(code: LdpcCode, y, p: float, depth: int = 2,
                         num_candidates: int | None = 4, max_iter: int = 50) -> BalancedDecodeResult:
     """Hard-decision front end: constant-magnitude LLRs from the crossover p."""
-    return balanced_decode(code, bsc_llr(y.to_array(), p), depth=depth,
+    return balanced_decode(code, bsc_llr(as_bits(y), p), depth=depth,
                            num_candidates=num_candidates, max_iter=max_iter)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import make_rng
 from .ldpc import LdpcCode, bp_decode, bsc_llr, encode
 from .thresholds import balancing_threshold_exact, read_with_threshold
-from .words import BalancedWord, BitWord, balance
+from .words import BalancedWord, as_bits, balance
 
 
 # crossover probability the inner decoder's constant-magnitude LLRs assume
@@ -66,24 +66,25 @@ def make_partial_scheme(code: LdpcCode, k_info: int, layout_seed: int) -> Partia
 @dataclass(frozen=True)
 class PartialCodeword:
     u_tilde: BalancedWord
-    i_bits: BitWord
-    parity: BitWord
-    physical: BitWord       # bits in cell order, ready to program
+    i_bits: np.ndarray
+    parity: np.ndarray
+    physical: np.ndarray    # bits in cell order, ready to program
 
 
 @dataclass(frozen=True)
 class PbDecodeResult:
     ok: bool
-    u: BitWord | None
+    u: np.ndarray | None
     reason: str
 
 
-def pb_encode(scheme: PartialScheme, u: BitWord) -> PartialCodeword:
+def pb_encode(scheme: PartialScheme, u) -> PartialCodeword:
     """Balance the message, append its index in plain binary, add parity,
     and scatter the bits into physical cell order."""
-    if len(u) != scheme.k_info:
-        raise ValueError(f"message length {len(u)} != {scheme.k_info}")
-    u_tilde, i = balance(u.to_array())
+    bits = as_bits(u)
+    if bits.size != scheme.k_info:
+        raise ValueError(f"message length {bits.size} != {scheme.k_info}")
+    u_tilde, i = balance(bits)
     idx = np.array([(i >> (scheme.i_bits - 1 - t)) & 1 for t in range(scheme.i_bits)],
                    dtype=np.uint8)
     message = np.zeros(scheme.code.k, dtype=np.uint8)
@@ -95,13 +96,13 @@ def pb_encode(scheme: PartialScheme, u: BitWord) -> PartialCodeword:
     parity_positions = np.setdiff1d(np.arange(scheme.n), scheme.code.message_positions)
     return PartialCodeword(
         u_tilde=BalancedWord.from_array(u_tilde),
-        i_bits=BitWord.from_array(idx),
-        parity=BitWord.from_array(codeword[parity_positions]),
-        physical=BitWord.from_array(physical),
+        i_bits=idx,
+        parity=codeword[parity_positions],
+        physical=physical,
     )
 
 
-def pb_read(scheme: PartialScheme, levels) -> BitWord:
+def pb_read(scheme: PartialScheme, levels) -> np.ndarray:
     """Threshold chosen from the info-segment cells alone, applied to all n."""
     levels = np.asarray(levels, dtype=np.float64)
     if levels.size != scheme.n:
@@ -110,13 +111,16 @@ def pb_read(scheme: PartialScheme, levels) -> BitWord:
     return read_with_threshold(levels, thr.value)
 
 
-def pb_decode(scheme: PartialScheme, y: BitWord) -> PbDecodeResult:
+def pb_decode(scheme: PartialScheme, y) -> PbDecodeResult:
     """Error-correct, extract the index, and undo the prefix inversion.
 
     Failures from the inner code or an out-of-range index are reported, never
-    silently decoded.
+    silently decoded; a word whose length is not n is rejected.
     """
-    logical = y.to_array()[scheme.layout]
+    bits = as_bits(y)
+    if bits.size != scheme.n:
+        raise ValueError(f"word length {bits.size} != n = {scheme.n}")
+    logical = bits[scheme.layout]
     res = bp_decode(scheme.code, bsc_llr(logical, DESIGN_P))
     if not res.satisfied:
         return PbDecodeResult(ok=False, u=None, reason="ecc decode failure")
@@ -129,7 +133,7 @@ def pb_decode(scheme: PartialScheme, y: BitWord) -> PbDecodeResult:
     if i >= scheme.k_info:
         return PbDecodeResult(ok=False, u=None, reason=f"index {i} out of range")
     u[:i] ^= 1
-    return PbDecodeResult(ok=True, u=BitWord.from_array(u), reason="")
+    return PbDecodeResult(ok=True, u=u, reason="")
 
 
 def rate_fixed_vs_partial(n: int, k_fixed: int, k_pb: int, i_bits: int) -> tuple[float, float]:

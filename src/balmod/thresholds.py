@@ -15,11 +15,12 @@ first minimum is the lowest threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .words import BitWord
+from .words import as_bits
 
 
 def _as_levels(c) -> np.ndarray:
@@ -51,19 +52,22 @@ class BalancingThreshold:
     exact: bool
 
 
-def read_with_threshold(c, v: float) -> BitWord:
-    """Read a block: bit i is 1 iff levels[i] >= v."""
+def read_with_threshold(c, v: float) -> np.ndarray:
+    """Read a block as uint8 bits: bit i is 1 iff levels[i] >= v (v may be
+    infinite, not NaN)."""
     levels = _as_levels(c)
-    return BitWord.from_array((levels >= v).astype(np.uint8))
+    if math.isnan(v):
+        raise ValueError(f"threshold v must not be NaN, got {v}")
+    return (levels >= v).astype(np.uint8)
 
 
-def error_counts(x: BitWord, y: BitWord) -> ErrorCounts:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    xa = x.to_array()
-    ya = y.to_array()
-    n10 = int(np.sum((xa == 1) & (ya == 0)))
-    n01 = int(np.sum((xa == 0) & (ya == 1)))
+def error_counts(x, y) -> ErrorCounts:
+    xa = as_bits(x)
+    ya = as_bits(y)
+    if xa.size != ya.size:
+        raise ValueError(f"length mismatch: {xa.size} vs {ya.size}")
+    n10 = int(np.count_nonzero(xa > ya))
+    n01 = int(np.count_nonzero(xa < ya))
     return ErrorCounts(n10=n10, n01=n01)
 
 
@@ -152,7 +156,7 @@ def relaxed_threshold_second_order(c, a: float = 0.0) -> float:
     return mu + a * (0.5 - mu) ** 2
 
 
-def optimal_threshold_oracle(c, x: BitWord) -> tuple[float, ErrorCounts]:
+def optimal_threshold_oracle(c, x) -> tuple[float, ErrorCounts]:
     """Genie threshold minimizing total errors given the true stored word.
 
     Scans the n + 1 realizable cuts (midpoints between distinct consecutive
@@ -160,14 +164,15 @@ def optimal_threshold_oracle(c, x: BitWord) -> tuple[float, ErrorCounts]:
     smallest error count, then the lowest threshold.
     """
     levels = _as_levels(c)
-    if len(x) != levels.size:
+    bits = as_bits(x)
+    if bits.size != levels.size:
         raise ValueError("stored word and levels must have equal length")
     n = levels.size
     if n == 0:
         raise ValueError("need at least one cell")
     # The order within tied levels is arbitrary: ones_below is read only at
     # cuts between distinct levels.
-    truth = x.to_array()[np.argsort(levels)]
+    truth = bits[np.argsort(levels)]
     total_ones = int(truth.sum())
     # cut j: the j smallest cells read 0, the rest read 1
     ones_below = np.zeros(n + 1, dtype=np.int64)

@@ -100,6 +100,26 @@ class KnuthCodeword:
     prefix: BalancedWord
 
 
+def as_bits(w) -> np.ndarray:
+    """A word as a 1-D uint8 array of 0s and 1s.
+
+    A BitWord gives its own bits, which its type already guarantees; anything
+    else goes through np.asarray and is checked here.  A uint8 array comes
+    back as is, not copied.
+    """
+    if isinstance(w, BitWord):
+        return w.to_array()
+    a = np.asarray(w)
+    if a.ndim != 1:
+        raise ValueError(f"a word must be one-dimensional, got shape {a.shape}")
+    if a.dtype == np.uint8 and a.max(initial=0) <= 1:
+        return a
+    bad = np.flatnonzero((a != 0) & (a != 1))
+    if bad.size:
+        raise ValueError(f"bits must be 0 or 1, got {a.tolist()[bad[0]]!r} at index {bad[0]}")
+    return a.astype(np.uint8)
+
+
 def weight(w: BitWord | Sequence[int]) -> int:
     """Number of 1 bits."""
     return int(sum(int(b) for b in w))
@@ -168,7 +188,7 @@ def decode_prefix(prefix: BitWord) -> int:
 def knuth_encode(u: BitWord) -> KnuthCodeword:
     """Balance u by minimal prefix inversion; the inversion index is carried
     in a balanced prefix, so the whole codeword is balanced."""
-    payload, i = balance(u.to_array())
+    payload, i = balance(as_bits(u))
     p = prefix_length(len(u))
     return KnuthCodeword(payload=BalancedWord.from_array(payload), prefix=encode_prefix(i, p))
 

@@ -275,12 +275,12 @@ def test_10_partial_balanced_pipeline():
             rng = channel.make_rng((101, trial))
             u = BitWord.from_array(rng.integers(0, 2, scheme.k_info))
             cw = pb_encode(scheme, u)
-            y = cw.physical.to_array().copy()
+            y = cw.physical.copy()
             n_err = int(rng.integers(0, capability + 1))
             for pos in rng.choice(scheme.n, size=n_err, replace=False):
                 y[pos] ^= 1
             res = pb_decode(scheme, BitWord.from_array(y))
-            recovered += int(res.ok and res.u == u)
+            recovered += int(res.ok and np.array_equal(res.u, u))
         print(f"  rates pinned; {recovered}/1000 planted-error recoveries", end="")
         assert recovered == 1000
 

@@ -247,14 +247,14 @@ class TestImportWeight:
 class TestBitChannels:
     def test_bsc_identity_and_complement(self):
         x = BitWord.from_string("0110101")
-        assert apply_bsc(x, 0.0, seed=1) == x
-        assert str(apply_bsc(x, 1.0, seed=1)) == "1001010"
+        assert np.array_equal(apply_bsc(x, 0.0, seed=1), x.to_array())
+        assert apply_bsc(x, 1.0, seed=1).tolist() == [1, 0, 0, 1, 0, 1, 0]
 
     def test_bsc_flip_rate(self):
         n = 1_000_000
         p = 0.3
         x = make_word(np.zeros(n, dtype=np.uint8))
-        flipped = apply_bsc(x, p, seed=6).to_array().sum()
+        flipped = apply_bsc(x, p, seed=6).sum()
         assert abs(flipped / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_bec_identity_and_full_erasure(self):

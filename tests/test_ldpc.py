@@ -806,7 +806,7 @@ class TestBalancedDecoding:
             u = rng.integers(0, 2, code.k)
             x, _ = ldpc.balanced_encode(code, u)
             y = channel.apply_bsc(x, 0.04, seed=(25, trial))
-            llr = ldpc.bsc_llr(y.to_array(), 0.04)
+            llr = ldpc.bsc_llr(y, 0.04)
             res_g = ldpc.balanced_decode(code, llr, depth=2, num_candidates=4)
             res_e = ldpc.balanced_decode(code, llr, depth=2, num_candidates=None)
             guided_ok += int(res_g.ok and np.array_equal(res_g.u, u))

@@ -14,7 +14,7 @@ from balmod.thresholds import (balancing_threshold_bisect,
                                optimal_threshold_oracle, read_with_threshold,
                                relaxed_threshold_mean,
                                relaxed_threshold_second_order)
-from balmod.words import BitWord
+from balmod.words import BitWord, weight
 
 # levels on a coarse grid: distinct values stay far enough apart for the
 # bisection's interval-width cutoff
@@ -82,22 +82,31 @@ def brute_force_min_gap(levels) -> int:
 
 class TestRead:
     def test_two_cells(self):
-        assert str(read_with_threshold([0.1, 0.9], 0.5)) == "01"
+        assert read_with_threshold([0.1, 0.9], 0.5).tolist() == [0, 1]
 
     def test_boundary_inclusive(self):
-        assert str(read_with_threshold([0.5], 0.5)) == "1"
+        assert read_with_threshold([0.5], 0.5).tolist() == [1]
 
     def test_elementwise(self):
-        assert str(read_with_threshold([0.3, 0.2, 0.8, 0.7], 0.25)) == "1011"
+        assert read_with_threshold([0.3, 0.2, 0.8, 0.7], 0.25).tolist() == [1, 0, 1, 1]
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             read_with_threshold([0.1, float("nan")], 0.5)
 
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold v must not be NaN"):
+            read_with_threshold([0.1, 0.9], float("nan"))
+
+    def test_infinite_threshold_is_legal(self):
+        # model_thresholds gives an infinite optimal cut past t = 1
+        assert read_with_threshold([0.1, 0.9], math.inf).tolist() == [0, 0]
+        assert read_with_threshold([0.1, 0.9], -math.inf).tolist() == [1, 1]
+
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=30))
     def test_ones_count_non_increasing_in_threshold(self, levels):
         grid = sorted(set(levels)) + [max(levels) + 1]
-        weights = [read_with_threshold(levels, v).weight for v in grid]
+        weights = [weight(read_with_threshold(levels, v)) for v in grid]
         assert all(b <= a for a, b in zip(weights, weights[1:]))
 
 
@@ -123,12 +132,12 @@ class TestBalancingExact:
         res = balancing_threshold_exact([0.1, 0.9, 0.2, 0.8])
         assert res.value == pytest.approx(0.5)
         assert res.exact
-        assert read_with_threshold([0.1, 0.9, 0.2, 0.8], res.value).weight == 2
+        assert weight(read_with_threshold([0.1, 0.9, 0.2, 0.8], res.value)) == 2
 
     def test_two_cells(self):
         res = balancing_threshold_exact([0.0, 1.0])
         assert res.value == pytest.approx(0.5)
-        assert read_with_threshold([0.0, 1.0], res.value).weight == 1
+        assert weight(read_with_threshold([0.0, 1.0], res.value)) == 1
 
     def test_all_equal_flagged(self):
         res = balancing_threshold_exact([0.3, 0.3, 0.3, 0.3])
@@ -151,7 +160,7 @@ class TestBalancingExact:
         # the midpoint of two levels near the float maximum is not finite
         res = balancing_threshold_exact(levels)
         assert math.isfinite(res.value) and res.exact == exact
-        gap = abs(read_with_threshold(levels, res.value).weight - len(levels) // 2)
+        gap = abs(weight(read_with_threshold(levels, res.value)) - len(levels) // 2)
         assert gap == brute_force_min_gap(levels)
         assert_same_float(res.value, threshold_oracle.balancing_threshold_exact(levels).value)
 
@@ -161,7 +170,7 @@ class TestBalancingExact:
         # |weight - n/2| at the returned threshold is the least any realizable
         # cut gives, and exact holds exactly when that least gap is 0
         res = balancing_threshold_exact(levels)
-        gap = abs(read_with_threshold(levels, res.value).weight - len(levels) // 2)
+        gap = abs(weight(read_with_threshold(levels, res.value)) - len(levels) // 2)
         best = brute_force_min_gap(levels)
         assert gap == best
         assert res.exact == (best == 0)
@@ -170,7 +179,7 @@ class TestBalancingExact:
     def test_exact_whenever_levels_distinct(self, levels):
         res = balancing_threshold_exact(levels)
         assert res.exact
-        assert read_with_threshold(levels, res.value).weight == len(levels) // 2
+        assert weight(read_with_threshold(levels, res.value)) == len(levels) // 2
 
     @given(distinct_levels)
     def test_balanced_read_has_symmetric_errors(self, levels):
@@ -189,11 +198,11 @@ class TestBisect:
     def test_matches_exact_weight(self):
         levels = [0.1, 0.9, 0.2, 0.8]
         v = balancing_threshold_bisect(levels, 0.0, 1.0, 1e-9)
-        assert read_with_threshold(levels, v).weight == 2
+        assert weight(read_with_threshold(levels, v)) == 2
 
     def test_two_cells(self):
         v = balancing_threshold_bisect([0.0, 1.0], 0.0, 1.0, 1e-9)
-        assert read_with_threshold([0.0, 1.0], v).weight == 1
+        assert weight(read_with_threshold([0.0, 1.0], v)) == 1
 
     def test_precision_fallback_terminates(self):
         v = balancing_threshold_bisect([0.3, 0.3, 0.3, 0.3], 0.0, 1.0, 1e-6)
@@ -231,8 +240,8 @@ class TestBisect:
         lo, hi = min(levels) - 1.0, max(levels) + 1.0
         v = balancing_threshold_bisect(levels, lo, hi, 1e-12)
         exact = balancing_threshold_exact(levels)
-        assert (read_with_threshold(levels, v).weight
-                == read_with_threshold(levels, exact.value).weight)
+        assert (weight(read_with_threshold(levels, v))
+                == weight(read_with_threshold(levels, exact.value)))
 
 
 class TestRelaxed:

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmod.words import (BalancedWord, BitWord, KnuthCodeword, balance, decode_prefix,
-                          encode_prefix, find_balancing_index, invert_prefix,
-                          knuth_decode, knuth_encode, prefix_length, weight)
+from balmod import channel, ldpc, partial, thresholds
+from balmod.words import (BalancedWord, BitWord, KnuthCodeword, as_bits, balance,
+                          decode_prefix, encode_prefix, find_balancing_index,
+                          invert_prefix, knuth_decode, knuth_encode, prefix_length,
+                          weight)
 
 
 def bw(s: str) -> BitWord:
@@ -54,6 +56,72 @@ class TestFromArray:
         assert type(BalancedWord.from_array(np.array([1, 0]))) is BalancedWord
         with pytest.raises(ValueError, match="not balanced"):
             BalancedWord.from_array(np.array([1, 1]))
+
+
+class TestAsBits:
+    def test_bitword_gives_its_bits(self):
+        a = as_bits(bw("0110"))
+        assert a.dtype == np.uint8 and a.tolist() == [0, 1, 1, 0]
+
+    def test_uint8_array_is_not_copied(self):
+        a = np.array([1, 0, 1], dtype=np.uint8)
+        assert as_bits(a) is a
+
+    @pytest.mark.parametrize("w", [[1, 0], (True, False), np.array([1.0, 0.0]),
+                                   np.array([1, 0], dtype=np.int64)])
+    def test_other_zero_one_inputs_become_uint8(self, w):
+        a = as_bits(w)
+        assert a.dtype == np.uint8 and a.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("w, shape", [([[0, 1], [1, 0]], r"\(2, 2\)"), (1, r"\(\)"),
+                                          (np.uint8(0), r"\(\)")])
+    def test_rejects_non_vectors(self, w, shape):
+        with pytest.raises(ValueError,
+                           match=f"^a word must be one-dimensional, got shape {shape}$"):
+            as_bits(w)
+
+    @pytest.mark.parametrize("bad", [0.5, 2, -1])
+    def test_rejects_non_bits_by_value_and_index(self, bad):
+        with pytest.raises(ValueError,
+                           match=rf"^bits must be 0 or 1, got {bad!r} at index 2$"):
+            as_bits([0, 1, bad, 1])
+
+
+@pytest.fixture(scope="module")
+def small_scheme():
+    return partial.make_partial_scheme(ldpc.build_gallager(56, 4, 7, seed=1), k_info=16,
+                                       layout_seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=56, max_size=56), st.integers(0, 2**32 - 1))
+def test_bitword_and_its_array_give_equal_results(small_scheme, bits, seed):
+    # the functions that take a word read a BitWord and its to_array() alike
+    w = BitWord(tuple(bits))
+    a = w.to_array()
+    model = channel.DriftModel(channel.MEAN_DRIFT, 0.2)
+    block_w = channel.sample_levels(w, model, 0.3, seed)
+    block_a = channel.sample_levels(a, model, 0.3, seed)
+    assert np.array_equal(block_w.levels, block_a.levels)
+    assert np.array_equal(block_w.truth, block_a.truth)
+    y = channel.apply_bsc(w, 0.2, seed)
+    assert np.array_equal(y, channel.apply_bsc(a, 0.2, seed))
+    assert np.array_equal(channel.apply_bec(w, 0.3, seed), channel.apply_bec(a, 0.3, seed))
+    assert (thresholds.error_counts(w, BitWord.from_array(y))
+            == thresholds.error_counts(a, y))
+    assert (thresholds.optimal_threshold_oracle(block_w.levels, w)
+            == thresholds.optimal_threshold_oracle(block_a.levels, a))
+    u = BitWord(tuple(bits[:16]))
+    cw_w = partial.pb_encode(small_scheme, u)
+    cw_a = partial.pb_encode(small_scheme, u.to_array())
+    assert cw_w.u_tilde == cw_a.u_tilde
+    for field in ("i_bits", "parity", "physical"):
+        assert np.array_equal(getattr(cw_w, field), getattr(cw_a, field))
+    for word in (cw_a.physical, a):
+        res_w = partial.pb_decode(small_scheme, BitWord.from_array(word))
+        res_a = partial.pb_decode(small_scheme, word)
+        assert (res_w.ok, res_w.reason) == (res_a.ok, res_a.reason)
+        assert np.array_equal(res_w.u, res_a.u) if res_w.ok else res_a.u is None
 
 
 class TestBitWordEntries:

@@ -12,7 +12,7 @@ here is fast.  `balmod.thresholds` must return equal results: the same float
 import numpy as np
 
 from balmod.thresholds import BalancingThreshold, ErrorCounts, _as_levels
-from balmod.words import BitWord
+from balmod.words import as_bits
 
 
 def balancing_threshold_exact(c) -> BalancingThreshold:
@@ -59,7 +59,7 @@ def _cut_candidates(levels: np.ndarray):
     yield float(max(asc[-1] + 1.0, np.nextafter(asc[-1], np.inf))), 0
 
 
-def optimal_threshold_oracle(c, x: BitWord) -> tuple[float, ErrorCounts]:
+def optimal_threshold_oracle(c, x) -> tuple[float, ErrorCounts]:
     """Genie threshold minimizing total errors given the true stored word.
 
     Scans the n + 1 realizable cuts (midpoints between distinct consecutive
@@ -67,10 +67,11 @@ def optimal_threshold_oracle(c, x: BitWord) -> tuple[float, ErrorCounts]:
     smallest error count, then the lowest threshold.
     """
     levels = _as_levels(c)
-    if len(x) != levels.size:
+    bits = as_bits(x)
+    if bits.size != levels.size:
         raise ValueError("stored word and levels must have equal length")
     order = np.argsort(levels, kind="stable")
-    truth = x.to_array()[order]
+    truth = bits[order]
     n = levels.size
     total_ones = int(truth.sum())
     # cut j: the j smallest cells read 0, the rest read 1
