@@ -28,7 +28,7 @@ import numpy as np
 from .channel import ERASURE
 from .intervals import IntervalSet
 from .ldpc import LdpcCode, syndrome
-from .words import find_balancing_index
+from .words import find_balancing_index, weight
 
 UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
@@ -51,12 +51,7 @@ def check_interval_sets(positions, values, n: int) -> IntervalSet:
     positions = [int(p) for p in positions]
     if sorted(positions) != positions:
         raise ValueError("positions must be ascending")
-    values = [int(v) for v in values]
-    if any(v not in (0, 1) for v in values):
-        raise ValueError("all neighbor values must be known bits")
-    parity = 0
-    for v in values:
-        parity ^= v
+    parity = weight(values) % 2
     bounds = [0] + [p + 1 for p in positions] + [n + 1]
     pairs = [(bounds[t], bounds[t + 1])
              for t in range(len(bounds) - 1) if t % 2 == parity]
@@ -139,11 +134,12 @@ def _feasible(code: LdpcCode, src: np.ndarray, idx: np.ndarray) -> tuple[np.ndar
     z = _prefix_flipped(src, idx)
     if not _peel(code, z):
         return z[:0], idx[:0]
+    z = z.view(np.uint8)    # peeled: every entry is a bit
     stored = _prefix_flipped(z, idx)
     ok = 2 * stored.sum(axis=1) == code.n
     ok[ok] = ~syndrome(code, z[ok]).any(axis=1)
     ok[ok] = find_balancing_index(z[ok]) == idx[ok]
-    return z[ok].astype(np.uint8), idx[ok]
+    return z[ok], idx[ok]
 
 
 def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:

@@ -58,6 +58,22 @@ class DriftModel:
         return 0.0, self.sigma, 1.0, self.sigma + t
 
 
+def as_levels(c, min_size: int = 0) -> np.ndarray:
+    """Cell levels as a 1-D float64 array of at least min_size cells, every
+    one finite: the one check of a block of levels read back.  A float64
+    vector comes back as is, not copied."""
+    levels = np.asarray(c, dtype=np.float64)
+    if levels.ndim != 1:
+        raise ValueError(f"cell levels must be one-dimensional, got shape {levels.shape}")
+    if levels.size < min_size:
+        need = "one cell" if min_size == 1 else f"{min_size} cells"
+        raise ValueError(f"need at least {need}, got {levels.size}")
+    if not np.isfinite(levels).all():
+        k = int(np.flatnonzero(~np.isfinite(levels))[0])
+        raise ValueError(f"cell levels must be finite, got {levels[k]} at index {k}")
+    return levels
+
+
 @dataclass(frozen=True)
 class AgedBlock:
     """Stored word (uint8 bits) and its cell levels after aging for time t."""

@@ -161,7 +161,7 @@ def cmd_encode(args) -> int:
         print(f"prefix={cw.prefix} payload={cw.payload}")
         print(f"codeword={cw.prefix}{cw.payload}")
     else:
-        x, i = ldpc.balanced_encode(_ldpc_code(params), words.as_bits(u))
+        x, i = ldpc.balanced_encode(_ldpc_code(params), u)
         print(f"codeword={x}")
         print(f"inversion_index={i}")
     return 0

@@ -3,6 +3,10 @@
 Stored codewords are balanced, so the two components get fixed equal weights
 and EM only estimates the means and standard deviations.  The fitted mixture
 supplies per-cell log-likelihood ratios for soft-decision decoders.
+
+Each public call checks its levels once, through channel.as_levels.  One E
+step builds one log-density table, which gives both the responsibilities
+and the log-likelihood; e_step and log_likelihood each return one of them.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+
+from .channel import as_levels
 
 VARIANCE_FLOOR = 1e-9
 RESPONSIBILITY_FLOOR = 1e-12
@@ -47,49 +52,34 @@ class FitResult:
     n_iter: int
 
 
-def _as_levels(c, min_size: int = 1) -> np.ndarray:
-    levels = np.asarray(c, dtype=np.float64)
-    if levels.ndim != 1 or levels.size < min_size:
-        raise ValueError(f"need a one-dimensional vector of at least {min_size} levels")
-    if not np.all(np.isfinite(levels)):
-        raise ValueError("cell levels must be finite")
-    return levels
-
-
 def _log_densities(levels: np.ndarray, params: MixtureParams) -> np.ndarray:
     """(n, 2) log N(c; u_k, sigma_k) for k = 0, 1."""
-    out = np.empty((levels.size, 2))
-    for k, (u, s) in enumerate(((params.u0, params.sigma0),
-                                (params.u1, params.sigma1))):
-        out[:, k] = -0.5 * ((levels - u) / s) ** 2 - np.log(s) - _LOG_SQRT_2PI
-    return out
+    u, s = np.array([params.u0, params.u1]), np.array([params.sigma0, params.sigma1])
+    return -0.5 * ((levels[:, None] - u) / s) ** 2 - np.log(s) - _LOG_SQRT_2PI
+
+
+def _e_step(levels: np.ndarray, params: MixtureParams) -> tuple[np.ndarray, float]:
+    """Responsibilities exp(ld - lse) and log-likelihood sum(lse) - n log 2 of
+    checked levels, lse = log(f0 + f1) per cell from one table ld."""
+    ld = _log_densities(levels, params)
+    lse = np.logaddexp(ld[:, 0], ld[:, 1])
+    return np.exp(ld - lse[:, None]), float(np.sum(lse)) - levels.size * np.log(2.0)
 
 
 def log_likelihood(c, params: MixtureParams) -> float:
     """Data log-likelihood under the equal-weight two-component mixture."""
-    levels = _as_levels(c)
-    ld = _log_densities(levels, params) + np.log(0.5)
-    return float(np.sum(logsumexp(ld, axis=1)))
+    return _e_step(as_levels(c, min_size=1), params)[1]
 
 
 def e_step(c, params: MixtureParams) -> np.ndarray:
     """Posterior P(bit = k | level) per cell, k in {0, 1}; rows sum to 1.
-
-    Equal mixing weights cancel; computed in the log domain to avoid
-    underflow for cells far from both components.
-    """
-    levels = _as_levels(c)
-    ld = _log_densities(levels, params)
-    ld -= logsumexp(ld, axis=1, keepdims=True)
-    return np.exp(ld)
+    Computed in the log domain, so cells far from both components do not
+    underflow."""
+    return _e_step(as_levels(c, min_size=1), params)[0]
 
 
-def m_step(c, resp: np.ndarray) -> MixtureParams:
-    """Responsibility-weighted means and variances."""
-    levels = _as_levels(c)
-    resp = np.asarray(resp, dtype=np.float64)
-    if resp.shape != (levels.size, 2):
-        raise ValueError("responsibilities must have shape (n, 2)")
+def _m_step(levels: np.ndarray, resp: np.ndarray) -> MixtureParams:
+    """m_step of checked levels and (n, 2) responsibilities."""
     totals = resp.sum(axis=0)
     if np.any(totals < RESPONSIBILITY_FLOOR * levels.size):
         raise ComponentCollapse(f"component responsibility collapsed: {totals}")
@@ -100,10 +90,18 @@ def m_step(c, resp: np.ndarray) -> MixtureParams:
                          u1=float(means[1]), sigma1=float(sds[1]))
 
 
-def default_init(c) -> MixtureParams:
-    """Quartile-based start: component means from the lowest and highest
-    quarter of the levels, both sigmas from the pooled standard deviation."""
-    levels = np.sort(_as_levels(c, min_size=2))
+def m_step(c, resp: np.ndarray) -> MixtureParams:
+    """Responsibility-weighted means and variances."""
+    levels = as_levels(c, min_size=1)
+    resp = np.asarray(resp, dtype=np.float64)
+    if resp.shape != (levels.size, 2):
+        raise ValueError("responsibilities must have shape (n, 2)")
+    return _m_step(levels, resp)
+
+
+def _default_init(levels: np.ndarray) -> MixtureParams:
+    """default_init of checked levels."""
+    levels = np.sort(levels)
     quarter = max(1, levels.size // 4)
     pooled = float(np.std(levels))
     sd = max(pooled, np.sqrt(VARIANCE_FLOOR))
@@ -111,21 +109,30 @@ def default_init(c) -> MixtureParams:
                          u1=float(np.mean(levels[-quarter:])), sigma1=sd)
 
 
+def default_init(c) -> MixtureParams:
+    """Quartile-based start: component means from the lowest and highest
+    quarter of the levels, both sigmas from the pooled standard deviation."""
+    return _default_init(as_levels(c, min_size=2))
+
+
 def fit(c, init: MixtureParams | None = None, max_iter: int = 200,
         tol: float = 1e-9) -> FitResult:
     """Alternate E and M steps until the log-likelihood gain drops below tol.
 
-    The log-likelihood trace never decreases (up to floating-point noise);
-    final labels are sorted so u0 <= u1.
+    Each iteration's one E step gives the log-likelihood of the new
+    parameters and the responsibilities of the next M step.  The trace never
+    decreases (up to floating-point noise); labels are sorted so u0 <= u1.
     """
-    levels = _as_levels(c, min_size=2)
-    params = init if init is not None else default_init(levels)
-    history = [log_likelihood(levels, params)]
+    levels = as_levels(c, min_size=2)
+    params = init if init is not None else _default_init(levels)
+    resp, ll = _e_step(levels, params)
+    history = [ll]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        params = m_step(levels, e_step(levels, params))
-        history.append(log_likelihood(levels, params))
+        params = _m_step(levels, resp)
+        resp, ll = _e_step(levels, params)
+        history.append(ll)
         if history[-1] - history[-2] < tol:
             converged = True
             break
@@ -135,5 +142,5 @@ def fit(c, init: MixtureParams | None = None, max_iter: int = 200,
 
 def per_cell_llr(c, params: MixtureParams) -> np.ndarray:
     """log f(c_i | bit 0) - log f(c_i | bit 1); positive favors 0."""
-    ld = _log_densities(_as_levels(c), params)
+    ld = _log_densities(as_levels(c, min_size=1), params)
     return ld[:, 0] - ld[:, 1]

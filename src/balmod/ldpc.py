@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import make_rng
-from .words import BalancedWord, as_bits, balance, find_balancing_index
+from .words import BalancedWord, _bit_array, as_bits, balance, find_balancing_index
 
 LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
@@ -167,9 +167,10 @@ def build_gallager(n: int, a: int, b: int, seed: int) -> LdpcCode:
 def syndrome(code: LdpcCode, bits) -> np.ndarray:
     """Parity of each check, per row for a 2-D array of words; uint8 sums
     wrap mod 256, which keeps parity."""
-    word = np.asarray(bits, dtype=np.uint8)
+    word = _bit_array(bits)
     if word.ndim not in (1, 2) or word.shape[-1] != code.n:
-        raise ValueError(f"word shape {word.shape} != ({code.n},)")
+        raise ValueError(f"need one word of length {code.n} or a 2-D block of them, "
+                         f"got shape {word.shape}")
     return word[..., code.check_nbrs].sum(axis=-1, dtype=np.uint8) % 2
 
 
@@ -178,17 +179,13 @@ def encode(code: LdpcCode, u) -> np.ndarray:
     message_positions.  G's columns are cached bit-packed along k, as a
     (bytes, n) table, so each codeword bit is the parity of its bytes ANDed
     with the packed message: the xor of those bytes, looked up per value."""
-    msg = np.asarray(u)
+    msg = as_bits(u)
     if msg.shape != (code.k,):
         raise ValueError(f"message shape {msg.shape} != ({code.k},)")
-    bad = np.flatnonzero((msg != 0) & (msg != 1))
-    if bad.size:
-        raise ValueError(f"message entry {msg[bad[0]].item()!r} at index {bad[0]} "
-                         "is not 0 or 1")
     packed = code._plans.get("encode")
     if packed is None:     # C-ordered, so the xor below runs along contiguous rows
         packed = code._plans["encode"] = np.packbits(np.ascontiguousarray(code.G.T), axis=0)
-    masked = packed & np.packbits(msg.astype(np.uint8))[:, None]
+    masked = packed & np.packbits(msg)[:, None]
     return _BYTE_PARITY[np.bitwise_xor.reduce(masked, axis=0)]
 
 
@@ -198,8 +195,6 @@ def balanced_encode(code: LdpcCode, u) -> tuple[BalancedWord, int]:
     The index i is returned for instrumentation but is not part of the
     stored word.
     """
-    if code.n % 2:
-        raise ValueError("balancing needs even block length")
     x, i = balance(encode(code, u))
     return BalancedWord.from_array(x), i
 
@@ -253,7 +248,7 @@ def bsc_llr(y, p: float) -> np.ndarray:
     if not 0.0 < p < 0.5:
         raise ValueError("crossover probability must be in (0, 0.5)")
     mag = np.log((1.0 - p) / p)
-    return np.where(np.asarray(y, dtype=np.uint8) == 0, mag, -mag)
+    return np.where(as_bits(y) == 0, mag, -mag)
 
 
 def _clipped_llr(code: LdpcCode, llr) -> np.ndarray:
@@ -654,7 +649,7 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
 def balanced_decode_bsc(code: LdpcCode, y, p: float, depth: int = 2,
                         num_candidates: int | None = 4, max_iter: int = 50) -> BalancedDecodeResult:
     """Hard-decision front end: constant-magnitude LLRs from the crossover p."""
-    return balanced_decode(code, bsc_llr(as_bits(y), p), depth=depth,
+    return balanced_decode(code, bsc_llr(y, p), depth=depth,
                            num_candidates=num_candidates, max_iter=max_iter)
 
 

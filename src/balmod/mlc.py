@@ -10,10 +10,13 @@ locations needed to invert it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from . import words
 
 QaryWord = np.ndarray
 
@@ -33,8 +36,19 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
-def _as_symbols(word) -> list[int]:
-    return [int(s) for s in word]
+def _as_symbols(word, q: int | None = None) -> list[int]:
+    """The one check of a q-ary word: its entries as Python ints.  The first
+    entry that is not a whole number is named by value and index; given q,
+    so is the first outside {0, .., q-1}."""
+    syms = word.tolist() if isinstance(word, np.ndarray) else list(word)
+    for i, s in enumerate(syms):
+        if type(s) is not int:
+            if not (isinstance(s, numbers.Real) and float(s).is_integer()):
+                raise ValueError(f"symbol {s!r} at index {i} is not an integer")
+            syms[i] = int(s)
+        if q is not None and not 0 <= syms[i] < q:
+            raise ValueError(f"symbol {syms[i]} outside alphabet of size {q}")
+    return syms
 
 
 def unrank_multiset(r: int, counts: Sequence[int]) -> QaryWord:
@@ -64,8 +78,8 @@ def unrank_multiset(r: int, counts: Sequence[int]) -> QaryWord:
 
 def rank_multiset(word, counts: Sequence[int]) -> int:
     """Lexicographic rank of a multiset arrangement; inverse of unrank_multiset."""
-    syms = _as_symbols(word)
     counts = [int(c) for c in counts]
+    syms = _as_symbols(word, len(counts))
     n = sum(counts)
     if n != len(syms):
         raise ValueError("counts do not match word length")
@@ -73,7 +87,7 @@ def rank_multiset(word, counts: Sequence[int]) -> int:
     r = 0
     for pos, s in enumerate(syms):
         rem = n - pos
-        if s >= len(counts) or counts[s] == 0:
+        if counts[s] == 0:
             raise ValueError(f"symbol {s} at position {pos} exceeds its count")
         for t in range(s):
             if counts[t]:
@@ -84,11 +98,8 @@ def rank_multiset(word, counts: Sequence[int]) -> int:
 
 
 def symbol_counts(word, q: int) -> list[int]:
-    syms = _as_symbols(word)
     counts = [0] * q
-    for s in syms:
-        if not 0 <= s < q:
-            raise ValueError(f"symbol {s} outside alphabet of size {q}")
+    for s in _as_symbols(word, q):
         counts[s] += 1
     return counts
 
@@ -135,13 +146,10 @@ def min_balanced_length(k: int, q: int) -> tuple[int, int]:
 
 def bits_to_balanced(bits, q: int) -> QaryWord:
     """Encode a binary message as a balanced q-ary word via its integer rank."""
-    bits = _as_symbols(bits)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("message must be binary")
-    k = len(bits)
-    _, m = min_balanced_length(k, q)
+    bits = words.as_bits(bits)
+    _, m = min_balanced_length(bits.size, q)
     r = 0
-    for b in bits:
+    for b in bits.tolist():
         r = (r << 1) | b
     return unrank_balanced(r, q, m)
 
@@ -251,12 +259,10 @@ def knuth_q_balance(word, q: int) -> tuple[QaryWord, BalancingTrace]:
     then each side is balanced recursively.  For q = 4 the shift is the map
     0->2, 1->3, 2->0, 3->1 applied to the word prefix.
     """
-    syms = _as_symbols(word)
     _check_alphabet(q)
-    if len(syms) % q:
-        raise ValueError(f"length {len(syms)} not divisible by q={q}")
-    symbol_counts(syms, q)  # validates symbol range
-    values = list(syms)
+    values = _as_symbols(word, q)
+    if len(values) % q:
+        raise ValueError(f"length {len(values)} not divisible by q={q}")
     records = _balance_rec(values, list(range(q)))
     locs = tuple(r[0] for r in records)
     grps = tuple(r[1] for r in records)
@@ -293,12 +299,10 @@ def _unbalance_rec(values: list[int], alphabet: list[int],
 
 def knuth_q_unbalance(word, trace: BalancingTrace, q: int) -> QaryWord:
     """Invert knuth_q_balance using the recorded trace."""
-    syms = _as_symbols(word)
     _check_alphabet(q)
-    if len(syms) % q:
-        raise ValueError(f"length {len(syms)} not divisible by q={q}")
-    symbol_counts(syms, q)  # validates symbol range
-    values = list(syms)
+    values = _as_symbols(word, q)
+    if len(values) % q:
+        raise ValueError(f"length {len(values)} not divisible by q={q}")
     records = iter(zip(trace.locations, trace.groups))
     _unbalance_rec(values, list(range(q)), records)
     leftover = sum(1 for _ in records)

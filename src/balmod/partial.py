@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import make_rng
+from .channel import as_levels, make_rng
 from .ldpc import LdpcCode, bp_decode, bsc_llr, encode
 from .thresholds import balancing_threshold_exact, read_with_threshold
 from .words import BalancedWord, as_bits, balance
@@ -104,7 +104,7 @@ def pb_encode(scheme: PartialScheme, u) -> PartialCodeword:
 
 def pb_read(scheme: PartialScheme, levels) -> np.ndarray:
     """Threshold chosen from the info-segment cells alone, applied to all n."""
-    levels = np.asarray(levels, dtype=np.float64)
+    levels = as_levels(levels)
     if levels.size != scheme.n:
         raise ValueError(f"levels length {levels.size} != n = {scheme.n}")
     thr = balancing_threshold_exact(levels[scheme.info_cells])

@@ -20,16 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import as_levels
 from .words import as_bits
-
-
-def _as_levels(c) -> np.ndarray:
-    levels = np.asarray(c, dtype=np.float64)
-    if levels.ndim != 1:
-        raise ValueError("cell levels must be one-dimensional")
-    if not np.all(np.isfinite(levels)):
-        raise ValueError("cell levels must be finite")
-    return levels
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,7 @@ class BalancingThreshold:
 def read_with_threshold(c, v: float) -> np.ndarray:
     """Read a block as uint8 bits: bit i is 1 iff levels[i] >= v (v may be
     infinite, not NaN)."""
-    levels = _as_levels(c)
+    levels = as_levels(c)
     if math.isnan(v):
         raise ValueError(f"threshold v must not be NaN, got {v}")
     return (levels >= v).astype(np.uint8)
@@ -77,12 +69,10 @@ def balancing_threshold_exact(c) -> BalancingThreshold:
     Ties straddling the median boundary make exact balance impossible; in that
     case the returned threshold minimizes |weight - n/2| and exact is False.
     """
-    levels = _as_levels(c)
+    levels = as_levels(c, min_size=1)
     n = levels.size
     if n % 2:
         raise ValueError("exact balancing requires an even number of cells")
-    if n == 0:
-        raise ValueError("need at least one cell")
     k = n // 2
     asc = np.sort(levels)
     if asc[k - 1] < asc[k]:
@@ -119,7 +109,7 @@ def _cuts(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:
     """Half-interval search: probe the midpoint, count ones, and shrink the
     interval toward weight n/2; stops on exact balance or width <= eps."""
-    levels = _as_levels(c)
+    levels = as_levels(c)
     for name, value in (("lo", lo), ("hi", hi), ("eps", eps)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -142,10 +132,7 @@ def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:
 
 def relaxed_threshold_mean(c) -> float:
     """First-order relaxed threshold: the mean cell level."""
-    levels = _as_levels(c)
-    if levels.size < 1:
-        raise ValueError("need at least one cell")
-    return float(np.mean(levels))
+    return float(np.mean(as_levels(c, min_size=1)))
 
 
 def relaxed_threshold_second_order(c, a: float = 0.0) -> float:
@@ -163,13 +150,11 @@ def optimal_threshold_oracle(c, x) -> tuple[float, ErrorCounts]:
     sorted levels plus below-min / above-max sentinels).  Ties go to the
     smallest error count, then the lowest threshold.
     """
-    levels = _as_levels(c)
+    levels = as_levels(c, min_size=1)
     bits = as_bits(x)
     if bits.size != levels.size:
         raise ValueError("stored word and levels must have equal length")
     n = levels.size
-    if n == 0:
-        raise ValueError("need at least one cell")
     # The order within tied levels is arbitrary: ones_below is read only at
     # cuts between distinct levels.
     truth = bits[np.argsort(levels)]

@@ -7,7 +7,7 @@ the leftmost i as printed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -20,8 +20,8 @@ class BitWord:
 
     `bits` always holds the Python ints 0 and 1.  Integer-like entries (bools,
     NumPy integers) are normalised to them; any other entry, a float included,
-    raises ValueError.  `from_array` also takes float arrays whose entries are
-    exactly 0 or 1.
+    raises ValueError.  `from_array` reads its array through as_bits, so it
+    also takes float arrays whose entries are exactly 0 or 1.
     """
 
     bits: tuple[int, ...]
@@ -33,8 +33,8 @@ class BitWord:
         try:
             raw = bytes(tuple(self.bits))
         except (TypeError, ValueError):
-            raise ValueError("bits must be 0 or 1") from None
-        if raw.translate(None, b"\x00\x01"):
+            raw = None
+        if raw is None or raw.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "bits", tuple(raw))
 
@@ -44,15 +44,7 @@ class BitWord:
 
     @classmethod
     def from_array(cls, arr) -> "BitWord":
-        a = np.asarray(arr)
-        if a.ndim != 1:
-            raise ValueError("a word must be one-dimensional")
-        if a.dtype.kind == "f":
-            # checked before the cast, which would truncate 0.5 to 0
-            if not np.all((a == 0) | (a == 1)):
-                raise ValueError("bits must be 0 or 1")
-            a = a.astype(np.uint8)
-        return cls(tuple(a.tolist()))
+        return cls(tuple(as_bits(arr).tolist()))
 
     def to_array(self) -> np.ndarray:
         """A fresh, writable uint8 copy of the bits."""
@@ -100,29 +92,36 @@ class KnuthCodeword:
     prefix: BalancedWord
 
 
-def as_bits(w) -> np.ndarray:
-    """A word as a 1-D uint8 array of 0s and 1s.
-
-    A BitWord gives its own bits, which its type already guarantees; anything
-    else goes through np.asarray and is checked here.  A uint8 array comes
-    back as is, not copied.
-    """
+def _bit_array(w) -> np.ndarray:
+    """w as a uint8 array of 0s and 1s, of any shape: the one rule of what a
+    bit is.  A BitWord's type already guarantees its bits; anything else goes
+    through np.asarray, and its first entry other than 0 and 1 is named by
+    value and index.  A uint8 array of bits comes back as is, not copied."""
     if isinstance(w, BitWord):
         return w.to_array()
     a = np.asarray(w)
-    if a.ndim != 1:
-        raise ValueError(f"a word must be one-dimensional, got shape {a.shape}")
     if a.dtype == np.uint8 and a.max(initial=0) <= 1:
         return a
     bad = np.flatnonzero((a != 0) & (a != 1))
     if bad.size:
-        raise ValueError(f"bits must be 0 or 1, got {a.tolist()[bad[0]]!r} at index {bad[0]}")
+        k = int(bad[0])
+        at = k if a.ndim == 1 else tuple(int(j) for j in np.unravel_index(k, a.shape))
+        raise ValueError(f"bits must be 0 or 1, got {a.ravel().tolist()[k]!r} at index {at}")
     return a.astype(np.uint8)
 
 
-def weight(w: BitWord | Sequence[int]) -> int:
+def as_bits(w) -> np.ndarray:
+    """A word as a 1-D uint8 array of 0s and 1s, by the rule of _bit_array;
+    every function that takes one word reads it through here."""
+    a = _bit_array(w)
+    if a.ndim != 1:
+        raise ValueError(f"a word must be one-dimensional, got shape {a.shape}")
+    return a
+
+
+def weight(w) -> int:
     """Number of 1 bits."""
-    return int(sum(int(b) for b in w))
+    return int(np.count_nonzero(as_bits(w)))
 
 
 def invert_prefix(w: BitWord, i: int) -> BitWord:
@@ -142,10 +141,11 @@ def find_balancing_index(w: BitWord | np.ndarray) -> int | np.ndarray:
     exactly one per step from weight(w) to n - weight(w), so it meets n/2
     strictly before i = n.
     """
-    bits = np.asarray(w, dtype=np.int64)
+    bits = _bit_array(w)
     if bits.ndim not in (1, 2) or bits.shape[-1] == 0 or bits.shape[-1] % 2:
         raise ValueError(f"balancing requires one or more words of even, nonempty "
                          f"length, got shape {bits.shape}")
+    bits = bits.astype(np.int64)
     n = bits.shape[-1]
     steps = np.empty_like(bits)
     steps[..., 0] = bits.sum(axis=-1)
@@ -159,7 +159,7 @@ def balance(w: BitWord | np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
     """The word with its minimal balancing prefix inverted, as a fresh uint8
     array, and that index (find_balancing_index); a 2-D array has each row
     balanced by its own index."""
-    x = np.array(w, dtype=np.uint8)
+    x = _bit_array(w).copy()
     i = find_balancing_index(x)
     x ^= np.arange(x.shape[-1]) < np.asarray(i)[..., None]
     return x, i

@@ -42,6 +42,25 @@ class TestEStep:
         assert np.max(np.abs(resp.sum(axis=1) - 1.0)) < 1e-12
 
 
+    def test_rows_sum_to_one_far_from_both_components(self):
+        # the log-domain normalisation keeps a cell whose densities both
+        # underflow at one exact 1 and one 0
+        resp = e_step([-1e3, 1e3], MixtureParams(0.0, 0.1, 1.0, 0.1))
+        assert resp.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+class TestLogLikelihood:
+    def test_matches_mixture_density_oracle(self):
+        params = MixtureParams(-0.2, 0.3, 0.9, 0.15)
+        cells = make_rng(10).uniform(-1, 2, 50)
+        expect = 0.0
+        for c in cells:
+            f0 = math.exp(-0.5 * ((c - params.u0) / params.sigma0) ** 2) / params.sigma0
+            f1 = math.exp(-0.5 * ((c - params.u1) / params.sigma1) ** 2) / params.sigma1
+            expect += math.log(0.5 * (f0 + f1) / math.sqrt(2 * math.pi))
+        assert log_likelihood(cells, params) == pytest.approx(expect, rel=1e-12)
+
+
 class TestMStep:
     def test_hard_assignment_gives_cluster_stats(self):
         levels = np.array([0.0, 0.2, 1.0, 1.4])
@@ -107,6 +126,17 @@ class TestFit:
         init = MixtureParams(1.2, 0.2, -0.1, 0.2)  # deliberately swapped
         p = fit(levels, init=init).params
         assert p.u0 <= p.u1
+
+    @pytest.mark.parametrize("init", [None, MixtureParams(0.2, 0.3, 0.7, 0.3),
+                                      MixtureParams(1.2, 0.2, -0.1, 0.2)])
+    def test_trace_ends_are_log_likelihoods(self, init):
+        # the fit's one-pass E step gives the same figures as the public one
+        levels, _ = two_cluster_sample(11, n=1000)
+        res = fit(levels, init=init)
+        start = init if init is not None else default_init(levels)
+        assert res.log_likelihood[0] == log_likelihood(levels, start)
+        assert res.log_likelihood[-1] == log_likelihood(levels, res.params)
+        assert len(res.log_likelihood) == res.n_iter + 1
 
     def test_default_init_brackets_clusters(self):
         levels, _ = two_cluster_sample(9, n=2000)

@@ -110,9 +110,10 @@ class TestConstruction:
         # 2 encoded as 0 and -1 as 1
         u = np.zeros(small_code.k, dtype=type(value))
         u[[3, 7]] = value
-        with pytest.raises(ValueError, match=rf"^message entry {value!r} at index 3 is not 0 or 1$"):
+        message = rf"^bits must be 0 or 1, got {value!r} at index 3$"
+        with pytest.raises(ValueError, match=message):
             ldpc.encode(small_code, u)
-        with pytest.raises(ValueError, match="at index 3 is not 0 or 1"):
+        with pytest.raises(ValueError, match=message):
             ldpc.balanced_encode(small_code, u)
 
     def test_paper_scale_shape(self, full_scale_code):

@@ -172,6 +172,38 @@ class TestAlphabetSize:
         with pytest.raises(ValueError, match=message):
             mlc.knuth_q_unbalance(bad, mlc.BalancingTrace((1, 0, 0), (0, 0, 0)), 4)
 
+    @pytest.mark.parametrize("bad", [1.7, 0.5, float("nan"), float("inf"), "1", None])
+    def test_non_integer_symbol_named_by_value_and_index(self, bad):
+        # int() truncated 1.7 to 1 and 0.5 to 0, so such words read as others
+        message = rf"^symbol {bad!r} at index 1 is not an integer$"
+        calls = [lambda w: mlc.rank_balanced(w),
+                 lambda w: mlc.rank_balanced(w, q=2),
+                 lambda w: mlc.rank_multiset(w, (2, 2)),
+                 lambda w: mlc.symbol_counts(w, 2),
+                 lambda w: mlc.knuth_q_balance(w, 2),
+                 lambda w: mlc.knuth_q_unbalance(w, mlc.BalancingTrace((1,), (0,)), 2)]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call([0, bad, 1, 0])
+
+    def test_whole_number_symbols_of_any_type_are_read(self):
+        expect = mlc.rank_balanced([0, 1, 1, 0])
+        for w in ([0, 1.0, True, 0], (0, np.int64(1), np.float64(1.0), np.uint8(0)),
+                  np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 1, 1, 0], dtype=np.uint8)):
+            assert mlc.rank_balanced(w) == expect
+        x, trace = mlc.knuth_q_balance([1, 1, 1, 1], 2)
+        x_f, trace_f = mlc.knuth_q_balance(np.ones(4), 2)
+        assert x_f.tolist() == x.tolist() and trace_f == trace
+
+    def test_rank_multiset_rejects_symbols_outside_its_counts(self):
+        # a -1 indexed the last count and ranked as the largest symbol
+        with pytest.raises(ValueError, match="^symbol -1 outside alphabet of size 2$"):
+            mlc.rank_multiset([0, -1], (1, 1))
+
+    def test_bits_to_balanced_reads_bits_by_the_one_rule(self):
+        with pytest.raises(ValueError, match=r"^bits must be 0 or 1, got 0.9 at index 1$"):
+            mlc.bits_to_balanced([1, 0.9, 1], 3)
+
     def test_rank_infers_alphabet_when_not_given(self):
         assert mlc.rank_balanced(word("0000")) == 0
         assert mlc.rank_balanced(word("1010")) == mlc.rank_balanced(word("1010"), q=2) == 4

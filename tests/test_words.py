@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmod import channel, ldpc, partial, thresholds
+from balmod import bec, channel, ldpc, mlc, partial, thresholds
 from balmod.words import (BalancedWord, BitWord, KnuthCodeword, as_bits, balance,
                           decode_prefix, encode_prefix, find_balancing_index,
                           invert_prefix, knuth_decode, knuth_encode, prefix_length,
@@ -122,6 +122,76 @@ def test_bitword_and_its_array_give_equal_results(small_scheme, bits, seed):
         res_a = partial.pb_decode(small_scheme, word)
         assert (res_w.ok, res_w.reason) == (res_a.ok, res_a.reason)
         assert np.array_equal(res_w.u, res_a.u) if res_w.ok else res_a.u is None
+
+
+# Every public entry that takes bits, as (length of its word, call on that
+# word, whether a 2-D block of words is legal); the code is small_scheme's.
+MODEL = channel.DriftModel(channel.MEAN_DRIFT, 0.2)
+BIT_ENTRIES = {
+    "as_bits": (8, lambda s, w: as_bits(w), False),
+    "BitWord.from_array": (8, lambda s, w: BitWord.from_array(w), False),
+    "weight": (8, lambda s, w: weight(w), False),
+    "knuth_encode": (8, lambda s, w: knuth_encode(w), False),
+    "find_balancing_index": (8, lambda s, w: find_balancing_index(w), True),
+    "balance": (8, lambda s, w: balance(w), True),
+    "ldpc.encode": ("k", lambda s, w: ldpc.encode(s.code, w), False),
+    "ldpc.balanced_encode": ("k", lambda s, w: ldpc.balanced_encode(s.code, w), False),
+    "ldpc.bsc_llr": (8, lambda s, w: ldpc.bsc_llr(w, 0.1), False),
+    "ldpc.syndrome": ("n", lambda s, w: ldpc.syndrome(s.code, w), True),
+    "ldpc.balanced_decode_bsc": ("n", lambda s, w: ldpc.balanced_decode_bsc(s.code, w, 0.1),
+                                 False),
+    "mlc.bits_to_balanced": (8, lambda s, w: mlc.bits_to_balanced(w, 3), False),
+    "bec.check_interval_sets": (8, lambda s, w: bec.check_interval_sets(range(8), w, 16),
+                                False),
+    "channel.sample_levels": (8, lambda s, w: channel.sample_levels(w, MODEL, 0.3, 1), False),
+    "channel.apply_bsc": (8, lambda s, w: channel.apply_bsc(w, 0.1, 1), False),
+    "channel.apply_bec": (8, lambda s, w: channel.apply_bec(w, 0.1, 1), False),
+    "thresholds.error_counts x": (8, lambda s, w: thresholds.error_counts(w, [0] * 8), False),
+    "thresholds.error_counts y": (8, lambda s, w: thresholds.error_counts([0] * 8, w), False),
+    "thresholds.optimal_threshold_oracle":
+        (8, lambda s, w: thresholds.optimal_threshold_oracle(np.linspace(0, 1, 8), w), False),
+    "partial.pb_encode": ("k_info", lambda s, w: partial.pb_encode(s, w), False),
+    "partial.pb_decode": ("n", lambda s, w: partial.pb_decode(s, w), False),
+}
+
+
+class TestOneBitRule:
+    """Each entry rejects a non-bit by value and index with as_bits' message,
+    and a block of words where it takes one word; none reads 0.5 or 2 as a
+    bit."""
+
+    @staticmethod
+    def entry(scheme, name):
+        length, call, block = BIT_ENTRIES[name]
+        sizes = {"k": scheme.code.k, "n": scheme.n, "k_info": scheme.k_info}
+        return sizes.get(length, length), lambda w: call(scheme, w), block
+
+    @pytest.mark.parametrize("bad", [0.5, 2])
+    @pytest.mark.parametrize("name", BIT_ENTRIES)
+    def test_non_bit_named_by_value_and_index(self, small_scheme, name, bad):
+        length, call, _ = self.entry(small_scheme, name)
+        w = np.zeros(length, dtype=type(bad))
+        w[3] = bad
+        with pytest.raises(ValueError, match=rf"^bits must be 0 or 1, got {bad!r} at index 3$"):
+            call(w)
+        with pytest.raises(ValueError, match=rf"^bits must be 0 or 1, got {bad!r} at index 3$"):
+            call(w.tolist())
+
+    @pytest.mark.parametrize("name", BIT_ENTRIES)
+    def test_word_blocks(self, small_scheme, name):
+        length, call, block = self.entry(small_scheme, name)
+        w = np.zeros((2, length), dtype=np.uint8)
+        if block:
+            w[1, 3] = 2
+            with pytest.raises(ValueError,
+                               match=rf"^bits must be 0 or 1, got 2 at index \(1, 3\)$"):
+                call(w)
+            with pytest.raises(ValueError, match=rf"got shape \(1, 2, {length}\)"):
+                call(w[None] % 2)
+        else:
+            with pytest.raises(ValueError,
+                               match=rf"^a word must be one-dimensional, got shape \(2, {length}\)$"):
+                call(w)
 
 
 class TestBitWordEntries:

@@ -11,7 +11,8 @@ here is fast.  `balmod.thresholds` must return equal results: the same float
 
 import numpy as np
 
-from balmod.thresholds import BalancingThreshold, ErrorCounts, _as_levels
+from balmod.channel import as_levels
+from balmod.thresholds import BalancingThreshold, ErrorCounts
 from balmod.words import as_bits
 
 
@@ -21,7 +22,7 @@ def balancing_threshold_exact(c) -> BalancingThreshold:
     Ties straddling the median boundary make exact balance impossible; in that
     case the returned threshold minimizes |weight - n/2| and exact is False.
     """
-    levels = _as_levels(c)
+    levels = as_levels(c)
     n = levels.size
     if n % 2:
         raise ValueError("exact balancing requires an even number of cells")
@@ -66,7 +67,7 @@ def optimal_threshold_oracle(c, x) -> tuple[float, ErrorCounts]:
     sorted levels plus below-min / above-max sentinels).  Ties go to the
     smallest error count, then the lowest threshold.
     """
-    levels = _as_levels(c)
+    levels = as_levels(c)
     bits = as_bits(x)
     if bits.size != levels.size:
         raise ValueError("stored word and levels must have equal length")
