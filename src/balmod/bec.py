@@ -134,8 +134,8 @@ def _feasible(code: LdpcCode, src: np.ndarray, idx: np.ndarray) -> tuple[np.ndar
     z = _prefix_flipped(src, idx)
     if not _peel(code, z):
         return z[:0], idx[:0]
-    z = z.view(np.uint8)    # peeled: every entry is a bit
     stored = _prefix_flipped(z, idx)
+    z = z.view(np.uint8)    # peeled: every entry is a bit
     ok = 2 * stored.sum(axis=1) == code.n
     ok[ok] = ~syndrome(code, z[ok]).any(axis=1)
     ok[ok] = find_balancing_index(z[ok]) == idx[ok]
