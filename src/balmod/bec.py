@@ -28,7 +28,7 @@ import numpy as np
 from .channel import ERASURE
 from .intervals import IntervalSet
 from .ldpc import LdpcCode, syndrome
-from .words import find_balancing_index, weight
+from .words import as_whole_numbers, find_balancing_index, weight
 
 UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
@@ -48,7 +48,7 @@ def check_interval_sets(positions, values, n: int) -> IntervalSet:
     p + 1.  Returns the alternation class matching the observed parity, a
     subset of {0, .., n}.
     """
-    positions = [int(p) for p in positions]
+    positions = as_whole_numbers(positions, "position")
     if sorted(positions) != positions:
         raise ValueError("positions must be ascending")
     parity = weight(values) % 2

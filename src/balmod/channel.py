@@ -8,7 +8,9 @@ standard deviations.
 Both models' thresholds come from level_params alone.  The balancing cut
 vb = mean0 + (mean1 - mean0) * sd0 / (sd0 + sd1) leaves equal tail mass;
 the optimal cut vo is whichever errs least of -inf, +inf and the real roots
-of the density equality g_t(v) = h_t(v), a quadratic in v.
+of the density equality g_t(v) = h_t(v), a quadratic in v.  The error rates
+are sums of standard normal CDFs, Phi(x) = erfc(-x / sqrt(2)) / 2 with the
+standard library's math.erfc, so the module needs numpy alone.
 
 All sampling uses the counter-based Philox generator keyed by an explicit
 seed, so outputs are reproducible across platforms and safe to parallelize
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .words import as_bits
 
@@ -97,12 +98,22 @@ def sample_levels(x, model: DriftModel, t: float, seed) -> AgedBlock:
     return AgedBlock(truth=bits, levels=levels, t=t)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_cdf(x):
+    """Phi(x) = erfc(-x / sqrt(2)) / 2, element by element through math.erfc:
+    a float64 array for an array x, an np.float64 for a scalar."""
+    z = -np.asarray(x, dtype=np.float64) / math.sqrt(2.0)
+    return 0.5 * np.asarray(_erfc(z), dtype=np.float64)
+
+
 def analytic_ber(model: DriftModel, v, t):
     """0.5 * Phi((mean0 - v) / sd0) + 0.5 * Phi((v - mean1) / sd1): the error
     rate of reading at threshold v at age t, half the cells storing each bit."""
     mean0, sd0, mean1, sd1 = model.level_params(t)
     v = np.asarray(v)
-    return 0.5 * ndtr((mean0 - v) / sd0) + 0.5 * ndtr((v - mean1) / sd1)
+    return 0.5 * normal_cdf((mean0 - v) / sd0) + 0.5 * normal_cdf((v - mean1) / sd1)
 
 
 def analytic_ber_mean_drift(v, t, sigma: float):

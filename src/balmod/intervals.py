@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .words import as_whole_numbers
+
 
 @dataclass(frozen=True)
 class IntervalSet:
@@ -33,8 +35,12 @@ class IntervalSet:
 
     @classmethod
     def from_pairs(cls, pairs) -> "IntervalSet":
-        """Normalize arbitrary half-open pairs: drop empties, merge overlaps."""
-        pairs = sorted((int(lo), int(hi)) for lo, hi in pairs if lo < hi)
+        """Normalize arbitrary half-open pairs of whole numbers: drop empties,
+        merge overlaps."""
+        pairs = list(pairs)
+        los = as_whole_numbers([lo for lo, _ in pairs], "interval start")
+        his = as_whole_numbers([hi for _, hi in pairs], "interval end")
+        pairs = sorted((lo, hi) for lo, hi in zip(los, his) if lo < hi)
         merged: list[tuple[int, int]] = []
         for lo, hi in pairs:
             if merged and lo <= merged[-1][1]:

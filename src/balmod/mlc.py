@@ -10,7 +10,6 @@ locations needed to invert it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -23,7 +22,7 @@ QaryWord = np.ndarray
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """Exact multinomial coefficient n! / (parts[0]! * parts[1]! * ...)."""
-    parts = list(parts)
+    parts = words.as_whole_numbers(parts, "part")
     if any(p < 0 for p in parts):
         raise ValueError("parts must be nonnegative")
     if sum(parts) != n:
@@ -37,24 +36,20 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 
 
 def _as_symbols(word, q: int | None = None) -> list[int]:
-    """The one check of a q-ary word: its entries as Python ints.  The first
-    entry that is not a whole number is named by value and index; given q,
-    so is the first outside {0, .., q-1}."""
-    syms = word.tolist() if isinstance(word, np.ndarray) else list(word)
-    for i, s in enumerate(syms):
-        if type(s) is not int:
-            if not (isinstance(s, numbers.Real) and float(s).is_integer()):
-                raise ValueError(f"symbol {s!r} at index {i} is not an integer")
-            syms[i] = int(s)
-        if q is not None and not 0 <= syms[i] < q:
-            raise ValueError(f"symbol {syms[i]} outside alphabet of size {q}")
+    """The one check of a q-ary word: its entries as Python ints by
+    words.as_whole_numbers; given q, the first outside {0, .., q-1} is named."""
+    syms = words.as_whole_numbers(word, "symbol")
+    if q is not None:
+        for s in syms:
+            if not 0 <= s < q:
+                raise ValueError(f"symbol {s} outside alphabet of size {q}")
     return syms
 
 
 def unrank_multiset(r: int, counts: Sequence[int]) -> QaryWord:
     """Return the r-th word (lexicographic) among all arrangements of a
     multiset with counts[s] copies of symbol s."""
-    counts = [int(c) for c in counts]
+    counts = words.as_whole_numbers(counts, "count")
     n = sum(counts)
     total = multinomial(n, counts)
     if not 0 <= r < total:
@@ -78,7 +73,7 @@ def unrank_multiset(r: int, counts: Sequence[int]) -> QaryWord:
 
 def rank_multiset(word, counts: Sequence[int]) -> int:
     """Lexicographic rank of a multiset arrangement; inverse of unrank_multiset."""
-    counts = [int(c) for c in counts]
+    counts = words.as_whole_numbers(counts, "count")
     syms = _as_symbols(word, len(counts))
     n = sum(counts)
     if n != len(syms):

@@ -109,7 +109,7 @@ def _cuts(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:
     """Half-interval search: probe the midpoint, count ones, and shrink the
     interval toward weight n/2; stops on exact balance or width <= eps."""
-    levels = as_levels(c)
+    levels = as_levels(c, min_size=1)
     for name, value in (("lo", lo), ("hi", hi), ("eps", eps)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

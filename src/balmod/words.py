@@ -6,6 +6,7 @@ the leftmost i as printed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -108,6 +109,19 @@ def _bit_array(w) -> np.ndarray:
         at = k if a.ndim == 1 else tuple(int(j) for j in np.unravel_index(k, a.shape))
         raise ValueError(f"bits must be 0 or 1, got {a.ravel().tolist()[k]!r} at index {at}")
     return a.astype(np.uint8)
+
+
+def as_whole_numbers(values, what: str) -> list[int]:
+    """values as a list of Python ints: the one rule of what a whole number
+    is.  Integer-like entries and floats such as 2.0 are read as ints; the
+    first other entry is named as `what` by value and index."""
+    out = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    for i, v in enumerate(out):
+        if type(v) is not int:
+            if not (isinstance(v, numbers.Real) and float(v).is_integer()):
+                raise ValueError(f"{what} {v!r} at index {i} is not an integer")
+            out[i] = int(v)
+    return out
 
 
 def as_bits(w) -> np.ndarray:

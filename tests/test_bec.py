@@ -81,6 +81,13 @@ class TestCheckIntervalSets:
         with pytest.raises(ValueError):
             bec.check_interval_sets([1, 4], [0, ERASURE], n=8)
 
+    def test_non_integer_position_rejected(self):
+        # int() truncated 1.5 to 1, so [1.5, 4] gave the classes of [1, 4]
+        with pytest.raises(ValueError, match=r"^position 1\.5 at index 0 is not an integer$"):
+            bec.check_interval_sets([1.5, 4], [0, 0], n=8)
+        assert bec.check_interval_sets(np.array([1.0, 4.0]), [0, 0], n=8).intervals == (
+            (0, 2), (5, 9))
+
 
 class TestGeniePeel:
     def test_no_erasures_round_trip(self, bec_code):

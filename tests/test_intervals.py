@@ -27,6 +27,14 @@ class TestConstruction:
         s = IntervalSet.from_pairs([(4, 7), (0, 2), (6, 9), (9, 9)])
         assert s.intervals == ((0, 2), (4, 9))
 
+    def test_from_pairs_rejects_non_integer_bounds(self):
+        # int() truncated (0.5, 2.7) to (0, 2)
+        with pytest.raises(ValueError, match=r"^interval start 0\.5 at index 0 is not an integer$"):
+            IntervalSet.from_pairs([(0.5, 2.7)])
+        with pytest.raises(ValueError, match=r"^interval end 2\.7 at index 1 is not an integer$"):
+            IntervalSet.from_pairs([(0, 1), (1, 2.7)])
+        assert IntervalSet.from_pairs([(0.0, 2.0)]).intervals == ((0, 2),)
+
     def test_full_universe(self):
         s = IntervalSet.full(8)
         assert s.size == 9

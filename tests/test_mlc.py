@@ -34,6 +34,12 @@ class TestMultinomial:
         with pytest.raises(ValueError):
             mlc.multinomial(5, (2, 2))
 
+    def test_non_integer_part_named_by_value_and_index(self):
+        # math.comb raised a bare TypeError on the 1.5
+        with pytest.raises(ValueError, match=r"^part 1\.5 at index 0 is not an integer$"):
+            mlc.multinomial(2, [1.5, 0.5])
+        assert mlc.multinomial(4, [2.0, np.int64(2)]) == 6
+
 
 class TestRankUnrank:
     def test_unrank_zero_is_sorted_word(self):
@@ -194,6 +200,17 @@ class TestAlphabetSize:
         x, trace = mlc.knuth_q_balance([1, 1, 1, 1], 2)
         x_f, trace_f = mlc.knuth_q_balance(np.ones(4), 2)
         assert x_f.tolist() == x.tolist() and trace_f == trace
+
+    def test_rank_multiset_rejects_non_integer_counts(self):
+        # int() truncated the counts (1.5, 1) to (1, 1) and ranked the word
+        with pytest.raises(ValueError, match=r"^count 1\.5 at index 0 is not an integer$"):
+            mlc.rank_multiset([0, 1], (1.5, 1))
+
+    def test_unrank_multiset_rejects_non_integer_counts(self):
+        # int() truncated the counts (1.7, 1) to (1, 1) and returned [0, 1]
+        with pytest.raises(ValueError, match=r"^count 1\.7 at index 0 is not an integer$"):
+            mlc.unrank_multiset(0, (1.7, 1))
+        assert mlc.unrank_multiset(1, (1.0, np.int64(1))).tolist() == [1, 0]
 
     def test_rank_multiset_rejects_symbols_outside_its_counts(self):
         # a -1 indexed the last count and ranked as the largest symbol

@@ -212,6 +212,11 @@ class TestBisect:
         with pytest.raises(ValueError):
             balancing_threshold_bisect([0.1, 0.9], 1.0, 0.0, 1e-9)
 
+    def test_empty_block_rejected(self):
+        # the target weight 0 met the first probe's count, so no cells got 0.5
+        with pytest.raises(ValueError, match="^need at least one cell, got 0$"):
+            balancing_threshold_bisect([], 0.0, 1.0, 1e-9)
+
     @pytest.mark.parametrize("lo, hi, eps, name, value", [
         (0.0, math.inf, 1e-9, "hi", "inf"),
         (-math.inf, math.inf, 1e-9, "lo", "-inf"),
