@@ -49,6 +49,7 @@ def check_interval_sets(positions, values, n: int) -> IntervalSet:
     subset of {0, .., n}.
     """
     positions = as_whole_numbers(positions, "position")
+    (n,) = as_whole_numbers([n], "block length")
     if sorted(positions) != positions:
         raise ValueError("positions must be ascending")
     parity = weight(values) % 2

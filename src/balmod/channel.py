@@ -77,7 +77,8 @@ def as_levels(c, min_size: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AgedBlock:
-    """Stored word (uint8 bits) and its cell levels after aging for time t."""
+    """Stored word (uint8 bits) and its cell levels after aging for time t;
+    `truth` is as_bits' result, not copied, so read-only for a BitWord."""
 
     truth: np.ndarray
     levels: np.ndarray

@@ -12,11 +12,18 @@ from typing import Iterator
 from .words import as_whole_numbers
 
 
+def _whole_pairs(pairs) -> tuple[tuple[int, int], ...]:
+    pairs = list(pairs)
+    return tuple(zip(as_whole_numbers([lo for lo, _ in pairs], "interval start"),
+                     as_whole_numbers([hi for _, hi in pairs], "interval end")))
+
+
 @dataclass(frozen=True)
 class IntervalSet:
     intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "intervals", _whole_pairs(self.intervals))
         prev_hi = None
         for lo, hi in self.intervals:
             if lo >= hi:
@@ -36,11 +43,8 @@ class IntervalSet:
     @classmethod
     def from_pairs(cls, pairs) -> "IntervalSet":
         """Normalize arbitrary half-open pairs of whole numbers: drop empties,
-        merge overlaps."""
-        pairs = list(pairs)
-        los = as_whole_numbers([lo for lo, _ in pairs], "interval start")
-        his = as_whole_numbers([hi for _, hi in pairs], "interval end")
-        pairs = sorted((lo, hi) for lo, hi in zip(los, his) if lo < hi)
+        merge overlaps; every bound is read before any is dropped."""
+        pairs = sorted((lo, hi) for lo, hi in _whole_pairs(pairs) if lo < hi)
         merged: list[tuple[int, int]] = []
         for lo, hi in pairs:
             if merged and lo <= merged[-1][1]:

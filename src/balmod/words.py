@@ -6,6 +6,7 @@ the leftmost i as printed.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterator
@@ -17,27 +18,26 @@ from . import mlc
 
 @dataclass(frozen=True)
 class BitWord:
-    """Immutable fixed-length binary word.
+    """Immutable fixed-length binary word: `bits` holds one byte, 0 or 1, per
+    bit, the buffer of the uint8 array that as_bits views and to_array copies.
+    A bytes argument is kept as is; anything else goes through
+    bytes(tuple(...)), so integer-like entries (bools, NumPy integers) pass
+    and a float or any other entry raises ValueError, as does any value but 0
+    and 1.  `from_array` reads through as_bits, so float arrays of exact 0s
+    and 1s pass too."""
 
-    `bits` always holds the Python ints 0 and 1.  Integer-like entries (bools,
-    NumPy integers) are normalised to them; any other entry, a float included,
-    raises ValueError.  `from_array` reads its array through as_bits, so it
-    also takes float arrays whose entries are exactly 0 or 1.
-    """
-
-    bits: tuple[int, ...]
+    bits: bytes
 
     def __post_init__(self):
-        # bytes() takes only integer-like entries in 0..255, and tuple(bytes)
-        # gives Python ints; tuple() first, so that a bare int raises instead
-        # of becoming that many zero bytes
+        # bytes() takes only integer-like entries in 0..255; tuple() first,
+        # so that a bare int raises instead of becoming that many zero bytes
         try:
-            raw = bytes(tuple(self.bits))
+            raw = self.bits if type(self.bits) is bytes else bytes(tuple(self.bits))
         except (TypeError, ValueError):
             raw = None
         if raw is None or raw.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(raw))
+        object.__setattr__(self, "bits", raw)
 
     @classmethod
     def from_string(cls, s: str) -> "BitWord":
@@ -45,19 +45,11 @@ class BitWord:
 
     @classmethod
     def from_array(cls, arr) -> "BitWord":
-        return cls(tuple(as_bits(arr).tolist()))
+        return cls(as_bits(arr).tobytes())
 
     def to_array(self) -> np.ndarray:
         """A fresh, writable uint8 copy of the bits."""
-        return np.frombuffer(bytearray(self.bits), dtype=np.uint8)
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
+        return np.frombuffer(self.bits, dtype=np.uint8).copy()
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -78,11 +70,11 @@ class BalancedWord(BitWord):
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.bits) % 2:
+        n, ones = len(self.bits), self.bits.count(1)
+        if n % 2:
             raise ValueError("balanced words must have even length")
-        if 2 * sum(self.bits) != len(self.bits):
-            raise ValueError(
-                f"weight {sum(self.bits)} != {len(self.bits) // 2}: not balanced")
+        if 2 * ones != n:
+            raise ValueError(f"weight {ones} != {n // 2}: not balanced")
 
 
 @dataclass(frozen=True)
@@ -95,11 +87,11 @@ class KnuthCodeword:
 
 def _bit_array(w) -> np.ndarray:
     """w as a uint8 array of 0s and 1s, of any shape: the one rule of what a
-    bit is.  A BitWord's type already guarantees its bits; anything else goes
-    through np.asarray, and its first entry other than 0 and 1 is named by
-    value and index.  A uint8 array of bits comes back as is, not copied."""
+    bit is.  A BitWord's bytes are viewed read-only, its type guaranteeing
+    them; other input goes through np.asarray, its first entry other than 0
+    and 1 named by value and index.  A uint8 array of bits is not copied."""
     if isinstance(w, BitWord):
-        return w.to_array()
+        return np.frombuffer(w.bits, dtype=np.uint8)
     a = np.asarray(w)
     if a.dtype == np.uint8 and a.max(initial=0) <= 1:
         return a
@@ -143,7 +135,7 @@ def invert_prefix(w: BitWord, i: int) -> BitWord:
     n = len(w)
     if not 0 <= i <= n:
         raise ValueError(f"prefix length {i} outside [0, {n}]")
-    return BitWord(tuple(1 - b for b in w[:i]) + tuple(w[i:]))
+    return BitWord(bytes(1 - b for b in w.bits[:i]) + w.bits[i:])
 
 
 def find_balancing_index(w: BitWord | np.ndarray) -> int | np.ndarray:
@@ -184,7 +176,7 @@ def prefix_length(k: int) -> int:
     if k < 2 or k % 2:
         raise ValueError("message length must be even and at least 2")
     p = 2
-    while mlc.multinomial(p, (p // 2, p // 2)) < k:
+    while math.comb(p, p // 2) < k:
         p += 2
     return p
 

@@ -88,6 +88,13 @@ class TestCheckIntervalSets:
         assert bec.check_interval_sets(np.array([1.0, 4.0]), [0, 0], n=8).intervals == (
             (0, 2), (5, 9))
 
+    def test_non_integer_length_rejected(self):
+        # n was read only as the last bound: "interval end 9.5 at index 1"
+        with pytest.raises(ValueError, match=r"^block length 8\.5 at index 0 is not an integer$"):
+            bec.check_interval_sets([1, 4], [0, 0], 8.5)
+        assert bec.check_interval_sets([1, 4], [0, 0], np.float64(8.0)).intervals == (
+            (0, 2), (5, 9))
+
 
 class TestGeniePeel:
     def test_no_erasures_round_trip(self, bec_code):

@@ -60,6 +60,12 @@ class TestSampling:
         b = sample_levels(x, m, 0.2, seed=9)
         assert np.array_equal(a.levels, b.levels)
 
+    def test_truth_of_a_bitword_is_read_only(self):
+        x = make_word(np.array([0, 1, 1, 0], dtype=np.uint8))
+        block = sample_levels(x, DriftModel(MEAN_DRIFT, 0.2), 0.2, seed=9)
+        assert block.truth.tolist() == [0, 1, 1, 0]
+        assert not block.truth.flags.writeable
+
     def test_bad_params(self):
         with pytest.raises(ValueError):
             DriftModel("other", 0.1)

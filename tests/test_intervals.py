@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,6 +35,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^interval end 2\.7 at index 1 is not an integer$"):
             IntervalSet.from_pairs([(0, 1), (1, 2.7)])
         assert IntervalSet.from_pairs([(0.0, 2.0)]).intervals == ((0, 2),)
+
+    def test_constructor_reads_bounds_as_whole_numbers(self):
+        # the constructor kept the float bound
+        with pytest.raises(ValueError, match=r"^interval start 0\.5 at index 0 is not an integer$"):
+            IntervalSet(((0.5, 2),))
+        with pytest.raises(ValueError, match=r"^interval end 2\.5 at index 1 is not an integer$"):
+            IntervalSet(((0, 1), (2, 2.5)))
+        s = IntervalSet(((np.int64(0), 2.0),))
+        assert s.intervals == ((0, 2),) and all(type(b) is int for b in s.intervals[0])
+
+    def test_from_pairs_reads_bounds_it_merges_away(self):
+        with pytest.raises(ValueError, match=r"^interval end 2\.5 at index 0 is not an integer$"):
+            IntervalSet.from_pairs([(0, 2.5), (2, 4)])
 
     def test_full_universe(self):
         s = IntervalSet.full(8)

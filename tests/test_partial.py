@@ -31,7 +31,7 @@ class TestEncode:
     def test_segment_is_balanced(self, scheme):
         for s in range(10):
             cw = pb_encode(scheme, random_message(scheme, (40, s)))
-            assert cw.u_tilde.weight * 2 == scheme.k_info
+            assert weight(cw.u_tilde) * 2 == scheme.k_info
 
     def test_index_width(self, scheme):
         assert scheme.i_bits == 7  # ceil(log2(112))

@@ -32,13 +32,13 @@ class TestFromArray:
     @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, bool])
     def test_integer_arrays_give_python_ints(self, dtype):
         w = BitWord.from_array(np.array([1, 0, 1, 1], dtype=dtype))
-        assert w.bits == (1, 0, 1, 1)
+        assert w.bits == bytes((1, 0, 1, 1))
         assert all(type(b) is int for b in w.bits)
         assert str(w) == "1011"
 
     def test_lists_and_float_arrays(self):
-        assert BitWord.from_array([0, 1]).bits == (0, 1)
-        assert BitWord.from_array(np.array([1.0, 0.0])).bits == (1, 0)
+        assert BitWord.from_array([0, 1]).bits == bytes((0, 1))
+        assert BitWord.from_array(np.array([1.0, 0.0])).bits == bytes((1, 0))
 
     @pytest.mark.parametrize("arr", [np.array([0, 2], dtype=np.uint8),
                                      np.array([-1, 0], dtype=np.int8), [1, 3],
@@ -198,7 +198,7 @@ class TestBitWordEntries:
     def test_bools_normalised_to_ints(self):
         w = BitWord((True, False))
         assert str(w) == "10"
-        assert w.bits == (1, 0)
+        assert w.bits == bytes((1, 0))
         assert all(type(b) is int for b in w.bits)
         assert w == BitWord((1, 0)) and hash(w) == hash(BitWord((1, 0)))
 
@@ -220,6 +220,28 @@ class TestBitWordEntries:
         a[0] = 0
         assert str(w) == "1011"
         assert w.to_array().tolist() == [1, 0, 1, 1]
+
+
+class TestByteLayout:
+    def test_as_bits_views_the_bytes_read_only(self):
+        w = bw("0110")
+        a = as_bits(w)
+        assert not a.flags.writeable
+        assert np.shares_memory(a, np.frombuffer(w.bits, np.uint8))
+
+    def test_bytes_rebuild_the_word(self):
+        w = bw("100111")
+        assert type(w.bits) is bytes and BitWord(w.bits) == w
+        assert BitWord(w.bits).bits is w.bits
+        for raw in (b"\x01\x02", b"01"):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                BitWord(raw)
+
+    def test_from_array_of_10000_bits(self):
+        bits = channel.make_rng(5).integers(0, 2, 10_000)
+        w = BitWord.from_array(bits)
+        assert w == BitWord(tuple(bits.tolist()))
+        assert w.to_array().tolist() == bits.tolist()
 
 
 class TestWeight:
@@ -296,7 +318,7 @@ class TestBalance:
         w = BitWord(tuple(bits))
         x, i = balance(w.to_array())
         assert type(i) is int and i == brute_force_balancing_index(w)
-        assert x.dtype == np.uint8 and tuple(x) == invert_prefix(w, i).bits
+        assert x.dtype == np.uint8 and x.tobytes() == invert_prefix(w, i).bits
 
     def test_rows_balanced_by_their_own_index(self):
         rows = np.array([[1, 1, 1, 1], [0, 1, 1, 0], [1, 0, 0, 0]], dtype=np.uint8)
@@ -377,6 +399,11 @@ class TestPrefixCode:
     @given(st.integers(0, 19))
     def test_prefix_round_trip(self, i):
         assert decode_prefix(encode_prefix(i, 6)) == i
+
+    def test_non_integer_index_rejected(self):
+        # 1.5 walked to the balanced prefix 0101
+        with pytest.raises(ValueError, match=r"^rank 1\.5 at index 0 is not an integer$"):
+            encode_prefix(1.5, 4)
 
     def test_prefix_words_are_lexicographic(self):
         ws = [str(encode_prefix(i, 4)) for i in range(6)]
