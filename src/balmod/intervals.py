@@ -38,6 +38,7 @@ class IntervalSet:
 
     @classmethod
     def full(cls, n: int) -> "IntervalSet":
+        (n,) = as_whole_numbers([n], "n")
         return cls(((0, n + 1),))
 
     @classmethod

@@ -7,13 +7,14 @@ minimal prefix inversion whose index i is NOT stored; decoders recover it
 from the code's redundancy.
 
 For symmetric channels, candidate inversion indices are ranked by a
-shift score: the sum over checks of the product of tanh(m/2) over the
-check's incoming variable messages after a fixed small number of
-message-passing rounds.  At depth 1 the messages are the channel LLRs and
-the score reduces exactly to (number of checks) - 2 * (unsatisfied checks).
-All n prefix shifts are scored at once: a message changes with the shift
-only where the shift passes a variable in its depth-neighborhood, so each
-message is evaluated once per such step rather than once per shift.
+shift score: the exact sum over checks of the product of tanh(m/2) over
+the check's incoming variable messages after a fixed small number of
+message-passing rounds, each product rounded to a multiple of 2^-50.  At
+depth 1 the messages are the channel LLRs and the score is exactly (number
+of checks) - 2 * (unsatisfied checks).  All n prefix shifts are scored at
+once: a message changes with the shift only where the shift passes a
+variable in its depth-neighborhood, so each message is evaluated once per
+such step, and each shift's sum is the last one's plus those steps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
 _MAX_DRAWS = 32     # Gallager draws tried before giving up on a seed
 _BP_BLOCK = 32      # BP rows per kernel call of the exhaustive decoder; bounds its memory
-_SCORE_BLOCK = 64   # shifts per step of the scorer's per-shift sums; bounds its table
+_SCORE_BITS = 50    # check products are summed as exact multiples of 2**-_SCORE_BITS
 _LISTING_KEYS = ("n", "a", "b", "seed", "seed_used")    # of a code listing's %gallager line
 _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8) % 2     # parity of each byte value
@@ -321,10 +322,11 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
     results are those of a one-row decode.  With first_stop, every row is
     recorded at the first iteration that clears any row's syndrome, and the
     rows satisfied then are those a one-row decode clears at that
-    iteration.  Each step repeats the one-row arithmetic in its order: the
-    checks run _check_step, a variable sums its a incoming messages left to
-    right, as numpy sums up to 7 terms (more go through numpy's own sum, as
-    in one row), and an outgoing message is that total minus the edge's own
+    iteration.  Rows all recorded at once are written whole, unmasked.  Each
+    step repeats the one-row arithmetic in its order: the checks run
+    _check_step, a variable sums its a incoming messages left to right, as
+    numpy sums up to 7 terms (more go through numpy's own sum, as in one
+    row), and an outgoing message is that total minus the edge's own
     incoming message.  So every row is bit-equal to decoding it alone.
     Every intermediate table is one of the (code, batch size) plan's,
     written in place; gathers clip their (in-range) indices, as numpy's
@@ -360,7 +362,12 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
         unsat = np.logical_or.reduce(parity, axis=1, out=plan.unsat)
         if it < max_iter and unsat.all():
             continue
-        done = (iterations == 0) & (~unsat | (it == max_iter) | first_stop)
+        if (first_stop or it == max_iter or not unsat.any()) and not iterations.any():
+            np.less(post, 0, out=words.view(bool))
+            np.logical_not(unsat, out=satisfied)
+            iterations[:] = it
+            break
+        done = (iterations == 0) & (~unsat | (it == max_iter))
         words[done] = post[done] < 0
         satisfied[done] = ~unsat[done]
         iterations[done] = it
@@ -428,13 +435,15 @@ class _ScorePlan:
     """
 
     rounds: tuple            # a _ScoreRound per round before the last product
-    prod_idx: np.ndarray     # (b, check segments): last messages per check segment
-    seg: np.ndarray          # (n, r) int32: check c's segment at shift j, into prod
+    prod_idx: np.ndarray     # (b, S): last messages per check segment
+    term_idx: np.ndarray     # into fixed: every first segment, then each shift's steps
+    shift_start: np.ndarray  # (n,) each shift's first term in term_idx
     chan: np.ndarray         # (n, 2) channel table: each LLR unflipped, flipped
-    factors: np.ndarray      # (b, check segments): the gathered last messages
-    prod: np.ndarray         # (check segments,) check products
-    block_idx: np.ndarray    # (_SCORE_BLOCK, r) intp: one block of shifts' segments
-    block: np.ndarray        # (_SCORE_BLOCK, r): their check products
+    factors: np.ndarray      # (b, S): the gathered last messages
+    prod: np.ndarray         # (S,) check products
+    fixed: np.ndarray        # (2S - 1,) int64: prod in units of 2**-_SCORE_BITS, then its steps
+    terms: np.ndarray        # (terms,) int64: fixed gathered through term_idx
+    totals: np.ndarray       # (n,) int64: each shift's step, then its total
 
 
 def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -475,6 +484,8 @@ def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
 
 def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
     n, r, a, b = code.n, code.r, code.a, code.b
+    if 2 * r << _SCORE_BITS >= 1 << 63:     # each shift's sum and step (+-2 per check) in int64
+        raise ValueError(f"exact shift scores need r < {1 << 62 - _SCORE_BITS} checks, got r = {r}")
     chan = (np.arange(n + 1), np.arange(n))     # variable v depends on itself
     # slot of each check-major edge among its variable's edges
     var_slot = np.empty(r * b, dtype=np.intp)
@@ -496,17 +507,20 @@ def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
         slots, inputs = var_slot.reshape(r, b), inc_idx.size
     ptr, deps, (prod_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
     # segment s of a check covers the shifts j with exactly s dependencies < j:
-    # the segment index starts at the check's first and steps at j = dep + 1
-    seg = np.zeros((n + 1, r), dtype=np.int32)
-    seg[0] = ptr[:-1] + np.arange(r)
-    seg[deps + 1, np.repeat(np.arange(r), np.diff(ptr))] = 1
-    for j in range(1, n):       # row by row: np.cumsum on axis 0 is ~10x slower
-        seg[j] += seg[j - 1]
-    return _ScorePlan(rounds=tuple(rounds), prod_idx=prod_idx, seg=seg[:n],
-                      chan=np.empty((n, 2)), factors=np.empty(prod_idx.shape),
-                      prod=np.empty(prod_idx.shape[1]),
-                      block_idx=np.empty((_SCORE_BLOCK, r), dtype=np.intp),
-                      block=np.empty((_SCORE_BLOCK, r)))
+    # its first segment scores shift 0, and its step to segment s, at
+    # fixed[S + ptr[c] + c + s - 1], comes at j = dep + 1 of its s-th
+    # dependency.  Every shift j > 0 steps (variable j - 1 is a dependency
+    # of its own checks), so no reduceat group is empty; none at j = n
+    segs, by_shift = ptr[-1] + r, np.argsort(deps, kind="stable")
+    step_idx = segs + np.arange(ptr[-1]) + np.repeat(np.arange(r), np.diff(ptr))
+    first = r + np.searchsorted(deps[by_shift], np.arange(n))   # of the steps at j = 1..n
+    assert np.all(np.diff(first) > 0)
+    term_idx = np.concatenate([ptr[:-1] + np.arange(r), step_idx[by_shift]])[:first[-1]]
+    fixed, terms, totals = (np.empty(k, dtype=np.int64) for k in (2 * segs - 1, first[-1], n))
+    return _ScorePlan(rounds=tuple(rounds), prod_idx=prod_idx, term_idx=term_idx,
+                      shift_start=np.concatenate([[0], first[:-1]]), chan=np.empty((n, 2)),
+                      factors=np.empty(prod_idx.shape), prod=np.empty(segs), fixed=fixed,
+                      terms=terms, totals=totals)
 
 
 def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
@@ -515,11 +529,12 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     Each message is evaluated once per segment of its dependency set (see
     _ScorePlan) with the per-node arithmetic of the per-shift reference: the
     checks run BP's _check_step, and a variable's sums and a check's product
-    scan their inputs in order.  Each shift's score sums one contiguous row
-    of check products in check order, gathered through the plan's segment
-    table a block of shifts at a time, so the result is bit-equal to
-    recomputing every shift from scratch.  Every intermediate table is one
-    of the plan's, written in place; only the returned scores are fresh.
+    scan their inputs in order.  A shift's score is the exact integer sum of
+    its r check products in units of 2**-_SCORE_BITS, rounded to float64
+    once; as integer sums ignore order, shift j's is shift j - 1's plus the
+    steps of the segments that start at j, the same bits as summing each
+    shift from scratch.  Every intermediate table is one of the plan's,
+    written in place; only the returned scores are fresh.
     """
     _validate_depth(depth)
     base = _clipped_llr(code, llr)
@@ -551,14 +566,12 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
         t = np.tanh(np.multiply(0.5, m, out=m), out=m)
     prod = np.prod(t.take(plan.prod_idx, out=plan.factors, mode="clip"), axis=0,
                    out=plan.prod)
-    scores = np.empty(code.n)
-    for j in range(0, code.n, _SCORE_BLOCK):
-        # widened here, as take would widen int32 indices into a fresh array
-        idx = plan.block_idx[:code.n - j]
-        np.copyto(idx, plan.seg[j:j + _SCORE_BLOCK])
-        rows = prod.take(idx, out=plan.block[:len(idx)], mode="clip")
-        rows.sum(axis=1, out=scores[j:j + len(rows)])
-    return scores
+    q = plan.fixed[:prod.size]      # the first factor row is free once prod is formed
+    np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=plan.factors[0]), out=q, casting="unsafe")
+    np.subtract(q[1:], q[:-1], out=plan.fixed[prod.size:])
+    terms = plan.fixed.take(plan.term_idx, out=plan.terms, mode="clip")
+    totals = np.add.reduceat(terms, plan.shift_start, out=plan.totals)
+    return np.multiply(np.cumsum(totals, out=totals), 2.0 ** -_SCORE_BITS)
 
 
 def candidate_inversions(scores, c: int) -> list[int]:

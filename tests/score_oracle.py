@@ -3,7 +3,10 @@
 For shift j the clipped channel LLRs of variables 0..j-1 are negated, then
 `depth` rounds of message passing run over the whole graph, one node at a
 time, and the score is the sum over checks of the product entering each
-check.  Nothing here is fast: every shift is recomputed from scratch.
+check.  That sum is exact: each product is rounded to a multiple of 2^-50,
+the rounded products are added as Python ints, and the total is rounded to
+a float once (`exact_sum`), so it does not depend on the order of the
+checks.  Nothing here is fast: every shift is recomputed from scratch.
 `ldpc.lambda_scores` must equal `lambda_scores_scratch` bit for bit.
 """
 
@@ -79,6 +82,12 @@ def _score_full(code: LdpcCode, mv: np.ndarray, depth: int) -> _ScoreState:
     return st
 
 
+def exact_sum(products) -> float:
+    """The score's sum of check products: each rounded to the nearest
+    multiple of 2^-50 (ties to even), added exactly, rounded once."""
+    return sum(int(v) for v in np.rint(np.asarray(products) * 2.0 ** 50).tolist()) * 2.0 ** -50
+
+
 def lambda_scores_scratch(code: LdpcCode, llr, depth: int) -> np.ndarray:
     """Reference scorer: recompute every prefix shift from scratch."""
     _validate_depth(depth)
@@ -87,5 +96,5 @@ def lambda_scores_scratch(code: LdpcCode, llr, depth: int) -> np.ndarray:
     for j in range(code.n):
         mv = base.copy()
         mv[:j] = -mv[:j]
-        out[j] = float(np.sum(_score_full(code, mv, depth).prod))
+        out[j] = exact_sum(_score_full(code, mv, depth).prod)
     return out

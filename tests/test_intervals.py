@@ -54,6 +54,13 @@ class TestConstruction:
         assert s.size == 9
         assert 0 in s and 8 in s and 9 not in s
 
+    def test_full_reads_n_by_the_whole_number_rule(self):
+        # n itself is named, not the end n + 1 the caller never passed
+        with pytest.raises(ValueError, match=r"^n 8\.5 at index 0 is not an integer$"):
+            IntervalSet.full(8.5)
+        s = IntervalSet.full(np.int64(8))
+        assert s.intervals == ((0, 9),) and type(s.intervals[0][1]) is int
+
 
 class TestOps:
     def test_intersect(self):

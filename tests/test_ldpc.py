@@ -2,6 +2,7 @@ import collections
 import re
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from balmod import channel, ldpc
 from balmod.words import BitWord, find_balancing_index, invert_prefix, weight
 import bp_oracle
-from score_oracle import _score_full, lambda_scores_scratch
+from score_oracle import _score_full, exact_sum, lambda_scores_scratch
 
 # small codes for the noise-free property, built once
 NOISE_FREE_CODES = (ldpc.build_gallager(8, 2, 4, seed=2),
@@ -529,7 +530,7 @@ class TestBpKernel:
 
 def _written_tables(plan):
     """(name, array) of every table a scorer call writes into."""
-    for name in ("chan", "factors", "prod", "block_idx", "block"):
+    for name in ("chan", "factors", "prod", "fixed", "terms", "totals"):
         yield name, getattr(plan, name)
     for k, rd in enumerate(plan.rounds):
         for name in ("tanh", "t", "loo", "suf", "csum", "pre", "own", "m"):
@@ -648,13 +649,10 @@ class TestShiftScores:
             assert peak <= 2 << 20, (depth, peak)
 
     def test_matches_dense_per_shift_table(self, long_code):
-        # the dense last step the segment table replaced: every check's
-        # product repeated over the shifts of its segment as an (r, n)
-        # table, then summed per shift on a C-ordered transposed copy.
-        # n = 1120 is no multiple of the block of shifts, and each sum has
-        # r = 640 terms, so numpy's pairwise tree is deep
+        # every check's product repeated over the shifts of its segment as
+        # an (r, n) table built from H alone, each shift's column summed
+        # exactly; each sum has r = 640 terms
         code, n = long_code, long_code.n
-        assert n % ldpc._SCORE_BLOCK
         H = code.H.astype(np.int64)
         near = (H.T @ H) > 0                   # variables sharing a check, and v itself
         reach = H > 0                          # a check's dependencies at depth 1
@@ -667,8 +665,42 @@ class TestShiftScores:
                 prod = code._plans["score", depth].prod
                 assert prod.size == runs.size
                 per_check = np.repeat(prod, runs).reshape(code.r, n)
-                assert np.array_equal(scores, np.ascontiguousarray(per_check.T).sum(axis=1))
+                assert np.array_equal(scores, [exact_sum(col) for col in per_check.T])
             reach = (reach.astype(np.int64) @ near) > 0
+
+    def test_sum_ignores_check_order(self, long_code):
+        # the dense per-check table above with its rows shuffled: the exact
+        # sum gives the same bits, where a float sum's rounding moves with
+        # the order
+        code, n = long_code, long_code.n
+        rng = channel.make_rng(35)
+        H = code.H.astype(np.int64)
+        reach = (H @ ((H.T @ H) > 0)) > 0      # a check's dependencies at depth 2
+        deps = [np.flatnonzero(row) for row in reach]
+        runs = np.concatenate([np.diff(np.concatenate(([-1], d, [n - 1]))) for d in deps])
+        llr = rng.normal(0, 4, n)
+        scores = ldpc.lambda_scores(code, llr, 2)
+        per_check = np.repeat(code._plans["score", 2].prod, runs).reshape(code.r, n)
+        shuffled = per_check[rng.permutation(code.r)]
+        assert np.array_equal(scores, [exact_sum(col) for col in shuffled.T])
+        assert not np.array_equal(per_check.T.sum(axis=1), shuffled.T.sum(axis=1))
+
+    def test_depth_one_counts_unsatisfied_checks_at_every_shift(self, long_code):
+        # r - 2 unsat exactly, as the sum of +-1 products always was
+        code, n = long_code, long_code.n
+        y = channel.make_rng(36).integers(0, 2, n).astype(np.uint8)
+        flipped = y ^ (np.arange(n) < np.arange(n)[:, None])    # row j: shift j
+        unsat = ldpc.syndrome(code, flipped).sum(axis=1, dtype=np.int64)
+        scores = ldpc.lambda_scores(code, ldpc.bsc_llr(y, 0.06), 1)
+        assert np.array_equal(scores, (code.r - 2 * unsat).astype(np.float64))
+
+    def test_exact_sum_bound_named(self):
+        # r < 4096 keeps every total and per-shift step inside int64; the
+        # bound is checked before the plan build reads anything but r
+        for r in (4096, 10_000):
+            stub = types.SimpleNamespace(n=None, r=r, a=None, b=None)
+            with pytest.raises(ValueError, match=f"need r < 4096 checks, got r = {r}"):
+                ldpc._build_score_plan(stub, 2)
 
     def test_nan_llr_rejected(self, mid_code):
         llr = np.zeros(mid_code.n)
@@ -689,7 +721,7 @@ class TestShiftScores:
     def test_zero_shift_equals_plain_score(self, mid_code):
         rng = channel.make_rng(19)
         llr = rng.normal(0, 3, mid_code.n)
-        plain = float(np.sum(_score_full(mid_code, np.clip(llr, -30, 30), 2).prod))
+        plain = exact_sum(_score_full(mid_code, np.clip(llr, -30, 30), 2).prod)
         assert lambda_scores_scratch(mid_code, llr, 2)[0] == plain
         assert ldpc.lambda_scores(mid_code, llr, 2)[0] == plain
 
