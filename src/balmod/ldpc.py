@@ -10,11 +10,10 @@ For symmetric channels, candidate inversion indices are ranked by a
 shift score: the exact sum over checks of the product of tanh(m/2) over
 the check's incoming variable messages after a fixed small number of
 message-passing rounds, each product rounded to a multiple of 2^-50.  At
-depth 1 the messages are the channel LLRs and the score is exactly (number
-of checks) - 2 * (unsatisfied checks).  All n prefix shifts are scored at
-once: a message changes with the shift only where the shift passes a
-variable in its depth-neighborhood, so each message is evaluated once per
-such step, and each shift's sum is the last one's plus those steps.
+depth 1 it is exactly (number of checks) - 2 * (unsatisfied checks).  All
+n prefix shifts are scored at once: a message or product changes with the
+shift only where it passes a variable in its depth-neighborhood, so each is
+evaluated once per such step, and each shift's sum steps with them.
 """
 
 from __future__ import annotations
@@ -529,12 +528,11 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     Each message is evaluated once per segment of its dependency set (see
     _ScorePlan) with the per-node arithmetic of the per-shift reference: the
     checks run BP's _check_step, and a variable's sums and a check's product
-    scan their inputs in order.  A shift's score is the exact integer sum of
-    its r check products in units of 2**-_SCORE_BITS, rounded to float64
-    once; as integer sums ignore order, shift j's is shift j - 1's plus the
-    steps of the segments that start at j, the same bits as summing each
-    shift from scratch.  Every intermediate table is one of the plan's,
-    written in place; only the returned scores are fresh.
+    scan their inputs in order.  A score is the exact int64 sum of its r
+    check products in units of 2**-_SCORE_BITS, rounded to float64 once, so
+    shift j's is shift j - 1's plus the steps of the segments starting at
+    j: the bits of summing each shift from scratch.  Every intermediate
+    table is one of the plan's, written in place; only the scores are fresh.
     """
     _validate_depth(depth)
     base = _clipped_llr(code, llr)

@@ -651,12 +651,15 @@ class TestShiftScores:
     def test_matches_dense_per_shift_table(self, long_code):
         # every check's product repeated over the shifts of its segment as
         # an (r, n) table built from H alone, each shift's column summed
-        # exactly; each sum has r = 640 terms
+        # exactly; each sum has r = 640 terms.  Shuffling the table's rows
+        # leaves the exact sums' bits as they are, where a float sum's
+        # rounding moves with the order
         code, n = long_code, long_code.n
         H = code.H.astype(np.int64)
         near = (H.T @ H) > 0                   # variables sharing a check, and v itself
         reach = H > 0                          # a check's dependencies at depth 1
         rng = channel.make_rng(34)
+        float_moved = 0
         for depth in (1, 2):
             deps = [np.flatnonzero(row) for row in reach]
             runs = np.concatenate([np.diff(np.concatenate(([-1], d, [n - 1]))) for d in deps])
@@ -665,25 +668,12 @@ class TestShiftScores:
                 prod = code._plans["score", depth].prod
                 assert prod.size == runs.size
                 per_check = np.repeat(prod, runs).reshape(code.r, n)
-                assert np.array_equal(scores, [exact_sum(col) for col in per_check.T])
+                shuffled = per_check[rng.permutation(code.r)]
+                for table in (per_check, shuffled):
+                    assert np.array_equal(scores, [exact_sum(col) for col in table.T])
+                float_moved += not np.array_equal(per_check.sum(axis=0), shuffled.sum(axis=0))
             reach = (reach.astype(np.int64) @ near) > 0
-
-    def test_sum_ignores_check_order(self, long_code):
-        # the dense per-check table above with its rows shuffled: the exact
-        # sum gives the same bits, where a float sum's rounding moves with
-        # the order
-        code, n = long_code, long_code.n
-        rng = channel.make_rng(35)
-        H = code.H.astype(np.int64)
-        reach = (H @ ((H.T @ H) > 0)) > 0      # a check's dependencies at depth 2
-        deps = [np.flatnonzero(row) for row in reach]
-        runs = np.concatenate([np.diff(np.concatenate(([-1], d, [n - 1]))) for d in deps])
-        llr = rng.normal(0, 4, n)
-        scores = ldpc.lambda_scores(code, llr, 2)
-        per_check = np.repeat(code._plans["score", 2].prod, runs).reshape(code.r, n)
-        shuffled = per_check[rng.permutation(code.r)]
-        assert np.array_equal(scores, [exact_sum(col) for col in shuffled.T])
-        assert not np.array_equal(per_check.T.sum(axis=1), shuffled.T.sum(axis=1))
+        assert float_moved
 
     def test_depth_one_counts_unsatisfied_checks_at_every_shift(self, long_code):
         # r - 2 unsat exactly, as the sum of +-1 products always was
