@@ -434,7 +434,7 @@ class _ScorePlan:
     """
 
     rounds: tuple            # a _ScoreRound per round before the last product
-    prod_idx: np.ndarray     # (b, S): last messages per check segment
+    prod_idx: np.ndarray     # (b, S): last messages per check segment, S in all
     term_idx: np.ndarray     # into fixed: every first segment, then each shift's steps
     shift_start: np.ndarray  # (n,) each shift's first term in term_idx
     chan: np.ndarray         # (n, 2) channel table: each LLR unflipped, flipped
