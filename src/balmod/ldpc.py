@@ -321,11 +321,10 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
     results are those of a one-row decode.  With first_stop, every row is
     recorded at the first iteration that clears any row's syndrome, and the
     rows satisfied then are those a one-row decode clears at that
-    iteration.  Rows all recorded at once are written whole, unmasked.  Each
-    step repeats the one-row arithmetic in its order: the checks run
-    _check_step, a variable sums its a incoming messages left to right, as
-    numpy sums up to 7 terms (more go through numpy's own sum, as in one
-    row), and an outgoing message is that total minus the edge's own
+    iteration.  Each step repeats the one-row arithmetic in its order: the
+    checks run _check_step, a variable sums its a incoming messages left to
+    right, as numpy sums up to 7 terms (more go through numpy's own sum, as
+    in one row), and an outgoing message is that total minus the edge's own
     incoming message.  So every row is bit-equal to decoding it alone.
     Every intermediate table is one of the (code, batch size) plan's,
     written in place; gathers clip their (in-range) indices, as numpy's
@@ -361,14 +360,9 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
         unsat = np.logical_or.reduce(parity, axis=1, out=plan.unsat)
         if it < max_iter and unsat.all():
             continue
-        if (first_stop or it == max_iter or not unsat.any()) and not iterations.any():
-            np.less(post, 0, out=words.view(bool))
-            np.logical_not(unsat, out=satisfied)
-            iterations[:] = it
-            break
-        done = (iterations == 0) & (~unsat | (it == max_iter))
-        words[done] = post[done] < 0
-        satisfied[done] = ~unsat[done]
+        done = (iterations == 0) & (~unsat | (it == max_iter) | first_stop)
+        np.less(post, 0, out=words.view(bool), where=done[:, None])
+        np.logical_not(unsat, out=satisfied, where=done)
         iterations[done] = it
         if iterations.all():
             break
@@ -483,8 +477,8 @@ def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
 
 def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
     n, r, a, b = code.n, code.r, code.a, code.b
-    if 2 * r << _SCORE_BITS >= 1 << 63:     # each shift's sum and step (+-2 per check) in int64
-        raise ValueError(f"exact shift scores need r < {1 << 62 - _SCORE_BITS} checks, got r = {r}")
+    if r << _SCORE_BITS >= 1 << 63:     # each shift's total, at most r in magnitude, in int64
+        raise ValueError(f"exact shift scores need r < {1 << 63 - _SCORE_BITS} checks, got r = {r}")
     chan = (np.arange(n + 1), np.arange(n))     # variable v depends on itself
     # slot of each check-major edge among its variable's edges
     var_slot = np.empty(r * b, dtype=np.intp)
@@ -568,6 +562,8 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=plan.factors[0]), out=q, casting="unsafe")
     np.subtract(q[1:], q[:-1], out=plan.fixed[prod.size:])
     terms = plan.fixed.take(plan.term_idx, out=plan.terms, mode="clip")
+    # int64 sums wrap modulo 2**64, so a shift's step may wrap and its total,
+    # which fits, still comes out exact
     totals = np.add.reduceat(terms, plan.shift_start, out=plan.totals)
     return np.multiply(np.cumsum(totals, out=totals), 2.0 ** -_SCORE_BITS)
 

@@ -685,12 +685,31 @@ class TestShiftScores:
         assert np.array_equal(scores, (code.r - 2 * unsat).astype(np.float64))
 
     def test_exact_sum_bound_named(self):
-        # r < 4096 keeps every total and per-shift step inside int64; the
-        # bound is checked before the plan build reads anything but r
-        for r in (4096, 10_000):
+        # r < 8192 keeps every total inside int64; the bound is checked
+        # before the plan build reads anything but r
+        for r in (8192, 10_000):
             stub = types.SimpleNamespace(n=None, r=r, a=None, b=None)
-            with pytest.raises(ValueError, match=f"need r < 4096 checks, got r = {r}"):
+            with pytest.raises(ValueError, match=f"need r < 8192 checks, got r = {r}"):
                 ldpc._build_score_plan(stub, 2)
+
+    def test_depth_one_exact_at_r_4096(self):
+        # a (7168, 4, 7) Gallager graph has r = 4096 checks; the scorer reads
+        # only its graph maps, so the code's rank reduction is skipped
+        n, a, b = 7168, 4, 7
+        rng = channel.make_rng(5)
+        layers = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(a - 1)])
+        check_nbrs = np.sort(layers.reshape(-1, b), axis=1)
+        var_edge_ids = np.argsort(check_nbrs.ravel(), kind="stable").reshape(n, a)
+        code = types.SimpleNamespace(n=n, r=len(check_nbrs), a=a, b=b, check_nbrs=check_nbrs,
+                                     var_edge_ids=var_edge_ids, _plans={})
+        y = rng.integers(0, 2, n).astype(np.uint8)
+        parity = y[code.check_nbrs].sum(axis=1) % 2
+        unsat = np.empty(n, dtype=np.int64)
+        for j in range(n):      # shift j + 1 flips variable j in each of its a checks
+            unsat[j] = parity.sum()
+            parity[code.var_edge_ids[j] // b] ^= 1
+        scores = ldpc.lambda_scores(code, ldpc.bsc_llr(y, 0.06), 1)
+        assert np.array_equal(scores, (code.r - 2 * unsat).astype(np.float64))
 
     def test_nan_llr_rejected(self, mid_code):
         llr = np.zeros(mid_code.n)
