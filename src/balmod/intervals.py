@@ -38,8 +38,7 @@ class IntervalSet:
 
     @classmethod
     def full(cls, n: int) -> "IntervalSet":
-        (n,) = as_whole_numbers([n], "n")
-        return cls(((0, n + 1),))
+        return cls(((0, as_whole_numbers([n], "n")[0] + 1),))
 
     @classmethod
     def from_pairs(cls, pairs) -> "IntervalSet":

@@ -6,14 +6,13 @@ with one 1 per column and b per row.  Encoding balances each codeword by a
 minimal prefix inversion whose index i is NOT stored; decoders recover it
 from the code's redundancy.
 
-For symmetric channels, candidate inversion indices are ranked by a
-shift score: the exact sum over checks of the product of tanh(m/2) over
-the check's incoming variable messages after a fixed small number of
-message-passing rounds, each product rounded to a multiple of 2^-50.  At
-depth 1 it is exactly (number of checks) - 2 * (unsatisfied checks).  All
-n prefix shifts are scored at once: a message or product changes with the
-shift only where it passes a variable in its depth-neighborhood, so each is
-evaluated once per such step, and each shift's sum steps with them.
+For symmetric channels, candidate inversion indices are ranked by a shift
+score: the exact sum over checks of the product of tanh(m/2) over the check's
+incoming variable messages after a fixed small number of message-passing
+rounds, each product rounded to a multiple of 2^-50.  At depth 1 it is exactly
+(number of checks) - 2 * (unsatisfied checks).  All n prefix shifts are scored
+at once: a message or product changes with the shift only where it passes a
+variable in its depth-neighborhood, so each is evaluated once per such step.
 """
 
 from __future__ import annotations
@@ -434,9 +433,8 @@ class _ScorePlan:
     chan: np.ndarray         # (n, 2) channel table: each LLR unflipped, flipped
     factors: np.ndarray      # (b, S): the gathered last messages
     prod: np.ndarray         # (S,) check products
-    fixed: np.ndarray        # (2S - 1,) int64: prod in units of 2**-_SCORE_BITS, then its steps
+    fixed: np.ndarray        # (2S - 1,) int64: prod in 2**-_SCORE_BITS, its steps, then n totals
     terms: np.ndarray        # (terms,) int64: fixed gathered through term_idx
-    totals: np.ndarray       # (n,) int64: each shift's step, then its total
 
 
 def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -477,8 +475,8 @@ def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
 
 def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
     n, r, a, b = code.n, code.r, code.a, code.b
-    if r << _SCORE_BITS >= 1 << 63:     # each shift's total, at most r in magnitude, in int64
-        raise ValueError(f"exact shift scores need r < {1 << 63 - _SCORE_BITS} checks, got r = {r}")
+    if r << _SCORE_BITS >= 1 << 63:     # shift totals fit int64; steps may wrap (sums mod 2**64)
+        raise ValueError(f"exact scores need r < {1 << 63 - _SCORE_BITS} checks, got r = {r}")
     chan = (np.arange(n + 1), np.arange(n))     # variable v depends on itself
     # slot of each check-major edge among its variable's edges
     var_slot = np.empty(r * b, dtype=np.intp)
@@ -499,21 +497,18 @@ def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
             own=np.empty(own_idx.shape), m=np.empty(inc_idx.shape)))
         slots, inputs = var_slot.reshape(r, b), inc_idx.size
     ptr, deps, (prod_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
-    # segment s of a check covers the shifts j with exactly s dependencies < j:
-    # its first segment scores shift 0, and its step to segment s, at
-    # fixed[S + ptr[c] + c + s - 1], comes at j = dep + 1 of its s-th
-    # dependency.  Every shift j > 0 steps (variable j - 1 is a dependency
-    # of its own checks), so no reduceat group is empty; none at j = n
+    # check c's segment s covers the shifts j with s dependencies < j; its step from s - 1,
+    # fixed[S + ptr[c] + c + s - 1], comes at j = (s-th dependency) + 1 (cut at j = n).  Each
+    # j > 0 has a step (variable j - 1 is a dependency of its own checks), so reduceat is safe
     segs, by_shift = ptr[-1] + r, np.argsort(deps, kind="stable")
     step_idx = segs + np.arange(ptr[-1]) + np.repeat(np.arange(r), np.diff(ptr))
-    first = r + np.searchsorted(deps[by_shift], np.arange(n))   # of the steps at j = 1..n
+    first = r + np.searchsorted(deps[by_shift], np.arange(n))   # where j = 1..n's steps start
     assert np.all(np.diff(first) > 0)
     term_idx = np.concatenate([ptr[:-1] + np.arange(r), step_idx[by_shift]])[:first[-1]]
-    fixed, terms, totals = (np.empty(k, dtype=np.int64) for k in (2 * segs - 1, first[-1], n))
     return _ScorePlan(rounds=tuple(rounds), prod_idx=prod_idx, term_idx=term_idx,
                       shift_start=np.concatenate([[0], first[:-1]]), chan=np.empty((n, 2)),
-                      factors=np.empty(prod_idx.shape), prod=np.empty(segs), fixed=fixed,
-                      terms=terms, totals=totals)
+                      factors=np.empty(prod_idx.shape), prod=np.empty(segs),
+                      fixed=np.empty(2 * segs - 1, np.int64), terms=np.empty(first[-1], np.int64))
 
 
 def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
@@ -562,9 +557,7 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=plan.factors[0]), out=q, casting="unsafe")
     np.subtract(q[1:], q[:-1], out=plan.fixed[prod.size:])
     terms = plan.fixed.take(plan.term_idx, out=plan.terms, mode="clip")
-    # int64 sums wrap modulo 2**64, so a shift's step may wrap and its total,
-    # which fits, still comes out exact
-    totals = np.add.reduceat(terms, plan.shift_start, out=plan.totals)
+    totals = np.add.reduceat(terms, plan.shift_start, out=plan.fixed[:code.n])
     return np.multiply(np.cumsum(totals, out=totals), 2.0 ** -_SCORE_BITS)
 
 

@@ -530,7 +530,7 @@ class TestBpKernel:
 
 def _written_tables(plan):
     """(name, array) of every table a scorer call writes into."""
-    for name in ("chan", "factors", "prod", "fixed", "terms", "totals"):
+    for name in ("chan", "factors", "prod", "fixed", "terms"):
         yield name, getattr(plan, name)
     for k, rd in enumerate(plan.rounds):
         for name in ("tanh", "t", "loo", "suf", "csum", "pre", "own", "m"):
