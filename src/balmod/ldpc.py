@@ -10,9 +10,14 @@ For symmetric channels, candidate inversion indices are ranked by a shift
 score: the exact sum over checks of the product of tanh(m/2) over the check's
 incoming variable messages after a fixed small number of message-passing
 rounds, each product rounded to a multiple of 2^-50.  At depth 1 it is exactly
-(number of checks) - 2 * (unsatisfied checks).  All n prefix shifts are scored
-at once: a message or product changes with the shift only where it passes a
-variable in its depth-neighborhood, so each is evaluated once per such step.
+(number of checks) - 2 * (unsatisfied checks).  The scorer takes all n prefix
+shifts at once, or only those inside given windows: a message or product
+changes with the shift only where it passes a variable in its
+depth-neighborhood, so each is evaluated once per such step.  At depth 2 or
+more the balanced decoder scores only the merged +-w windows (w = 16) around
+the K = 16 best depth-1 maxima, on codes where those can cover at most half
+of the shifts (2K(2w + 1) <= n, so n >= 1056); shorter codes score every
+shift.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ _ATANH_LIMIT = 1.0 - 1e-15
 _MAX_DRAWS = 32     # Gallager draws tried before giving up on a seed
 _BP_BLOCK = 32      # BP rows per kernel call of the exhaustive decoder; bounds its memory
 _SCORE_BITS = 50    # check products are summed as exact multiples of 2**-_SCORE_BITS
+_WINDOW_PEAKS = 16  # K: depth-1 maxima whose windows the decoder scores at depth >= 2
+_WINDOW_HALF = 16   # w: a window spans its maximum +- w shifts
 _LISTING_KEYS = ("n", "a", "b", "seed", "seed_used")    # of a code listing's %gallager line
 _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8) % 2     # parity of each byte value
@@ -250,16 +257,21 @@ def bsc_llr(y, p: float) -> np.ndarray:
     return np.where(as_bits(y) == 0, mag, -mag)
 
 
-def _clipped_llr(code: LdpcCode, llr) -> np.ndarray:
-    """The clipped float64 LLRs of one word; any shape but (n,) is rejected,
-    and so is a NaN, which no decision can be read from (+-inf clip)."""
-    L = _clip(np.array(llr, dtype=np.float64), LLR_CLIP)    # a copy, clipped in place
+def _clipped_llr(code: LdpcCode, llr, out: np.ndarray | None = None) -> np.ndarray:
+    """The clipped float64 LLRs of one word, copied into out (a fresh array
+    by default) and clipped there; any shape but (n,) is rejected, and so is
+    a NaN, which no decision can be read from (+-inf clip)."""
+    L = np.asarray(llr)
     if L.shape != (code.n,):
         raise ValueError(f"llr shape {L.shape} != ({code.n},)")
-    nan = np.flatnonzero(np.isnan(L))
+    if out is None:
+        out = np.empty(code.n)
+    out[:] = L
+    _clip(out, LLR_CLIP)
+    nan = np.flatnonzero(np.isnan(out))
     if nan.size:
         raise ValueError(f"llr holds {nan.size} NaN value(s), the first at index {nan[0]}")
-    return L
+    return out
 
 
 @dataclass(frozen=True)
@@ -404,7 +416,6 @@ class _ScoreRound:
     suf: np.ndarray          # _check_step's suffix products
     views: tuple             # _check_views of t, loo and suf
     csum: np.ndarray         # (a, variable segments): incoming messages, prefix-summed
-    pre: np.ndarray          # own LLR plus the exclusive prefix sums
     own: np.ndarray          # (1, variable segments): the own channel LLRs
     m: np.ndarray            # (a, variable segments): outgoing messages
 
@@ -427,12 +438,13 @@ class _ScorePlan:
     """
 
     rounds: tuple            # a _ScoreRound per round before the last product
+    keys: np.ndarray         # sorted check * n + dependency over the checks of the last product
     prod_idx: np.ndarray     # (b, S): last messages per check segment, S in all
     term_idx: np.ndarray     # into fixed: every first segment, then each shift's steps
-    shift_start: np.ndarray  # (n,) each shift's first term in term_idx
+    shift_start: np.ndarray  # (n + 1,) each shift's first term in term_idx, then their count
     chan: np.ndarray         # (n, 2) channel table: each LLR unflipped, flipped
-    factors: np.ndarray      # (b, S): the gathered last messages
     prod: np.ndarray         # (S,) check products
+    tmp: np.ndarray          # (S,) one slot's gathered messages, then the scaled products
     fixed: np.ndarray        # (2S - 1,) int64: prod in 2**-_SCORE_BITS, its steps, then n totals
     terms: np.ndarray        # (terms,) int64: fixed gathered through term_idx
 
@@ -493,8 +505,7 @@ def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
         rounds.append(_ScoreRound(
             check_idx=check_idx, own_idx=own_idx, inc_idx=inc_idx,
             tanh=np.empty(inputs), t=t, loo=loo, suf=suf, views=_check_views(t, loo, suf),
-            csum=np.empty(inc_idx.shape), pre=np.empty(inc_idx.shape),
-            own=np.empty(own_idx.shape), m=np.empty(inc_idx.shape)))
+            csum=np.empty(inc_idx.shape), own=np.empty(own_idx.shape), m=np.empty(inc_idx.shape)))
         slots, inputs = var_slot.reshape(r, b), inc_idx.size
     ptr, deps, (prod_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
     # check c's segment s covers the shifts j with s dependencies < j; its step from s - 1,
@@ -505,14 +516,114 @@ def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
     first = r + np.searchsorted(deps[by_shift], np.arange(n))   # where j = 1..n's steps start
     assert np.all(np.diff(first) > 0)
     term_idx = np.concatenate([ptr[:-1] + np.arange(r), step_idx[by_shift]])[:first[-1]]
-    return _ScorePlan(rounds=tuple(rounds), prod_idx=prod_idx, term_idx=term_idx,
-                      shift_start=np.concatenate([[0], first[:-1]]), chan=np.empty((n, 2)),
-                      factors=np.empty(prod_idx.shape), prod=np.empty(segs),
+    return _ScorePlan(rounds=tuple(rounds), keys=deps + np.repeat(np.arange(r) * n, np.diff(ptr)),
+                      prod_idx=prod_idx, term_idx=term_idx,
+                      shift_start=np.concatenate([[0], first]), chan=np.empty((n, 2)),
+                      prod=np.empty(segs), tmp=np.empty(segs),
                       fixed=np.empty(2 * segs - 1, np.int64), terms=np.empty(first[-1], np.int64))
 
 
-def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
-    """Scores of all n prefix shifts; shift j negates the first j LLRs.
+def _var_step(rc: np.ndarray, chan: np.ndarray, inc_idx: np.ndarray, own_idx: np.ndarray,
+              csum: np.ndarray, own: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Outgoing messages of the variable segments that inc_idx and own_idx
+    index, from the flat check messages rc, written into m and returned:
+    the own LLR plus the exclusive prefix sum, plus the suffix sum of the
+    incoming messages, clipped.  csum and own are scratch tables of the
+    index arrays' shapes."""
+    csum = rc.take(inc_idx, out=csum, mode="clip")
+    for k in range(1, len(csum)):   # in place: np.cumsum on axis 0 is ~10x slower
+        csum[k] += csum[k - 1]
+    m[0] = 0.0
+    m[1:] = csum[:-1]
+    np.add(chan.take(own_idx, out=own, mode="clip"), m, out=m)
+    np.subtract(csum[-1], csum[:-1], out=csum[:-1])     # the suffix sums; the last is 0
+    csum[-1] = 0.0
+    return _clip(np.add(m, csum, out=m), LLR_CLIP)
+
+
+def _check_products(t: np.ndarray, idx: np.ndarray, prod: np.ndarray,
+                    tmp: np.ndarray) -> np.ndarray:
+    """prod[i] = the product over slots k of t[idx[k, i]], written into prod
+    and returned.  Slots are multiplied in one at a time, in order, as
+    np.prod multiplies rows over the slot axis; tmp is scratch of prod's
+    shape."""
+    t.take(idx[0], out=prod, mode="clip")
+    for row in idx[1:]:
+        np.multiply(prod, t.take(row, out=tmp, mode="clip"), out=prod)
+    return prod
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """np.arange(start, stop) of each pair, concatenated."""
+    lens = stops - starts
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+
+
+def _window_bounds(n: int, windows) -> tuple[np.ndarray, np.ndarray]:
+    """The lo and hi shifts of lambda_scores' windows, which are checked."""
+    w = np.asarray(windows)
+    if (w.ndim != 2 or w.shape[1] != 2 or not len(w) or w.dtype.kind not in "iu"
+            or w[0, 0] < 0 or w[-1, 1] >= n or np.any(w[:, 1] < w[:, 0])
+            or np.any(w[1:, 0] <= w[:-1, 1])):
+        raise ValueError("windows must be a non-empty list of sorted, disjoint [lo, hi] "
+                         f"shift ranges within 0..{n - 1}")
+    return w[:, 0].astype(np.intp), w[:, 1].astype(np.intp)
+
+
+def _window_scores(code: LdpcCode, plan: _ScorePlan, chan: np.ndarray, rc: np.ndarray | None,
+                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lambda_scores on the windows [lo, hi], from the flat channel table
+    and, at depth 2 or more, the last round's flat check messages rc."""
+    n, r, S = code.n, code.r, plan.prod.size
+    lens = hi - lo + 1
+    # the check segments covering the windows: each check's at a window's first
+    # shift (the count of its dependencies below it), then those whose steps come
+    # inside a window, each the segment after its term in term_idx
+    checks = np.arange(r)[:, None]
+    at_lo = checks + np.searchsorted(plan.keys, checks * n + lo)      # (r, windows)
+    step_pos = _ranges(plan.shift_start[lo + 1], plan.shift_start[hi + 1])
+    new = plan.term_idx[step_pos] - (S - 1)
+    segs = np.concatenate([at_lo.ravel(), new])
+    idx = plan.prod_idx.take(segs, axis=1)
+    if plan.rounds:
+        # the last variable level on the variable segments those read: each
+        # is read in its slot 0, at a flat index below one slot's length
+        rd = plan.rounds[-1]
+        read = np.zeros(rd.m.shape[1], dtype=bool)
+        read[idx[idx < read.size]] = True
+        var_segs = np.flatnonzero(read)
+        inc_idx, own_idx = rd.inc_idx.take(var_segs, axis=1), rd.own_idx.take(var_segs, axis=1)
+        m = _var_step(rc, chan, inc_idx, own_idx, np.empty(inc_idx.shape),
+                      np.empty(own_idx.shape), np.empty(inc_idx.shape))
+        for row, t_row in zip(rd.m, np.tanh(np.multiply(0.5, m, out=m), out=m)):
+            row[var_segs] = t_row
+        t = rd.m.ravel()
+    else:
+        t = np.where(chan >= 0, 1.0, -1.0)
+    prod = _check_products(t, idx, np.empty(segs.size), np.empty(segs.size))
+    q = plan.fixed[:S]
+    q[segs] = np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=prod))
+    # each window's first total in full, then the steps carry it as in the
+    # all-shift call; one cumsum runs over every window, so each window's
+    # values less the total carried in from the windows before it
+    total = np.empty(lens.sum(), np.int64)
+    first = np.cumsum(lens) - lens
+    total[first] = q.take(at_lo).sum(axis=0)
+    if new.size:
+        step_shift = np.ones(total.size, dtype=bool)
+        step_shift[first] = False
+        starts = np.searchsorted(step_pos, plan.shift_start[_ranges(lo + 1, hi + 1)])
+        total[step_shift] = np.add.reduceat(q[new] - q[new - 1], starts)
+    np.cumsum(total, out=total)
+    total -= np.repeat(np.concatenate([[0], total[first[1:] - 1]]), lens)
+    scores = np.full(n, -np.inf)
+    scores[_ranges(lo, hi + 1)] = total * 2.0 ** -_SCORE_BITS
+    return scores
+
+
+def lambda_scores(code: LdpcCode, llr, depth: int, windows=None) -> np.ndarray:
+    """Scores of the n prefix shifts; shift j negates the first j LLRs.
 
     Each message is evaluated once per segment of its dependency set (see
     _ScorePlan) with the per-node arithmetic of the per-shift reference: the
@@ -522,15 +633,26 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     shift j's is shift j - 1's plus the steps of the segments starting at
     j: the bits of summing each shift from scratch.  Every intermediate
     table is one of the plan's, written in place; only the scores are fresh.
+
+    windows, a list of sorted, disjoint inclusive [lo, hi] shift ranges,
+    scores only the shifts inside them, each bit-equal to the all-shift
+    call, and scores every other shift -inf.  Then the last variable level
+    and the check products run only on the segments that cover a window
+    shift, in window-sized tables: every check's segment at a window's first
+    shift (one searchsorted on the plan's keys), and the segments whose
+    steps come inside a window.  Each window's first score is the exact sum
+    of its r products, and its steps carry it from there.  Earlier rounds
+    run in full.
     """
     _validate_depth(depth)
-    base = _clipped_llr(code, llr)
+    bounds = None if windows is None else _window_bounds(code.n, windows)
     plan = code._plans.get(("score", depth))
     if plan is None:
         plan = code._plans["score", depth] = _build_score_plan(code, depth)
-    plan.chan[:, 0] = base
-    np.negative(base, out=plan.chan[:, 1])
+    # the LLRs are copied, clipped and checked in the channel table itself
+    np.negative(_clipped_llr(code, llr, out=plan.chan[:, 0]), out=plan.chan[:, 1])
     m = chan = plan.chan.ravel()
+    rc = None
     # tanh, like every step here, is elementwise, so it runs once per distinct
     # message, before the gather that fans messages out to segments.  Every
     # gather clips its (in-range) indices: numpy's default mode would
@@ -538,26 +660,21 @@ def lambda_scores(code: LdpcCode, llr, depth: int) -> np.ndarray:
     for rd in plan.rounds:
         np.tanh(np.multiply(0.5, m, out=rd.tanh), out=rd.tanh)
         rd.tanh.take(rd.check_idx, out=rd.t, mode="clip")
-        rc = _check_step(rd.loo, rd.views)
-        csum = rc.ravel().take(rd.inc_idx, out=rd.csum, mode="clip")
-        for k in range(1, len(csum)):   # in place: np.cumsum on axis 0 is ~10x slower
-            csum[k] += csum[k - 1]
-        rd.pre[0] = 0.0
-        rd.pre[1:] = csum[:-1]
-        pre = np.add(chan.take(rd.own_idx, out=rd.own, mode="clip"), rd.pre, out=rd.pre)
-        m = np.add(pre, np.subtract(csum[-1], csum, out=rd.m), out=rd.m)
-        m = _clip(m, LLR_CLIP).ravel()
+        rc = _check_step(rd.loo, rd.views).ravel()
+        if bounds is None or rd is not plan.rounds[-1]:     # else on the windows only
+            m = _var_step(rc, chan, rd.inc_idx, rd.own_idx, rd.csum, rd.own, rd.m).ravel()
+    if bounds is not None:
+        return _window_scores(code, plan, chan, rc, *bounds)
     if depth == 1:
         t = np.where(m >= 0, 1.0, -1.0)
     else:       # in place: the last messages are not read again
         t = np.tanh(np.multiply(0.5, m, out=m), out=m)
-    prod = np.prod(t.take(plan.prod_idx, out=plan.factors, mode="clip"), axis=0,
-                   out=plan.prod)
-    q = plan.fixed[:prod.size]      # the first factor row is free once prod is formed
-    np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=plan.factors[0]), out=q, casting="unsafe")
+    prod = _check_products(t, plan.prod_idx, plan.prod, plan.tmp)
+    q = plan.fixed[:prod.size]
+    np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=plan.tmp), out=q, casting="unsafe")
     np.subtract(q[1:], q[:-1], out=plan.fixed[prod.size:])
     terms = plan.fixed.take(plan.term_idx, out=plan.terms, mode="clip")
-    totals = np.add.reduceat(terms, plan.shift_start, out=plan.fixed[:code.n])
+    totals = np.add.reduceat(terms, plan.shift_start[:-1], out=plan.fixed[:code.n])
     return np.multiply(np.cumsum(totals, out=totals), 2.0 ** -_SCORE_BITS)
 
 
@@ -565,17 +682,15 @@ def candidate_inversions(scores, c: int) -> list[int]:
     """Up to c local maxima of the shift scores, best first.
 
     j is a local maximum when strictly above its left neighbor and at least
-    its right neighbor; boundary shifts use only their existing neighbor.
-    Ties rank the smaller shift first.
+    its right neighbor, a shift beyond either end scoring -inf: so a -inf
+    shift (one outside lambda_scores' windows) is never a candidate.  Ties
+    rank the smaller shift first.
     """
     if c < 1:
         raise ValueError("need at least one candidate")
     lam = np.asarray(scores, dtype=np.float64)
-    up = np.ones(lam.size, dtype=bool)      # strictly above the left neighbor
-    up[1:] = lam[1:] > lam[:-1]
-    down = np.ones(lam.size, dtype=bool)    # at least the right neighbor
-    down[:-1] = lam[:-1] >= lam[1:]
-    maxima = np.flatnonzero(up & down)
+    pad = np.concatenate([[-np.inf], lam, [-np.inf]])
+    maxima = np.flatnonzero((lam > pad[:-2]) & (lam >= pad[2:]))
     # a stable sort of the ascending maxima by -score ranks ties by shift
     order = np.argsort(-lam[maxima], kind="stable")
     return maxima[order[:c]].tolist()
@@ -583,6 +698,20 @@ def candidate_inversions(scores, c: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Balanced decoding for symmetric channels
+
+
+def _score_windows(code: LdpcCode, clipped: np.ndarray, depth: int) -> np.ndarray | None:
+    """The decoder's score windows at depth >= 2: the merged +-_WINDOW_HALF
+    ranges around the top _WINDOW_PEAKS depth-1 maxima of the clipped LLRs.
+    None, scoring every shift, at depth 1 and wherever the windows could
+    cover more than half of the n shifts."""
+    if depth < 2 or 2 * _WINDOW_PEAKS * (2 * _WINDOW_HALF + 1) > code.n:
+        return None
+    peaks = np.sort(candidate_inversions(lambda_scores(code, clipped, 1), _WINDOW_PEAKS))
+    lo = np.maximum(peaks - _WINDOW_HALF, 0)
+    hi = np.minimum(peaks + _WINDOW_HALF, code.n - 1)     # ascending, as the peaks are
+    cut = np.flatnonzero(lo[1:] > hi[:-1] + 1)      # gaps between merged windows
+    return np.stack([lo[np.r_[0, cut + 1]], hi[np.r_[cut, -1]]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -600,10 +729,11 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     """Decode a balanced codeword observation given per-bit LLRs.
 
     Candidate inversion indices come from the shift scores (or all n shifts
-    when num_candidates is None).  Each candidate j flips the sign of the
-    first j clipped LLRs, and BP runs on all candidates together, one row
-    each.  The top candidates form one batch that stops at the first
-    iteration where any row clears its syndrome: the rows satisfied then
+    when num_candidates is None), which on long codes are scored only inside
+    _score_windows, every other shift scoring -inf.  Each candidate j flips
+    the sign of the first j clipped LLRs, and BP runs on all candidates
+    together, one row each.  The top candidates form one batch that stops at
+    the first iteration where any row clears its syndrome: the rows satisfied then
     are the ones bp_decode clears at that iteration, and only they compete,
     so wrong shifts, which rarely converge, do not run to max_iter.  The
     exhaustive decoder runs its shifts in blocks of _BP_BLOCK rows with no
@@ -622,7 +752,9 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     if num_candidates is None:
         cands, block = list(range(code.n)), _BP_BLOCK
     else:
-        cands = candidate_inversions(lambda_scores(code, clipped, depth), num_candidates)
+        windows = _score_windows(code, clipped, depth)
+        cands = candidate_inversions(lambda_scores(code, clipped, depth, windows),
+                                     num_candidates)
         block = len(cands)
     pos = np.arange(code.n)
     found = []

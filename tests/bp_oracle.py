@@ -9,13 +9,20 @@ the whole candidate batch there); the exhaustive decoder lets every
 satisfied row compete.  `ldpc.bp_decode` and `ldpc.balanced_decode` must
 equal them exactly: the same word, `satisfied` and `iterations`, and the
 same decoded index, candidates and score.
+
+Where the decoder windows its scores (depth 2 or more, and 2K(2w+1) <= n),
+`candidates` scores with the per-shift reference of `score_oracle`: every
+shift at depth 1 for the top K maxima, then only the shifts within w of one
+of them, every other shift scoring -inf.
 """
 
 import numpy as np
 
+from balmod import ldpc
 from balmod.ldpc import (LLR_CLIP, _ATANH_LIMIT, BalancedDecodeResult, BpResult, LdpcCode,
                          candidate_inversions, lambda_scores, syndrome)
 from balmod.words import find_balancing_index
+from score_oracle import lambda_scores_scratch
 
 
 def _loo_prod(t: np.ndarray) -> np.ndarray:
@@ -57,6 +64,21 @@ def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
     return BpResult(word=hard, satisfied=False, iterations=max_iter)
 
 
+def candidates(code: LdpcCode, llr, depth: int, num_candidates: int) -> list[int]:
+    """The top num_candidates local maxima of the shift scores, scored inside
+    the windows of the module docstring's rule (read from ldpc's K and w)
+    where it applies, and at every shift otherwise."""
+    base = np.asarray(llr, dtype=np.float64)
+    peaks, half = ldpc._WINDOW_PEAKS, ldpc._WINDOW_HALF
+    if depth < 2 or 2 * peaks * (2 * half + 1) > code.n:
+        return candidate_inversions(lambda_scores(code, base, depth), num_candidates)
+    inside = np.zeros(code.n, dtype=bool)
+    for peak in candidate_inversions(lambda_scores_scratch(code, base, 1), peaks):
+        inside[max(peak - half, 0):peak + half + 1] = True
+    scores = lambda_scores_scratch(code, base, depth, shifts=np.flatnonzero(inside))
+    return candidate_inversions(scores, num_candidates)
+
+
 def candidate_decodes(code: LdpcCode, llr, depth: int = 2, num_candidates: int | None = 4,
                       max_iter: int = 50) -> tuple[list[int], list[BpResult]]:
     """The candidate shifts, and one oracle BP decode per shift in their order."""
@@ -64,7 +86,7 @@ def candidate_decodes(code: LdpcCode, llr, depth: int = 2, num_candidates: int |
     if num_candidates is None:
         cands = list(range(code.n))
     else:
-        cands = candidate_inversions(lambda_scores(code, base, depth), num_candidates)
+        cands = candidates(code, base, depth, num_candidates)
     results = []
     for j in cands:
         lj = base.copy()

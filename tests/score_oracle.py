@@ -88,12 +88,13 @@ def exact_sum(products) -> float:
     return sum(int(v) for v in np.rint(np.asarray(products) * 2.0 ** 50).tolist()) * 2.0 ** -50
 
 
-def lambda_scores_scratch(code: LdpcCode, llr, depth: int) -> np.ndarray:
-    """Reference scorer: recompute every prefix shift from scratch."""
+def lambda_scores_scratch(code: LdpcCode, llr, depth: int, shifts=None) -> np.ndarray:
+    """Reference scorer: recompute every prefix shift from scratch, or only
+    the given shifts, every other shift scoring -inf."""
     _validate_depth(depth)
     base = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
-    out = np.empty(code.n)
-    for j in range(code.n):
+    out = np.full(code.n, -np.inf)
+    for j in range(code.n) if shifts is None else shifts:
         mv = base.copy()
         mv[:j] = -mv[:j]
         out[j] = exact_sum(_score_full(code, mv, depth).prod)

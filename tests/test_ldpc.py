@@ -393,6 +393,47 @@ class TestBpKernel:
             want = bp_oracle.balanced_decode(code, llr, num_candidates=None)
             assert _same_decode(got, want), trial
 
+    @pytest.mark.parametrize("shape", [(56, 2, 7, 3), (70, 4, 7, 2)])
+    def test_window_rule_matches_oracle(self, shape, monkeypatch):
+        # K = 2 and w = 3 put these codes above the rule's bound 2K(2w + 1) = 28;
+        # the oracle scores the windows with the per-shift reference
+        monkeypatch.setattr(ldpc, "_WINDOW_PEAKS", 2)
+        monkeypatch.setattr(ldpc, "_WINDOW_HALF", 3)
+        code = ldpc.build_gallager(*shape)
+        rng = channel.make_rng((53, shape[0]))
+        for trial in range(12):
+            x = ldpc.balanced_encode(code, rng.integers(0, 2, code.k))[0].to_array()
+            if trial % 2:
+                llr = ldpc.bsc_llr(x ^ (rng.random(code.n) < 0.05).astype(np.uint8), 0.05)
+            else:
+                llr = 2.0 * (1.0 - 2.0 * x) + rng.normal(0, 1.5, code.n)
+            depth = 2 + trial % 4 // 2
+            windows = ldpc._score_windows(code, np.clip(llr, -30, 30), depth)
+            assert windows is not None and (windows[:, 1] - windows[:, 0] + 1).sum() <= code.n // 2
+            got = ldpc.balanced_decode(code, llr, depth=depth)
+            want = bp_oracle.balanced_decode(code, llr, depth=depth)
+            assert _same_decode(got, want), trial
+            assert all(any(lo <= j <= hi for lo, hi in windows) for j in got.candidates)
+
+    def test_decisions_below_the_bound_use_every_shift(self, full_scale_code, monkeypatch):
+        # n = 280 < 2K(2w + 1) = 1056: the decoder's candidates are those of
+        # the all-shift scores, as before the rule
+        rng = channel.make_rng(54)
+        for llr in _mixed_llrs(rng, full_scale_code.n, 6):
+            for depth in (1, 2, 3):
+                assert ldpc._score_windows(full_scale_code, np.clip(llr, -30, 30), depth) is None
+            cands = ldpc.candidate_inversions(ldpc.lambda_scores(full_scale_code, llr, 2), 4)
+            assert ldpc.balanced_decode(full_scale_code, llr).candidates == tuple(cands)
+        # the bound itself: K = 2, w = 3 windows n = 28, w = 4 does not
+        code = ldpc.build_gallager(28, 4, 7, seed=1)
+        clipped = np.clip(next(_mixed_llrs(rng, code.n, 1)), -30, 30)
+        monkeypatch.setattr(ldpc, "_WINDOW_PEAKS", 2)
+        monkeypatch.setattr(ldpc, "_WINDOW_HALF", 3)
+        assert ldpc._score_windows(code, clipped, 2) is not None
+        assert ldpc._score_windows(code, clipped, 1) is None
+        monkeypatch.setattr(ldpc, "_WINDOW_HALF", 4)
+        assert ldpc._score_windows(code, clipped, 2) is None
+
     def test_first_convergence_rule_matches_oracle(self):
         # on this toy code the rule changes some winners: a wrong codeword that
         # converges first now beats a likelier one that converges later
@@ -530,10 +571,10 @@ class TestBpKernel:
 
 def _written_tables(plan):
     """(name, array) of every table a scorer call writes into."""
-    for name in ("chan", "factors", "prod", "fixed", "terms"):
+    for name in ("chan", "prod", "tmp", "fixed", "terms"):
         yield name, getattr(plan, name)
     for k, rd in enumerate(plan.rounds):
-        for name in ("tanh", "t", "loo", "suf", "csum", "pre", "own", "m"):
+        for name in ("tanh", "t", "loo", "suf", "csum", "own", "m"):
             yield f"round {k} {name}", getattr(rd, name)
 
 
@@ -763,6 +804,60 @@ class TestShiftScores:
                               lambda_scores_scratch(code, llr, depth))
 
 
+def _runs(inside: np.ndarray) -> np.ndarray:
+    """The maximal runs of a shift mask as inclusive [lo, hi] rows."""
+    edges = np.diff(np.concatenate([[0], inside.astype(int), [0]]))
+    return np.stack([np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1], axis=1)
+
+
+def _test_windows(code, llr, rng):
+    """The decoder rule's windows (the shifts within 16 of the top 16
+    depth-1 maxima), then random windows that take in both ends."""
+    inside = np.zeros(code.n, dtype=bool)
+    for peak in ldpc.candidate_inversions(ldpc.lambda_scores(code, llr, 1), 16):
+        inside[max(peak - 16, 0):peak + 17] = True
+    yield _runs(inside)
+    inside = rng.random(code.n) < 0.2
+    inside[[0, -1]] = True
+    yield _runs(inside)
+
+
+class TestWindowedScores:
+    @pytest.mark.parametrize("n, depth", [(280, 2), (280, 3), (1120, 2), (1120, 3)])
+    def test_window_shifts_equal_all_shift_scores(self, n, depth):
+        # n = 280 is below the decoder rule's bound, n = 1120 above it
+        code = ldpc.build_gallager(n, 4, 7, seed=1)
+        rng = channel.make_rng((50, n, depth))
+        for llr in _mixed_llrs(rng, n, 4 if depth == 2 or n == 280 else 2):
+            full = ldpc.lambda_scores(code, llr, depth)
+            for windows in _test_windows(code, llr, rng):
+                got = ldpc.lambda_scores(code, llr, depth, windows)
+                inside = np.zeros(n, dtype=bool)
+                for lo, hi in windows:
+                    inside[lo:hi + 1] = True
+                assert np.array_equal(got[inside], full[inside])
+                assert np.all(got[~inside] == -np.inf)
+                # the all-shift call after a windowed one is unchanged
+                assert np.array_equal(ldpc.lambda_scores(code, llr, depth), full)
+
+    def test_window_shifts_equal_scratch(self, mid_code):
+        rng = channel.make_rng(51)
+        for depth in (1, 2, 3):
+            for llr in _mixed_llrs(rng, mid_code.n, 4):
+                for windows in ([[0, 0]], [[mid_code.n - 1, mid_code.n - 1]],
+                                [[3, 9], [11, 11], [40, 55]], [[0, mid_code.n - 1]]):
+                    shifts = np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows])
+                    want = lambda_scores_scratch(mid_code, llr, depth, shifts=shifts)
+                    got = ldpc.lambda_scores(mid_code, llr, depth, windows)
+                    assert np.array_equal(got, want), (depth, windows)
+
+    @pytest.mark.parametrize("windows", [[], [[5, 3]], [[-1, 4]], [[0, 56]], [[0, 5], [5, 9]],
+                                         [[10, 12], [0, 4]], [[0.0, 4.0]], [0, 4]])
+    def test_bad_windows_rejected(self, mid_code, windows):
+        with pytest.raises(ValueError, match="sorted, disjoint .* within 0..55"):
+            ldpc.lambda_scores(mid_code, np.zeros(mid_code.n), 2, windows)
+
+
 class TestCandidateSelection:
     def test_monotone_increasing_scores(self):
         assert ldpc.candidate_inversions(np.arange(10.0), 3) == [9]
@@ -785,12 +880,30 @@ class TestCandidateSelection:
         for scores in ([3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]):
             assert ldpc.candidate_inversions(np.array(scores), 2)
 
+    def test_minus_inf_shift_is_never_a_candidate(self, long_code):
+        inf = np.inf
+        assert ldpc.candidate_inversions(np.array([-inf, -inf, 1.0, 1.0, -inf]), 4) == [2]
+        assert ldpc.candidate_inversions(np.array([-inf, 2.0, -inf, -inf]), 4) == [1]
+        assert ldpc.candidate_inversions(np.array([-inf, -inf, 3.0]), 4) == [2]
+        # the decoder's windowed scores: shift 0 lies outside every window here
+        rng = channel.make_rng(52)
+        for _ in range(5):
+            llr = ldpc.bsc_llr(rng.integers(0, 2, long_code.n), 0.06)
+            windows = [[40, 60], [500, 520]]
+            scores = ldpc.lambda_scores(long_code, llr, 2, windows)
+            for c in (4, 100):
+                cands = ldpc.candidate_inversions(scores, c)
+                assert cands and 0 not in cands
+                assert all(40 <= j <= 60 or 500 <= j <= 520 for j in cands)
+
     @staticmethod
     def _scan(scores, c):
-        """The local-maximum scan as a comprehension over every shift."""
+        """The local-maximum scan as a comprehension over every shift, a
+        shift beyond either end scoring -inf."""
         lam, n = np.asarray(scores, dtype=np.float64), len(scores)
-        maxima = [j for j in range(n)
-                  if (j == 0 or lam[j] > lam[j - 1]) and (j == n - 1 or lam[j] >= lam[j + 1])]
+        left = [-np.inf, *lam[:-1]]
+        right = [*lam[1:], -np.inf]
+        maxima = [j for j in range(n) if lam[j] > left[j] and lam[j] >= right[j]]
         maxima.sort(key=lambda j: (-lam[j], j))
         return maxima[:c]
 
@@ -801,6 +914,8 @@ class TestCandidateSelection:
         cases += [rng.integers(-3, 4, int(rng.integers(1, 60))).astype(float) for _ in range(200)]
         cases += [ldpc.lambda_scores(mid_code, ldpc.bsc_llr(rng.integers(0, 2, mid_code.n), 0.06), 1)
                   for _ in range(50)]
+        # scores outside lambda_scores' windows are -inf
+        cases += [np.where(rng.random(len(lam)) < 0.5, -np.inf, lam) for lam in cases[-100:]]
         for scores in cases:
             for c in (1, 2, 4, 100):
                 got = ldpc.candidate_inversions(scores, c)
