@@ -13,10 +13,20 @@ newly fully observed check narrows I at once, then every check with one
 unknown neighbor fills it if F is constant on I (of checks sharing that
 unknown, the lowest fills it).  I only shrinks and known bits only grow, so
 every fill is forced and the order of the fills does not change the result.
-If peeling stalls, all residual indices i < n are enumerated together: they
-share one erasure pattern, so one wave schedule peels a block of
-prefix-flipped words, and parity, balance and index minimality are tested on
-all rows at once.
+A wave with no newly full check leaves I as it was and skips the narrowing;
+one with no certain fill skips the fill step, and a wave with neither ends
+the loop.
+
+If peeling stalls, all residual indices i < n are enumerated together, each
+by a known-i peel of the propagated word x rather than of the raw word.  A
+fill is made only with I inside one class of its check, and I only shrinks,
+so for every i left in I the fill is the value that check gives in the
+known-i peel: each fill is forced.  The peels of x and of the raw word then
+fill the same positions, and where either completes to a codeword every fill
+of both agrees with it, so they yield the same feasible (z, i) pairs; x just
+leaves fewer waves to run.  The residual indices share one erasure pattern,
+so one wave schedule peels a block of prefix-flipped words, and parity,
+balance and index minimality are tested on all rows at once.
 """
 
 from __future__ import annotations
@@ -111,6 +121,7 @@ def genie_peel(code: LdpcCode, y: np.ndarray, i: int) -> np.ndarray | None:
     """Standard peeling with the inversion index known; returns the codeword
     bits or None if a stopping set remains."""
     y = _received(code, y)
+    (i,) = as_whole_numbers([i], "inversion index")
     if not 0 <= i <= code.n:
         raise ValueError(f"inversion index {i} outside [0, {code.n}]")
     z = _prefix_flipped(y, np.array([i]))
@@ -153,6 +164,7 @@ def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
     when enumeration was complete and exactly one codeword survives.
     """
     y = _received(code, y)
+    (budget,) = as_whole_numbers([budget], "enumeration budget")
     if budget < 0:
         raise ValueError(f"enumeration budget {budget} is negative")
     n = code.n
@@ -166,36 +178,38 @@ def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
         count = unknown.sum(axis=1)
         # Fully observed checks pin down the alternation class of i.
         full = np.nonzero(active & (count == 0))[0]
-        parity = vals[full].sum(axis=1) % 2 == 1
-        inv &= ~(flip[full] != parity[:, None]).any(axis=0)
-        active[full] = False
+        if full.size:
+            parity = vals[full].sum(axis=1) % 2 == 1
+            inv &= ~(flip[full] != parity[:, None]).any(axis=0)
+            active[full] = False
         # Checks missing one neighbor can fill it once the class is certain;
         # with I empty both classes hold and the even one is taken.
         one = np.nonzero(active & (count == 1))[0]
-        on_inv = flip[one][:, inv]
-        even = ~on_inv.any(axis=1)
-        certain = even | on_inv.all(axis=1)
-        one, odd = one[certain], ~even[certain]
-        missing, first = np.unique(code.check_nbrs[one, unknown[one].argmax(axis=1)],
-                                   return_index=True)
-        one = one[first]
-        x[missing] = (vals[one].sum(axis=1) - ERASURE) % 2 ^ odd[first]
-        active[one] = False
-        if full.size == 0 and one.size == 0:
+        if one.size:
+            on_inv = flip[one][:, inv]
+            even = ~on_inv.any(axis=1)
+            certain = even | on_inv.all(axis=1)
+            one, odd = one[certain], ~even[certain]
+        if one.size:
+            missing, first = np.unique(code.check_nbrs[one, unknown[one].argmax(axis=1)],
+                                       return_index=True)
+            one = one[first]
+            x[missing] = (vals[one].sum(axis=1) - ERASURE) % 2 ^ odd[first]
+            active[one] = False
+        elif full.size == 0:
             break
 
     residual = int(inv.sum())
     erasures_left = int((x == ERASURE).sum())
     candidates = ()
     if 0 < residual <= budget:
-        # encoders only produce i < n; the known-i peel restarts from the raw
-        # word unless propagation already filled every position
+        # encoders only produce i < n; every fill in x is forced for each
+        # i in I, so the known-i peel starts from x
         idx = np.nonzero(inv[:n])[0]
-        src = x if erasures_left == 0 else y
         candidates = tuple(
             (z, int(i))
             for start in range(0, idx.size, _ENUM_ROWS)
-            for z, i in zip(*_feasible(code, src, idx[start:start + _ENUM_ROWS])))
+            for z, i in zip(*_feasible(code, x, idx[start:start + _ENUM_ROWS])))
     distinct = len({cw.tobytes() for cw, _ in candidates})
     status = (AMBIGUOUS if residual > budget or distinct > 1
               else UNIQUE if distinct else FAILURE)

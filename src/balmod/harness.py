@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bec, channel, ldpc, thresholds
-from .words import as_bits, balance
+from .words import as_bits, as_whole_numbers, balance
 
 CSV_COLUMNS = ("x", "strategy", "metric", "value", "stderr", "trials", "seed")
 
@@ -237,8 +237,11 @@ class WerBecSpec:
     budget: int | None = None   # None: n + 1, complete enumeration
 
     def __post_init__(self):
-        if self.budget is not None and self.budget < 0:
-            raise ValueError(f"enumeration budget {self.budget} is negative")
+        if self.budget is not None:
+            (budget,) = as_whole_numbers([self.budget], "enumeration budget")
+            if budget < 0:
+                raise ValueError(f"enumeration budget {budget} is negative")
+            object.__setattr__(self, "budget", budget)
 
 
 def _bec_trials(code: ldpc.LdpcCode, p: float, budget: int, point: tuple, trials: int):

@@ -220,12 +220,12 @@ class TestInversionSetDecoder:
         assert agreements > 50
 
 
-def received_words(code, seed: int, trials: int):
-    """Channel outputs of balanced codewords at erasure rates 0.2-0.5, and
+def received_words(code, seed: int, trials: int, rates=(0.2, 0.3, 0.35, 0.4, 0.5)):
+    """Channel outputs of balanced codewords at the given erasure rates, and
     every fourth one replaced by a random non-codeword word with erasures,
     each with its true index (None for the random words)."""
     rng = channel.make_rng(seed)
-    for p in (0.2, 0.3, 0.35, 0.4, 0.5):
+    for p in rates:
         for trial in range(trials):
             u = rng.integers(0, 2, code.k)
             x, i_true = ldpc.balanced_encode(code, u)
@@ -285,6 +285,34 @@ class TestMatchesOracle:
             assert bec_oracle.same_result(
                 res, bec_oracle.bec_decode(bec_code, y, budget=bec_code.n + 1))
             assert res.erasures_left == 0
+
+
+@pytest.fixture(scope="module")
+def stalled_words():
+    """(code, y, oracle result) of the words whose propagation stops with
+    erasures left and a residual set within the budget, so the known-index
+    peel of the enumeration starts from a partly filled word."""
+    out = []
+    for n in (128, 256):
+        code = ldpc.build_gallager(n, 3, 4, seed=11)
+        for y, _ in received_words(code, 43, 24, rates=(0.35, 0.45)):
+            ref = bec_oracle.bec_decode(code, y, budget=n + 1)
+            if ref.erasures_left > 0 and 0 < ref.residual_set_size <= n + 1:
+                out.append((code, y, ref))
+    return out
+
+
+class TestEnumerationStart:
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_stalled_decodes_equal_oracle(self, stalled_words, rows, monkeypatch):
+        # every fill made while I narrowed is forced for each i in I, so the
+        # peel from the propagated word yields the raw word's feasible pairs
+        if rows is not None:
+            monkeypatch.setattr(bec, "_ENUM_ROWS", rows)
+        assert len(stalled_words) >= 20
+        for code, y, ref in stalled_words:
+            assert bec_oracle.same_result(bec.bec_decode(code, y, budget=code.n + 1), ref)
+        assert any(ref.candidates for *_, ref in stalled_words)
 
 
 class TestFlipParityTable:
@@ -352,6 +380,29 @@ class TestInputValidation:
     def test_decode_rejects_wrong_length(self, bec_code):
         with pytest.raises(ValueError, match="shape"):
             bec.bec_decode(bec_code, np.zeros(bec_code.n + 1, dtype=np.int8))
+
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, "3", None])
+    def test_decode_rejects_budget_not_whole(self, bec_code, budget):
+        with pytest.raises(ValueError, match=f"budget {budget!r} .* not an integer"):
+            bec.bec_decode(bec_code, np.zeros(bec_code.n, dtype=np.int8), budget=budget)
+
+    def test_decode_reads_whole_float_budget(self, bec_code):
+        y = np.full(bec_code.n, ERASURE, dtype=np.int8)
+        y[:40] = 0
+        assert bec_oracle.same_result(bec.bec_decode(bec_code, y, budget=2.0),
+                                      bec.bec_decode(bec_code, y, budget=2))
+
+    @pytest.mark.parametrize("i", [1.5, float("nan"), "2", None])
+    def test_genie_peel_rejects_index_not_whole(self, bec_code, i):
+        with pytest.raises(ValueError, match=f"index {i!r} .* not an integer"):
+            bec.genie_peel(bec_code, np.zeros(bec_code.n, dtype=np.int8), i)
+
+    def test_genie_peel_reads_whole_float_index(self, bec_code):
+        rng = channel.make_rng(44)
+        x, i = ldpc.balanced_encode(bec_code, rng.integers(0, 2, bec_code.k))
+        y = channel.apply_bec(x, 0.2, seed=(44, 1))
+        assert bec_oracle.same_word(bec.genie_peel(bec_code, y, float(i)),
+                                    bec.genie_peel(bec_code, y, i))
 
     def test_decode_rejects_negative_budget(self, bec_code):
         with pytest.raises(ValueError, match="budget"):

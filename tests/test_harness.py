@@ -96,6 +96,15 @@ class TestWerBec:
         assert len(sizes) == 2
         assert all(r.value >= 1.0 for r in sizes)
 
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, "3"])
+    def test_budget_not_whole_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"budget {budget!r} .* not an integer"):
+            WerBecSpec(budget=budget)
+
+    def test_whole_float_budget_reads_as_int(self):
+        spec = WerBecSpec(budget=2.0)
+        assert spec.budget == 2 and type(spec.budget) is int
+
 
 class TestWerBsc:
     def test_smoke_and_determinism(self):
