@@ -38,7 +38,7 @@ import numpy as np
 from .channel import ERASURE
 from .intervals import IntervalSet
 from .ldpc import LdpcCode, syndrome
-from .words import as_whole_numbers, find_balancing_index, weight
+from .words import as_whole_number, as_whole_numbers, find_balancing_index, weight
 
 UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
@@ -59,7 +59,7 @@ def check_interval_sets(positions, values, n: int) -> IntervalSet:
     subset of {0, .., n}.
     """
     positions = as_whole_numbers(positions, "position")
-    (n,) = as_whole_numbers([n], "block length")
+    n = as_whole_number(n, "block length")
     if sorted(positions) != positions:
         raise ValueError("positions must be ascending")
     parity = weight(values) % 2
@@ -121,7 +121,7 @@ def genie_peel(code: LdpcCode, y: np.ndarray, i: int) -> np.ndarray | None:
     """Standard peeling with the inversion index known; returns the codeword
     bits or None if a stopping set remains."""
     y = _received(code, y)
-    (i,) = as_whole_numbers([i], "inversion index")
+    i = as_whole_number(i, "inversion index")
     if not 0 <= i <= code.n:
         raise ValueError(f"inversion index {i} outside [0, {code.n}]")
     z = _prefix_flipped(y, np.array([i]))
@@ -164,7 +164,7 @@ def bec_decode(code: LdpcCode, y, budget: int = 64) -> BecResult:
     when enumeration was complete and exactly one codeword survives.
     """
     y = _received(code, y)
-    (budget,) = as_whole_numbers([budget], "enumeration budget")
+    budget = as_whole_number(budget, "enumeration budget")
     if budget < 0:
         raise ValueError(f"enumeration budget {budget} is negative")
     n = code.n

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bec, channel, ldpc, thresholds
-from .words import as_bits, as_whole_numbers, balance
+from .words import as_bits, as_whole_number, balance
 
 CSV_COLUMNS = ("x", "strategy", "metric", "value", "stderr", "trials", "seed")
 
@@ -238,7 +238,7 @@ class WerBecSpec:
 
     def __post_init__(self):
         if self.budget is not None:
-            (budget,) = as_whole_numbers([self.budget], "enumeration budget")
+            budget = as_whole_number(self.budget, "enumeration budget")
             if budget < 0:
                 raise ValueError(f"enumeration budget {budget} is negative")
             object.__setattr__(self, "budget", budget)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .words import as_whole_numbers
+from .words import as_whole_number, as_whole_numbers
 
 
 def _whole_pairs(pairs) -> tuple[tuple[int, int], ...]:
@@ -38,7 +38,7 @@ class IntervalSet:
 
     @classmethod
     def full(cls, n: int) -> "IntervalSet":
-        return cls(((0, as_whole_numbers([n], "n")[0] + 1),))
+        return cls(((0, as_whole_number(n, "n") + 1),))
 
     @classmethod
     def from_pairs(cls, pairs) -> "IntervalSet":

@@ -50,7 +50,7 @@ def unrank_multiset(r: int, counts: Sequence[int]) -> QaryWord:
     """Return the r-th word (lexicographic) among all arrangements of a
     multiset with counts[s] copies of symbol s."""
     counts = words.as_whole_numbers(counts, "count")
-    (r,) = words.as_whole_numbers([r], "rank")
+    r = words.as_whole_number(r, "rank")
     n = sum(counts)
     total = multinomial(n, counts)
     if not 0 <= r < total:

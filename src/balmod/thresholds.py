@@ -6,11 +6,12 @@ n/2; relaxed variants trade exactness for speed; the optimal threshold is a
 simulation-only genie that knows the stored word.
 
 The realizable cuts of a block (below the minimum, between each pair of
-distinct consecutive sorted levels, above the maximum) come from one array
-scan, `_cuts`.  The genie takes the first cut with the fewest errors and the
-tie fallback of exact balancing the first cut closest to weight n/2, each by
-one `argmin` over that scan; cuts are in ascending threshold order, so the
-first minimum is the lowest threshold.
+distinct consecutive sorted levels, above the maximum) are found by their
+positions j, the number of cells read 0, in one array scan, `_positions`.
+The genie picks the first position with the fewest errors and the tie
+fallback of exact balancing the first one closest to weight n/2, each by one
+`argmin`: positions ascend with the threshold, so that is the lowest
+threshold.  Only the picked cut's threshold is computed, by `_cut_value`.
 """
 
 from __future__ import annotations
@@ -76,39 +77,40 @@ def balancing_threshold_exact(c) -> BalancingThreshold:
     k = n // 2
     asc = np.sort(levels)
     if asc[k - 1] < asc[k]:
-        return BalancingThreshold(value=float(_midpoint(asc[k - 1], asc[k])), exact=True)
-    values, j = _cuts(asc)
+        return BalancingThreshold(value=_cut_value(asc, k), exact=True)
+    j = _positions(asc)
     # a cut at position j has weight n - j, so its gap to k is |k - j|
-    return BalancingThreshold(value=float(values[np.argmin(np.abs(k - j))]),
+    return BalancingThreshold(value=_cut_value(asc, int(j[np.argmin(np.abs(k - j))])),
                               exact=False)
 
 
-def _midpoint(lower, upper):
-    """The threshold of the cut between ascending levels lower < upper (or
-    arrays of them): their midpoint, or upper where the midpoint is not
-    finite (overflow) or rounds onto lower (adjacent floats); a read at upper
-    still puts lower below the cut."""
+def _positions(asc: np.ndarray) -> np.ndarray:
+    """Positions of the realizable cuts of the ascending levels, ascending:
+    0, each j with asc[j - 1] < asc[j], and n.  At position j the j smallest
+    cells read 0, so the read weight is n - j."""
+    return np.concatenate(([0], np.flatnonzero(asc[:-1] < asc[1:]) + 1, [asc.size]))
+
+
+def _cut_value(asc: np.ndarray, j: int) -> float:
+    """The threshold of the cut at position j of the ascending levels."""
+    if j == 0:
+        # a cut at the minimum still reads every cell as 1: no guard needed
+        return float(asc[0] - 1.0)
+    if j == asc.size:
+        # + 1.0 rounds onto the maximum once levels reach ~2**53
+        return float(max(asc[-1] + 1.0, np.nextafter(asc[-1], np.inf)))
+    lower, upper = asc[j - 1], asc[j]
     with np.errstate(over="ignore"):
         mid = 0.5 * (lower + upper)
-    return np.where(np.isfinite(mid) & (mid > lower), mid, upper)
-
-
-def _cuts(asc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All realizable cuts of the ascending levels, in ascending threshold
-    order: the threshold of each and its position j (the j smallest cells
-    read 0, so the read weight is n - j)."""
-    n = asc.size
-    j = np.flatnonzero(asc[:-1] < asc[1:]) + 1
-    # + 1.0 rounds onto the maximum once levels reach ~2**53; a cut at the
-    # minimum still reads every cell as 1, so the lower sentinel needs no guard
-    top = max(asc[-1] + 1.0, np.nextafter(asc[-1], np.inf))
-    values = np.concatenate(([asc[0] - 1.0], _midpoint(asc[j - 1], asc[j]), [top]))
-    return values, np.concatenate(([0], j, [n]))
+    # upper where the midpoint overflows or rounds onto lower (adjacent
+    # floats); a read at upper still puts lower below the cut
+    return float(mid if np.isfinite(mid) and mid > lower else upper)
 
 
 def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:
     """Half-interval search: probe the midpoint, count ones, and shrink the
-    interval toward weight n/2; stops on exact balance or width <= eps."""
+    interval toward weight n/2; stops on exact balance, on width <= eps, or
+    once the midpoint rounds onto lo or hi, and returns the midpoint."""
     levels = as_levels(c, min_size=1)
     for name, value in (("lo", lo), ("hi", hi), ("eps", eps)):
         if not np.isfinite(value):
@@ -118,8 +120,11 @@ def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:
     if eps <= 0:
         raise ValueError("need eps > 0")
     target = levels.size / 2.0
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
+    while True:
+        mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
+        # a midpoint that rounds onto an end can no longer shrink the interval
+        if not (hi - lo > eps and lo < mid < hi):
+            return mid
         k = int(np.sum(levels >= mid))
         if k == target:
             return mid
@@ -127,7 +132,6 @@ def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:
             hi = mid  # too few ones: threshold too high
         else:
             lo = mid
-    return 0.5 * (lo + hi)
 
 
 def relaxed_threshold_mean(c) -> float:
@@ -144,27 +148,22 @@ def relaxed_threshold_second_order(c, a: float = 0.0) -> float:
 
 
 def optimal_threshold_oracle(c, x) -> tuple[float, ErrorCounts]:
-    """Genie threshold minimizing total errors given the true stored word.
-
-    Scans the n + 1 realizable cuts (midpoints between distinct consecutive
-    sorted levels plus below-min / above-max sentinels).  Ties go to the
-    smallest error count, then the lowest threshold.
-    """
+    """Genie threshold minimizing total errors given the true stored word,
+    over every realizable cut; ties go to the lowest threshold."""
     levels = as_levels(c, min_size=1)
     bits = as_bits(x)
     if bits.size != levels.size:
         raise ValueError("stored word and levels must have equal length")
     n = levels.size
     # The order within tied levels is arbitrary: ones_below is read only at
-    # cuts between distinct levels.
-    truth = bits[np.argsort(levels)]
-    total_ones = int(truth.sum())
-    # cut j: the j smallest cells read 0, the rest read 1
+    # cuts between distinct levels, and no cut's value depends on it.
+    order = np.argsort(levels)
+    asc = levels[order]
     ones_below = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(truth, out=ones_below[1:])
-    values, j = _cuts(np.sort(levels))
-    ne = 2 * ones_below[j] - j + (n - total_ones)
-    best = int(np.argmin(ne))
-    n10 = int(ones_below[j[best]])
-    n01 = (n - int(j[best])) - (total_ones - n10)
-    return float(values[best]), ErrorCounts(n10=n10, n01=n01)
+    np.cumsum(bits[order], out=ones_below[1:])
+    j = _positions(asc)
+    # the error count at cut j is 2 * ones_below[j] - j + (n - total ones)
+    best = int(j[np.argmin(2 * ones_below[j] - j)])
+    n10 = int(ones_below[best])
+    n01 = (n - best) - (int(ones_below[n]) - n10)
+    return _cut_value(asc, best), ErrorCounts(n10=n10, n01=n01)

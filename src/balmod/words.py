@@ -103,16 +103,25 @@ def _bit_array(w) -> np.ndarray:
     return a.astype(np.uint8)
 
 
+def as_whole_number(value, what: str, index: int | None = None) -> int:
+    """value as a Python int: the one rule of what a whole number is.
+    Integer-like values and floats such as 2.0 are read as ints; any other
+    value is named as `what` by value, and by index when given one."""
+    if type(value) is int:
+        return value
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        at = "" if index is None else f" at index {index}"
+        raise ValueError(f"{what} {value!r}{at} is not an integer")
+    return int(value)
+
+
 def as_whole_numbers(values, what: str) -> list[int]:
-    """values as a list of Python ints: the one rule of what a whole number
-    is.  Integer-like entries and floats such as 2.0 are read as ints; the
-    first other entry is named as `what` by value and index."""
+    """values as a list of Python ints by the rule of as_whole_number; the
+    first other entry is named by value and index."""
     out = values.tolist() if isinstance(values, np.ndarray) else list(values)
     for i, v in enumerate(out):
         if type(v) is not int:
-            if not (isinstance(v, numbers.Real) and float(v).is_integer()):
-                raise ValueError(f"{what} {v!r} at index {i} is not an integer")
-            out[i] = int(v)
+            out[i] = as_whole_number(v, what, i)
     return out
 
 

@@ -214,13 +214,13 @@ class TestAlphabetSize:
 
     def test_unrank_multiset_rejects_non_integer_rank(self):
         # the rank walk took 0.5 as below the first count and returned [0, 1]
-        with pytest.raises(ValueError, match=r"^rank 0\.5 at index 0 is not an integer$"):
+        with pytest.raises(ValueError, match=r"^rank 0\.5 is not an integer$"):
             mlc.unrank_multiset(0.5, (1, 1))
         assert mlc.unrank_multiset(1.0, (1, 1)).tolist() == [1, 0]
 
     def test_unrank_balanced_rejects_non_integer_rank(self):
         # 1.5 walked to [1, 0]
-        with pytest.raises(ValueError, match=r"^rank 1\.5 at index 0 is not an integer$"):
+        with pytest.raises(ValueError, match=r"^rank 1\.5 is not an integer$"):
             mlc.unrank_balanced(1.5, 2, 1)
 
     def test_rank_multiset_rejects_symbols_outside_its_counts(self):

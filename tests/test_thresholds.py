@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import signal
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import threshold_oracle
+from balmod import channel
 from balmod.channel import make_rng
 from balmod.thresholds import (balancing_threshold_bisect,
                                balancing_threshold_exact, error_counts,
@@ -41,6 +43,20 @@ def assert_same_float(got, want):
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+@contextlib.contextmanager
+def returns_within(seconds: int):
+    """Fail a call that never returns instead of hanging the run."""
+    def hang(signum, frame):
+        raise TimeoutError("bisection did not return")
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def oracle_family(name: str, rng) -> np.ndarray:
     """One block of levels from a family the cut scans must handle."""
     n = 2 * int(rng.integers(1, 33))
@@ -54,6 +70,8 @@ def oracle_family(name: str, rng) -> np.ndarray:
         return rng.permutation(pairs)
     if name == "specials":
         return rng.choice(np.array([0.0, -0.0, 1e-300, 5e-324, 0.5]), n)
+    if name == "signed_zeros":
+        return rng.choice(np.array([-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0]), n)
     if name == "n2":
         return rng.choice(np.array([0.0, -0.0, 5e-324, 0.3, 0.7]), 2)
     if name == "all_equal":
@@ -69,7 +87,7 @@ def oracle_family(name: str, rng) -> np.ndarray:
 
 
 ORACLE_FAMILIES = ("gaussian", "grid4", "adjacent", "specials", "n2",
-                   "all_equal", "straddle")
+                   "all_equal", "straddle", "signed_zeros")
 
 
 def brute_force_min_gap(levels) -> int:
@@ -226,18 +244,23 @@ class TestBisect:
         (0.0, 1.0, math.inf, "eps", "inf"),
     ])
     def test_non_finite_argument_rejected(self, lo, hi, eps, name, value):
-        # an infinite hi kept hi - lo infinite, so the search never returned;
-        # the alarm makes such a regression fail instead of hang
-        def hang(signum, frame):
-            raise TimeoutError("bisection did not return")
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(5)
-        try:
+        # an infinite hi kept hi - lo infinite, so the search never returned
+        with returns_within(5):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
                 balancing_threshold_bisect([0.1, 0.9, 0.2, 0.8], lo, hi, eps)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("levels, lo, hi, eps, want", [
+        ([0.3] * 4, 0.0, 1.0, 1e-300, 0.30000000000000004),
+        ([1e16] * 4, 0.0, 2e16, 1e-3, 1e16),
+        ([1.5e308] * 4, 1e308, 1.7e308, 1.0, 1.5e308),
+    ])
+    def test_stops_once_the_midpoint_rounds_onto_an_end(self, levels, lo, hi, eps, want):
+        # eps below the float spacing: the midpoint rounded onto lo or hi and
+        # the interval stopped shrinking (or lo + hi overflowed to inf), so an
+        # unbalanceable block never returned
+        with returns_within(5):
+            v = balancing_threshold_bisect(levels, lo, hi, eps)
+        assert v == want and lo <= v <= hi
 
     @given(distinct_levels)
     @settings(max_examples=60)
@@ -368,3 +391,47 @@ class TestMatchesLoopOracle:
             fallbacks += not ref.exact
         if family in ("straddle", "all_equal"):
             assert fallbacks == 150
+
+    @pytest.mark.parametrize("decimals", [None, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.5])
+    def test_benchmark_scale_blocks(self, t, decimals):
+        # the ber-10k block: 10 000 cells, half storing 1; rounding to two
+        # decimals ties hundreds of cells at every cut
+        model = channel.DriftModel(channel.MEAN_DRIFT, 0.2)
+        rng = make_rng((43, int(10 * t)))
+        for trial in range(2):
+            stored = np.zeros(10_000, dtype=np.uint8)
+            stored[rng.permutation(10_000)[:5_000]] = 1
+            levels = channel.sample_levels(stored, model, t, seed=(43, trial)).levels
+            if decimals is not None:
+                levels = np.round(levels, decimals)
+            x = BitWord.from_array(stored)
+            v, counts = optimal_threshold_oracle(levels, x)
+            v_ref, counts_ref = threshold_oracle.optimal_threshold_oracle(levels, x)
+            assert_same_float(v, v_ref)
+            assert counts == counts_ref
+            res = balancing_threshold_exact(levels)
+            ref = threshold_oracle.balancing_threshold_exact(levels)
+            assert_same_float(res.value, ref.value)
+            # rounded blocks tie at the median, so they take the fallback scan
+            assert res.exact == ref.exact == (decimals is None)
+
+    @pytest.mark.parametrize("levels, bits, want", [
+        ([-5e-324, -0.0, 0.0, 1.0], [0, 1, 1, 1], -0.0),   # midpoint below the zeros
+        ([-0.0, 0.0, 5e-324, 1.0], [0, 0, 1, 1], 5e-324),  # midpoint rounds onto 0
+        ([-5e-324, -5e-324, 0.0, -0.0], None, -0.0),        # exact balancing
+    ])
+    def test_signed_zeros_at_a_cut(self, levels, bits, want):
+        # -0.0 == 0.0, so argsort and np.sort may order a zero block either
+        # way; every order must give the loop oracle's value, sign included
+        for order in itertools.permutations(range(len(levels))):
+            lv = np.array(levels)[list(order)]
+            if bits is None:
+                v = balancing_threshold_exact(lv).value
+                v_ref = threshold_oracle.balancing_threshold_exact(lv).value
+            else:
+                x = np.array(bits)[list(order)]
+                v = optimal_threshold_oracle(lv, x)[0]
+                v_ref = threshold_oracle.optimal_threshold_oracle(lv, x)[0]
+            assert_same_float(v, v_ref)
+            assert_same_float(v, want)

@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmod import bec, channel, ldpc, mlc, partial, thresholds
-from balmod.words import (BalancedWord, BitWord, KnuthCodeword, as_bits, balance,
-                          decode_prefix, encode_prefix, find_balancing_index,
-                          invert_prefix, knuth_decode, knuth_encode, prefix_length,
-                          weight)
+from balmod import bec, channel, harness, intervals, ldpc, mlc, partial, thresholds
+from balmod.words import (BalancedWord, BitWord, KnuthCodeword, as_bits, as_whole_number,
+                          as_whole_numbers, balance, decode_prefix, encode_prefix,
+                          find_balancing_index, invert_prefix, knuth_decode, knuth_encode,
+                          prefix_length, weight)
 
 
 def bw(s: str) -> BitWord:
@@ -192,6 +194,42 @@ class TestOneBitRule:
             with pytest.raises(ValueError,
                                match=rf"^a word must be one-dimensional, got shape \(2, {length}\)$"):
                 call(w)
+
+
+class TestWholeNumberRule:
+    """One rule reads whole numbers: a single value is named by value alone,
+    a list entry by value and index."""
+
+    @pytest.mark.parametrize("value, want", [(2, 2), (2.0, 2), (np.int64(3), 3),
+                                             (np.float64(4.0), 4), (True, 1)])
+    def test_whole_values_read_as_int(self, value, want):
+        got = as_whole_number(value, "count")
+        assert got == want and type(got) is int
+        assert as_whole_numbers([1, value], "count") == [1, want]
+
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, float("inf"), "3", None])
+    def test_single_value_named_without_index(self, bad):
+        with pytest.raises(ValueError, match=rf"^count {re.escape(repr(bad))} is not an integer$"):
+            as_whole_number(bad, "count")
+        with pytest.raises(ValueError,
+                           match=rf"^count {re.escape(repr(bad))} at index 1 is not an integer$"):
+            as_whole_numbers([1, bad], "count")
+
+    def test_each_one_value_site_names_no_index(self):
+        code = ldpc.build_gallager(8, 2, 4, seed=2)
+        y = np.zeros(code.n, dtype=np.int8)
+        sites = [
+            ("enumeration budget nan", lambda: bec.bec_decode(code, y, budget=float("nan"))),
+            ("inversion index 1.5", lambda: bec.genie_peel(code, y, 1.5)),
+            ("block length 8.5", lambda: bec.check_interval_sets([1, 4], [0, 0], 8.5)),
+            ("rank 2.5", lambda: mlc.unrank_multiset(2.5, (2, 2))),
+            ("rank 1.5", lambda: encode_prefix(1.5, 4)),
+            ("enumeration budget nan", lambda: harness.WerBecSpec(budget=float("nan"))),
+            ("n 8.5", lambda: intervals.IntervalSet.full(8.5)),
+        ]
+        for named, call in sites:
+            with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
+                call()
 
 
 class TestBitWordEntries:
@@ -402,7 +440,7 @@ class TestPrefixCode:
 
     def test_non_integer_index_rejected(self):
         # 1.5 walked to the balanced prefix 0101
-        with pytest.raises(ValueError, match=r"^rank 1\.5 at index 0 is not an integer$"):
+        with pytest.raises(ValueError, match=r"^rank 1\.5 is not an integer$"):
             encode_prefix(1.5, 4)
 
     def test_prefix_words_are_lexicographic(self):
