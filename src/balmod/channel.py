@@ -90,12 +90,19 @@ class AgedBlock:
 
 
 def sample_levels(x, model: DriftModel, t: float, seed) -> AgedBlock:
-    """Draw one level per cell from the model's 0/1 distributions at time t."""
+    """Draw one level per cell from the model's 0/1 distributions at time t.
+
+    The levels are Generator.normal(means, sds) with per-cell means and sds,
+    bit for bit: numpy draws each as mean + sd * z with two roundings, so one
+    standard-normal fill, scaled and shifted in place, gives the same floats
+    without numpy's per-element broadcast path.
+    """
     mean0, sd0, mean1, sd1 = model.level_params(t)
     bits = as_bits(x)
-    means = np.where(bits == 1, mean1, mean0)
-    sds = np.where(bits == 1, sd1, sd0)
-    levels = make_rng(seed).normal(means, sds)
+    levels = make_rng(seed).standard_normal(bits.size)
+    # bits are 0 or 1, so each indexes its bit's parameter
+    levels *= np.array((sd0, sd1)).take(bits)
+    levels += np.array((mean0, mean1)).take(bits)
     return AgedBlock(truth=bits, levels=levels, t=t)
 
 

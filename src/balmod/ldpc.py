@@ -364,19 +364,19 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
             np.ascontiguousarray(inc.transpose(1, 2, 0)).sum(axis=2, out=total)
         np.add(L, total, out=post)
         post_chk = flat_post.take(plan.to_check, out=plan.post_chk, mode="clip")
-        _clip(np.subtract(post_chk, m_cv, out=m), LLR_CLIP)
         # a check is unsatisfied when an odd number of its slots are negative
         parity = np.bitwise_xor.reduce(np.less(post_chk, 0, out=plan.neg), axis=0,
                                        out=plan.parity)
         unsat = np.logical_or.reduce(parity, axis=1, out=plan.unsat)
-        if it < max_iter and unsat.all():
-            continue
-        done = (iterations == 0) & (~unsat | (it == max_iter) | first_stop)
-        np.less(post, 0, out=words.view(bool), where=done[:, None])
-        np.logical_not(unsat, out=satisfied, where=done)
-        iterations[done] = it
-        if iterations.all():
-            break
+        if it == max_iter or not unsat.all():
+            done = (iterations == 0) & (~unsat | (it == max_iter) | first_stop)
+            np.less(post, 0, out=words.view(bool), where=done[:, None])
+            np.logical_not(unsat, out=satisfied, where=done)
+            iterations[done] = it
+            if iterations.all():
+                break
+        # the next iteration's messages, made only when one follows
+        _clip(np.subtract(post_chk, m_cv, out=m), LLR_CLIP)
     return words, satisfied, iterations
 
 

@@ -5,13 +5,16 @@ level is >= v.  The balancing threshold picks v so the read word has weight
 n/2; relaxed variants trade exactness for speed; the optimal threshold is a
 simulation-only genie that knows the stored word.
 
-The realizable cuts of a block (below the minimum, between each pair of
-distinct consecutive sorted levels, above the maximum) are found by their
-positions j, the number of cells read 0, in one array scan, `_positions`.
-The genie picks the first position with the fewest errors and the tie
-fallback of exact balancing the first one closest to weight n/2, each by one
-`argmin`: positions ascend with the threshold, so that is the lowest
-threshold.  Only the picked cut's threshold is computed, by `_cut_value`.
+Exact balancing needs only the two levels around the median, so it finds
+them by selection (`np.partition`), not a sort; only when they tie does it
+sort the levels and scan their cuts.  The realizable cuts of a block (below
+the minimum, between each pair of distinct consecutive sorted levels, above
+the maximum) are found by their positions j, the number of cells read 0, in
+one array scan, `_positions`.  The genie picks the first position with the
+fewest errors and the tie fallback of exact balancing the first one closest
+to weight n/2, each by one `argmin`: positions ascend with the threshold, so
+that is the lowest threshold.  Only the picked cut's threshold is computed,
+by `_cut_value`, on Python floats.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def error_counts(x, y) -> ErrorCounts:
 
 
 def balancing_threshold_exact(c) -> BalancingThreshold:
-    """Sort the levels and cut between the n/2 largest and the rest.
+    """Cut between the n/2 largest levels and the rest.
 
     Ties straddling the median boundary make exact balance impossible; in that
     case the returned threshold minimizes |weight - n/2| and exact is False.
@@ -75,9 +78,13 @@ def balancing_threshold_exact(c) -> BalancingThreshold:
     if n % 2:
         raise ValueError("exact balancing requires an even number of cells")
     k = n // 2
+    # part[k] is the level at sorted position k; part[:k] holds the k levels
+    # below it, in no order
+    part = np.partition(levels, k)
+    lower, upper = float(part[:k].max()), float(part[k])
+    if lower < upper:
+        return BalancingThreshold(value=_between(lower, upper), exact=True)
     asc = np.sort(levels)
-    if asc[k - 1] < asc[k]:
-        return BalancingThreshold(value=_cut_value(asc, k), exact=True)
     j = _positions(asc)
     # a cut at position j has weight n - j, so its gap to k is |k - j|
     return BalancingThreshold(value=_cut_value(asc, int(j[np.argmin(np.abs(k - j))])),
@@ -95,16 +102,21 @@ def _cut_value(asc: np.ndarray, j: int) -> float:
     """The threshold of the cut at position j of the ascending levels."""
     if j == 0:
         # a cut at the minimum still reads every cell as 1: no guard needed
-        return float(asc[0] - 1.0)
+        return float(asc[0]) - 1.0
     if j == asc.size:
         # + 1.0 rounds onto the maximum once levels reach ~2**53
-        return float(max(asc[-1] + 1.0, np.nextafter(asc[-1], np.inf)))
-    lower, upper = asc[j - 1], asc[j]
-    with np.errstate(over="ignore"):
-        mid = 0.5 * (lower + upper)
+        top = float(asc[-1])
+        return max(top + 1.0, math.nextafter(top, math.inf))
+    return _between(float(asc[j - 1]), float(asc[j]))
+
+
+def _between(lower: float, upper: float) -> float:
+    """The threshold of the cut between two levels, lower < upper."""
+    # Python floats are IEEE doubles: the sum overflows to inf silently
+    mid = 0.5 * (lower + upper)
     # upper where the midpoint overflows or rounds onto lower (adjacent
     # floats); a read at upper still puts lower below the cut
-    return float(mid if np.isfinite(mid) and mid > lower else upper)
+    return mid if math.isfinite(mid) and mid > lower else upper
 
 
 def balancing_threshold_bisect(c, lo: float, hi: float, eps: float) -> float:

@@ -12,7 +12,8 @@ from balmod import channel
 from balmod.channel import (DriftModel, MEAN_DRIFT, VARIANCE_GROWTH,
                             analytic_ber, analytic_ber_mean_drift,
                             analytic_ber_variance_growth, apply_bec, apply_bsc,
-                            model_thresholds, normal_cdf, sample_levels)
+                            make_rng, model_thresholds, normal_cdf,
+                            sample_levels)
 from balmod.thresholds import balancing_threshold_exact
 from balmod.words import BitWord
 
@@ -59,6 +60,22 @@ class TestSampling:
         a = sample_levels(x, m, 0.2, seed=9)
         b = sample_levels(x, m, 0.2, seed=9)
         assert np.array_equal(a.levels, b.levels)
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 10_000])
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.3])
+    @pytest.mark.parametrize("kind", [MEAN_DRIFT, VARIANCE_GROWTH])
+    def test_levels_equal_the_per_cell_normal_draw(self, kind, t, n):
+        # the oracle is numpy's normal with per-cell means and sds, which
+        # sample_levels replaces by one scaled standard-normal fill
+        model = DriftModel(kind, 0.2)
+        mean0, sd0, mean1, sd1 = model.level_params(t)
+        bits = make_rng((7, n)).integers(0, 2, n).astype(np.uint8)
+        for x, seed in ((bits, n), (make_word(bits), (n, 3, 1)), (bits.tolist(), 5)):
+            want = make_rng(seed).normal(np.where(bits == 1, mean1, mean0),
+                                         np.where(bits == 1, sd1, sd0))
+            got = sample_levels(x, model, t, seed).levels
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == want.tobytes()
 
     def test_truth_of_a_bitword_is_read_only(self):
         x = make_word(np.array([0, 1, 1, 0], dtype=np.uint8))

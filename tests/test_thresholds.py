@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import threshold_oracle
 from balmod import channel
 from balmod.channel import make_rng
-from balmod.thresholds import (balancing_threshold_bisect,
+from balmod.thresholds import (_cut_value, balancing_threshold_bisect,
                                balancing_threshold_exact, error_counts,
                                optimal_threshold_oracle, read_with_threshold,
                                relaxed_threshold_mean,
@@ -76,6 +76,11 @@ def oracle_family(name: str, rng) -> np.ndarray:
         return rng.choice(np.array([0.0, -0.0, 5e-324, 0.3, 0.7]), 2)
     if name == "all_equal":
         return np.full(n, rng.choice(np.array([-0.0, 0.0, 0.25, -3.5])))
+    if name == "tied_pair":
+        # only the two levels around the median tie; the rest are distinct
+        levels = np.sort(rng.normal(0.5, 0.2, n))
+        levels[n // 2] = levels[n // 2 - 1]
+        return rng.permutation(levels)
     if name == "straddle":
         # a tie block covering sorted positions n/2 - 1 and n/2
         levels = np.sort(rng.normal(0.5, 0.2, n))
@@ -87,7 +92,7 @@ def oracle_family(name: str, rng) -> np.ndarray:
 
 
 ORACLE_FAMILIES = ("gaussian", "grid4", "adjacent", "specials", "n2",
-                   "all_equal", "straddle", "signed_zeros")
+                   "all_equal", "straddle", "signed_zeros", "tied_pair")
 
 
 def brute_force_min_gap(levels) -> int:
@@ -389,7 +394,7 @@ class TestMatchesLoopOracle:
             assert_same_float(res.value, ref.value)
             assert res.exact == ref.exact
             fallbacks += not ref.exact
-        if family in ("straddle", "all_equal"):
+        if family in ("straddle", "all_equal", "tied_pair"):
             assert fallbacks == 150
 
     @pytest.mark.parametrize("decimals", [None, 2])
@@ -416,22 +421,73 @@ class TestMatchesLoopOracle:
             # rounded blocks tie at the median, so they take the fallback scan
             assert res.exact == ref.exact == (decimals is None)
 
+    def test_balancing_selection_on_many_large_blocks(self):
+        # np.partition leaves the k levels below the median unordered, and
+        # now and then the largest of them is not at position k - 1
+        rng = make_rng(45)
+        for _ in range(400):
+            n = 2 * int(rng.integers(500, 5_001))
+            levels = rng.normal(np.where(rng.random(n) < 0.5, 0.7, 0.0), 0.2)
+            res = balancing_threshold_exact(levels)
+            ref = threshold_oracle.balancing_threshold_exact(levels)
+            assert_same_float(res.value, ref.value)
+            assert res.exact and ref.exact
+
     @pytest.mark.parametrize("levels, bits, want", [
         ([-5e-324, -0.0, 0.0, 1.0], [0, 1, 1, 1], -0.0),   # midpoint below the zeros
         ([-0.0, 0.0, 5e-324, 1.0], [0, 0, 1, 1], 5e-324),  # midpoint rounds onto 0
         ([-5e-324, -5e-324, 0.0, -0.0], None, -0.0),        # exact balancing
+        ([-1.0, -0.0, 0.0, 2.0, 3.0, 4.0], None, 1.0),      # zeros below the median
+        ([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0], None, -0.5),   # zeros above it
+        ([0.0, 5e-324], None, 5e-324),
+        ([-1.0, -0.0, 0.0, 1.0], None, -0.5),               # zeros tie at the median
+        ([-0.0, 0.0, -0.0, 5e-324], None, 5e-324),
+        ([-0.0, 0.0, -0.0, 0.0], None, -1.0),
+        ([-0.0, 0.0], None, -1.0),
+        ([0.25, 0.25], None, -0.75),
     ])
     def test_signed_zeros_at_a_cut(self, levels, bits, want):
-        # -0.0 == 0.0, so argsort and np.sort may order a zero block either
-        # way; every order must give the loop oracle's value, sign included
+        # -0.0 == 0.0, so argsort, np.sort and np.partition may order a zero
+        # block either way; every order must give the loop oracle's value,
+        # sign included
         for order in itertools.permutations(range(len(levels))):
             lv = np.array(levels)[list(order)]
             if bits is None:
-                v = balancing_threshold_exact(lv).value
-                v_ref = threshold_oracle.balancing_threshold_exact(lv).value
+                res = balancing_threshold_exact(lv)
+                ref = threshold_oracle.balancing_threshold_exact(lv)
+                v, v_ref = res.value, ref.value
+                assert res.exact == ref.exact
             else:
                 x = np.array(bits)[list(order)]
                 v = optimal_threshold_oracle(lv, x)[0]
                 v_ref = threshold_oracle.optimal_threshold_oracle(lv, x)[0]
             assert_same_float(v, v_ref)
             assert_same_float(v, want)
+
+
+class TestCutValue:
+    @pytest.mark.parametrize("asc, j, want", [
+        ([0.25, 0.75], 0, -0.75),
+        ([0.25, 0.75], 1, 0.5),
+        ([0.25, 0.75], 2, 1.75),
+        ([-1.7e308, 1.7e308], 1, 0.0),   # opposite signs: the sum cannot overflow
+        # + 1.0 rounds onto a maximum of 2**53, so the guard steps one float up
+        ([1.0, 2.0 ** 53], 2, 2.0 ** 53 + 2.0),
+        ([1.0, 2.0 ** 53 + 2.0], 2, 2.0 ** 53 + 4.0),
+        ([1.0, 2.0 ** 53 - 1.0], 2, 2.0 ** 53),
+        # the midpoint overflows: the upper level realizes the cut
+        ([1e308, 1.7e308], 1, 1.7e308),
+        ([-1.7e308, -1e308], 1, -1e308),
+        # adjacent floats: the midpoint rounds onto the lower one, or onto a
+        # zero between them
+        ([1.0, math.nextafter(1.0, math.inf)], 1, math.nextafter(1.0, math.inf)),
+        ([0.0, 5e-324], 1, 5e-324),
+        ([-5e-324, 0.0], 1, -0.0),
+        ([-0.0, 0.0, 1.0], 0, -1.0),
+    ])
+    def test_cut_value(self, asc, j, want):
+        asc = np.array(asc)
+        assert_same_float(_cut_value(asc, j), want)
+        # the loop oracle yields the same cut among its ascending candidates
+        cuts = {asc.size - wt: v for v, wt in threshold_oracle._cut_candidates(asc)}
+        assert_same_float(_cut_value(asc, j), cuts[j])
