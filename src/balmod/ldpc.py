@@ -10,14 +10,15 @@ For symmetric channels, candidate inversion indices are ranked by a shift
 score: the exact sum over checks of the product of tanh(m/2) over the check's
 incoming variable messages after a fixed small number of message-passing
 rounds, each product rounded to a multiple of 2^-50.  At depth 1 it is exactly
-(number of checks) - 2 * (unsatisfied checks).  The scorer takes all n prefix
-shifts at once, or only those inside given windows: a message or product
-changes with the shift only where it passes a variable in its
-depth-neighborhood, so each is evaluated once per such step.  At depth 2 or
-more the balanced decoder scores only the merged +-w windows (w = 16) around
-the K = 16 best depth-1 maxima, on codes where those can cover at most half
-of the shifts (2K(2w + 1) <= n, so n >= 1056); shorter codes score every
-shift.
+(number of checks) - 2 * (unsatisfied checks).  A message or product changes
+with the shift only where it passes a variable in its depth-neighborhood, so
+the scorer evaluates each once per segment between such steps, every level
+ordered by start shift: a window of shifts is each node's segment at its
+first shift plus one contiguous run, and every shift is one window.  At
+depth 2 or more the balanced decoder scores only the merged +-w windows
+(w = 16) around the K = 16 best depth-1 maxima, on codes where those can
+cover at most half of the shifts (2K(2w + 1) <= n, so n >= 1056); shorter
+codes score every shift.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import make_rng
-from .words import BalancedWord, _bit_array, as_bits, balance, find_balancing_index
+from .words import (BalancedWord, _bit_array, as_bits, as_whole_number, balance,
+                    find_balancing_index)
 
 LLR_CLIP = 30.0
 _ATANH_LIMIT = 1.0 - 1e-15
@@ -388,6 +390,7 @@ def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
     +-30 to keep tanh / arctanh stable.  This is the one-row call of the
     batched kernel that balanced_decode runs on all its candidates at once.
     """
+    max_iter = as_whole_number(max_iter, "max_iter")
     words, satisfied, iterations = _bp_rows(code, _clipped_llr(code, llr)[None], max_iter)
     return BpResult(word=words[0], satisfied=bool(satisfied[0]),
                     iterations=int(iterations[0]))
@@ -397,63 +400,74 @@ def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
 # Shift scores
 
 
-def _validate_depth(depth: int) -> None:
+def _validate_depth(depth) -> int:
+    depth = as_whole_number(depth, "score depth")
     if not 1 <= depth <= 3:
         raise ValueError("score depth must be 1, 2, or 3 (cost grows exponentially)")
+    return depth
 
 
 @dataclass(frozen=True)
 class _ScoreRound:
-    """One message-passing round of the all-shift scorer: its gather indices
-    (see _ScorePlan) and the tables it writes, reused call after call."""
+    """One message-passing round of the scorer: its levels' seg_ptr and gather
+    indices (see _ScorePlan), and the tables an all-shift call writes."""
 
-    check_idx: np.ndarray    # (b, check segments) into the tanh table
-    own_idx: np.ndarray      # (1, variable segments) into the channel table
-    inc_idx: np.ndarray      # (a, variable segments) into the flattened check messages
-    tanh: np.ndarray         # tanh(m / 2) of the round's input messages
+    check_ptr: np.ndarray    # (n + 1,) the check level's seg_ptr
+    var_ptr: np.ndarray      # (n + 1,) the variable level's seg_ptr
+    check_idx: np.ndarray    # (b, check segments) into the tanh'd messages of the level below
+    var_idx: np.ndarray      # (1 + a, variable segments): the channel table, then loo's
     t: np.ndarray            # (b, check segments): the tanh gathered per check slot
     loo: np.ndarray          # check messages (_check_step's output)
     suf: np.ndarray          # _check_step's suffix products
     views: tuple             # _check_views of t, loo and suf
     csum: np.ndarray         # (a, variable segments): incoming messages, prefix-summed
     own: np.ndarray          # (1, variable segments): the own channel LLRs
-    m: np.ndarray            # (a, variable segments): outgoing messages
+    m: np.ndarray            # (a, variable segments): tanh(m / 2) of the outgoing messages
 
 
 @dataclass(frozen=True)
 class _ScorePlan:
-    """Gather indices and reused tables of the all-shift scorer; the indices
-    depend only on the graph.
+    """Gather indices and reused tables of the scorer; the indices depend
+    only on the graph.
 
     A message of round l depends only on the variables within l hops of it,
-    so as a function of the shift j it steps only where j passes one of them.
-    A node with k such variables has k + 1 segments (segment s: the s lowest
-    flipped), and each level's table is slot-major like the BP kernel's,
-    (slots, segments): segments 2v / 2v + 1 of the channel level hold the
-    unflipped / flipped LLR of v in one slot, a check segment its b edges in
-    check order, a variable segment its a edges in check order.  Each index
-    array is (inputs, parent segments) into a flattened child table.  Every
-    table a call writes is held here too, so calls on one code must not
-    overlap (one call per code runs at a time).
+    so as a function of the shift j it steps only where j passes one of
+    them: a node with k such variables has k + 1 segments, segment s (the s
+    lowest flipped) starting at shift 0 or one past its s-th dependency.
+    Every level orders its segments shift-major, by start shift, ties by
+    node: each node's segment 0 comes first, in node order, and the shifts
+    [lo, hi] need each node's segment at lo and the positions
+    seg_ptr[lo + 1]:seg_ptr[hi + 1].  Segments starting at shift n cover no
+    shift and are cut (K remain).  Tables are slot-major like the BP
+    kernel's, (slots, K): a check segment's b edges and a variable
+    segment's a edges in check order, and the channel table (2, n) each LLR
+    unflipped, then flipped.  Index arrays are (inputs, K), at slot * K_child
+    + position of a flattened child table; a node's segment at lo is what its
+    reader (row, node) reads at lo.  Every table a call writes is held here
+    too, so calls on one code must not overlap.
     """
 
     rounds: tuple            # a _ScoreRound per round before the last product
-    keys: np.ndarray         # sorted check * n + dependency over the checks of the last product
-    prod_idx: np.ndarray     # (b, S): last messages per check segment, S in all
-    term_idx: np.ndarray     # into fixed: every first segment, then each shift's steps
-    shift_start: np.ndarray  # (n + 1,) each shift's first term in term_idx, then their count
-    chan: np.ndarray         # (n, 2) channel table: each LLR unflipped, flipped
-    prod: np.ndarray         # (S,) check products
-    tmp: np.ndarray          # (S,) one slot's gathered messages, then the scaled products
-    fixed: np.ndarray        # (2S - 1,) int64: prod in 2**-_SCORE_BITS, its steps, then n totals
-    terms: np.ndarray        # (terms,) int64: fixed gathered through term_idx
+    keys: np.ndarray         # last checks: sorted check * n + dependency
+    pos: np.ndarray          # last checks: position of check c's s-th segment, at ptr[c] + c + s
+    seg_ptr: np.ndarray      # (n + 1,) last checks: first position starting at each shift
+    readers: tuple           # a reader (rows, nodes) of each variable, then of each check
+    prod_idx: np.ndarray     # (b, K): last messages per check segment
+    prev: np.ndarray         # (K,) position of each segment's previous one, read past r
+    chan: np.ndarray         # (2, n) channel table: the LLRs unflipped, then flipped
+    tanh: np.ndarray         # (2n,) tanh(chan / 2), round 1's input
+    prod: np.ndarray         # (K,) check products
+    tmp: np.ndarray          # (K,) one slot's gathered messages, then the scaled products
+    q: np.ndarray            # (K,) int64: prod in units of 2**-_SCORE_BITS, then the terms
+    steps: np.ndarray        # (K - r,) int64: q at each later segment's previous one
 
 
-def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Sorted dependency sets (CSR ptr, deps) of parent nodes, and per group
-    ((ptr, deps), ids, slots) of child levels the (inputs, parent segments)
-    indices that parent x's segments read for input k: slot slots[x, k] of
-    child ids[x, k], at slot * segments + segment of the flattened child table."""
+def _join(n: int, groups) -> tuple[tuple, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The level (ptr, keys, pos, K) of parent nodes whose input k reads
+    slot slots[x, k] of child ids[x, k], per group (child level, ids,
+    slots), in shift-major order (see _ScorePlan); its seg_ptr; its
+    node-major segment at each position; and per group the (inputs, K)
+    indices its segments read."""
     def keys(ptr, deps, child):     # parent * n + dep for every dep of child[parent]
         lens = ptr[child + 1] - ptr[child]
         first = np.cumsum(lens) - lens
@@ -461,103 +475,85 @@ def _join(n: int, groups) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         return np.repeat(np.arange(child.size) * n, lens) + elem
 
     # a sort, not np.unique, whose hashing is many times slower on these keys
-    uniq = np.sort(np.concatenate([keys(*level, child) for level, ids, _ in groups
-                                   for child in ids.T]))
+    uniq = np.sort(np.concatenate([keys(level[0], level[1] % n, child)
+                                   for level, ids, _ in groups for child in ids.T]))
     uniq = uniq[np.insert(uniq[1:] != uniq[:-1], 0, True)]
-    num = groups[0][1].shape[0]
-    ptr = np.searchsorted(uniq, np.arange(num + 1) * n)
-    seg_start = ptr[:-1] + np.arange(num)
+    ptr = np.searchsorted(uniq, np.arange(len(groups[0][1]) + 1) * n)
+    seg_start = ptr[:-1] + np.arange(ptr.size - 1)
     nseg = np.diff(ptr) + 1
+    # the start shifts node-major, in the smallest type that holds n: numpy's
+    # stable sort is a radix sort on 16 bits or fewer
+    start = np.insert(uniq % n + 1, ptr[:-1], 0).astype(np.min_scalar_type(n))
+    order = np.argsort(start, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    seg_ptr = np.searchsorted(start[order], np.arange(n + 1))
+    order = order[:seg_ptr[n]]
     out = []
-    for (cptr, cdeps), ids, slots in groups:
-        child_segs = cptr[-1] + cptr.size - 1
+    for (cptr, ckeys, cpos, width), ids, slots in groups:
         first_seg = cptr[:-1] + np.arange(cptr.size - 1)
-        idx = np.empty((ids.shape[1], ptr[-1] + num), dtype=np.intp)
+        idx = np.empty((ids.shape[1], order.size), dtype=np.intp)
         for k, (child, slot) in enumerate(zip(ids.T, slots.T)):
-            key = keys(cptr, cdeps, child)
+            key = keys(cptr, ckeys % n, child)
             # the child's segment advances at the parent segment that flips one
             # more of the child's own dependencies
-            steps = np.bincount(np.searchsorted(uniq, key) + key // n + 1, minlength=idx.shape[1])
+            steps = np.bincount(np.searchsorted(uniq, key) + key // n + 1, minlength=nseg.sum())
             count = np.cumsum(steps, out=steps)
-            idx[k] = count + np.repeat(slot * child_segs + first_seg[child] - count[seg_start],
-                                       nseg)
+            seg = count + np.repeat(first_seg[child] - count[seg_start], nseg)
+            idx[k] = (cpos[seg] + np.repeat(slot * width, nseg)).take(order)
         out.append(idx)
-    return ptr, uniq % n, out
+    return (ptr, uniq, pos, order.size), seg_ptr, order, out
 
 
 def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
     n, r, a, b = code.n, code.r, code.a, code.b
     if r << _SCORE_BITS >= 1 << 63:     # shift totals fit int64; steps may wrap (sums mod 2**64)
         raise ValueError(f"exact scores need r < {1 << 63 - _SCORE_BITS} checks, got r = {r}")
-    chan = (np.arange(n + 1), np.arange(n))     # variable v depends on itself
+    # variable v depends on itself; its segment s sits at s * n + v of the one-slot table
+    chan = (np.arange(n + 1), np.arange(n) * (n + 1), np.arange(2 * n).reshape(2, n).T.ravel(), 0)
     # slot of each check-major edge among its variable's edges
     var_slot = np.empty(r * b, dtype=np.intp)
     var_slot[code.var_edge_ids] = np.arange(a)
     check_of_var, slot_in_check = divmod(code.var_edge_ids, b)
     var_level, slots = chan, np.zeros((r, b), dtype=np.intp)
-    rounds, inputs = [], 2 * n
+    rounds = []
     for _ in range(1, depth):
-        *check_level, (check_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
-        *var_level, (own_idx, inc_idx) = _join(n, [
+        checks, check_ptr, _, (check_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
+        var_level, var_ptr, _, var_idx = _join(n, [
             (chan, np.arange(n)[:, None], np.zeros((n, 1), dtype=np.intp)),
-            (check_level, check_of_var, slot_in_check)])
+            (checks, check_of_var, slot_in_check)])
+        var_idx = np.concatenate(var_idx)
         t, loo, suf = (np.empty(check_idx.shape) for _ in range(3))
         rounds.append(_ScoreRound(
-            check_idx=check_idx, own_idx=own_idx, inc_idx=inc_idx,
-            tanh=np.empty(inputs), t=t, loo=loo, suf=suf, views=_check_views(t, loo, suf),
-            csum=np.empty(inc_idx.shape), own=np.empty(own_idx.shape), m=np.empty(inc_idx.shape)))
-        slots, inputs = var_slot.reshape(r, b), inc_idx.size
-    ptr, deps, (prod_idx,) = _join(n, [(var_level, code.check_nbrs, slots)])
-    # check c's segment s covers the shifts j with s dependencies < j; its step from s - 1,
-    # fixed[S + ptr[c] + c + s - 1], comes at j = (s-th dependency) + 1 (cut at j = n).  Each
-    # j > 0 has a step (variable j - 1 is a dependency of its own checks), so reduceat is safe
-    segs, by_shift = ptr[-1] + r, np.argsort(deps, kind="stable")
-    step_idx = segs + np.arange(ptr[-1]) + np.repeat(np.arange(r), np.diff(ptr))
-    first = r + np.searchsorted(deps[by_shift], np.arange(n))   # where j = 1..n's steps start
-    assert np.all(np.diff(first) > 0)
-    term_idx = np.concatenate([ptr[:-1] + np.arange(r), step_idx[by_shift]])[:first[-1]]
-    return _ScorePlan(rounds=tuple(rounds), keys=deps + np.repeat(np.arange(r) * n, np.diff(ptr)),
-                      prod_idx=prod_idx, term_idx=term_idx,
-                      shift_start=np.concatenate([[0], first]), chan=np.empty((n, 2)),
-                      prod=np.empty(segs), tmp=np.empty(segs),
-                      fixed=np.empty(2 * segs - 1, np.int64), terms=np.empty(first[-1], np.int64))
+            check_ptr=check_ptr, var_ptr=var_ptr, check_idx=check_idx, var_idx=var_idx, t=t,
+            loo=loo, suf=suf, views=_check_views(t, loo, suf), csum=np.empty(var_idx[1:].shape),
+            own=np.empty(var_idx[:1].shape), m=np.empty(var_idx[1:].shape)))
+        slots = var_slot.reshape(r, b)
+    (_, keys, pos, K), seg_ptr, order, (prod_idx,) = _join(
+        n, [(var_level, code.check_nbrs, slots)])
+    return _ScorePlan(rounds=tuple(rounds), keys=keys, pos=pos, seg_ptr=seg_ptr,
+                      readers=((slot_in_check[:, 0], check_of_var[:, 0]),
+                               (1 + var_slot[::b], code.check_nbrs[:, 0])),
+                      prod_idx=prod_idx, prev=pos.take(order - 1), chan=np.empty((2, n)),
+                      tanh=np.empty(2 * n), prod=np.empty(K), tmp=np.empty(K),
+                      q=np.empty(K, np.int64), steps=np.empty(K - r, np.int64))
 
 
-def _var_step(rc: np.ndarray, chan: np.ndarray, inc_idx: np.ndarray, own_idx: np.ndarray,
-              csum: np.ndarray, own: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Outgoing messages of the variable segments that inc_idx and own_idx
-    index, from the flat check messages rc, written into m and returned:
-    the own LLR plus the exclusive prefix sum, plus the suffix sum of the
-    incoming messages, clipped.  csum and own are scratch tables of the
-    index arrays' shapes."""
-    csum = rc.take(inc_idx, out=csum, mode="clip")
+def _var_step(rc: np.ndarray, chan: np.ndarray, idx: np.ndarray, csum: np.ndarray,
+              own: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Outgoing messages of the variable segments idx indexes (row 0 into the
+    channel table chan, the rest into the flat check messages rc), written
+    into m and returned: the own LLR plus the exclusive prefix sum, plus the
+    suffix sum of the incoming messages, clipped; csum and own are scratch."""
+    csum = rc.take(idx[1:], out=csum, mode="clip")
     for k in range(1, len(csum)):   # in place: np.cumsum on axis 0 is ~10x slower
         csum[k] += csum[k - 1]
     m[0] = 0.0
     m[1:] = csum[:-1]
-    np.add(chan.take(own_idx, out=own, mode="clip"), m, out=m)
+    np.add(chan.take(idx[:1], out=own, mode="clip"), m, out=m)
     np.subtract(csum[-1], csum[:-1], out=csum[:-1])     # the suffix sums; the last is 0
     csum[-1] = 0.0
     return _clip(np.add(m, csum, out=m), LLR_CLIP)
-
-
-def _check_products(t: np.ndarray, idx: np.ndarray, prod: np.ndarray,
-                    tmp: np.ndarray) -> np.ndarray:
-    """prod[i] = the product over slots k of t[idx[k, i]], written into prod
-    and returned.  Slots are multiplied in one at a time, in order, as
-    np.prod multiplies rows over the slot axis; tmp is scratch of prod's
-    shape."""
-    t.take(idx[0], out=prod, mode="clip")
-    for row in idx[1:]:
-        np.multiply(prod, t.take(row, out=tmp, mode="clip"), out=prod)
-    return prod
-
-
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """np.arange(start, stop) of each pair, concatenated."""
-    lens = stops - starts
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
 
 
 def _window_bounds(n: int, windows) -> tuple[np.ndarray, np.ndarray]:
@@ -571,55 +567,41 @@ def _window_bounds(n: int, windows) -> tuple[np.ndarray, np.ndarray]:
     return w[:, 0].astype(np.intp), w[:, 1].astype(np.intp)
 
 
-def _window_scores(code: LdpcCode, plan: _ScorePlan, chan: np.ndarray, rc: np.ndarray | None,
-                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """lambda_scores on the windows [lo, hi], from the flat channel table
-    and, at depth 2 or more, the last round's flat check messages rc."""
-    n, r, S = code.n, code.r, plan.prod.size
-    lens = hi - lo + 1
-    # the check segments covering the windows: each check's at a window's first
-    # shift (the count of its dependencies below it), then those whose steps come
-    # inside a window, each the segment after its term in term_idx
-    checks = np.arange(r)[:, None]
-    at_lo = checks + np.searchsorted(plan.keys, checks * n + lo)      # (r, windows)
-    step_pos = _ranges(plan.shift_start[lo + 1], plan.shift_start[hi + 1])
-    new = plan.term_idx[step_pos] - (S - 1)
-    segs = np.concatenate([at_lo.ravel(), new])
-    idx = plan.prod_idx.take(segs, axis=1)
-    if plan.rounds:
-        # the last variable level on the variable segments those read: each
-        # is read in its slot 0, at a flat index below one slot's length
-        rd = plan.rounds[-1]
-        read = np.zeros(rd.m.shape[1], dtype=bool)
-        read[idx[idx < read.size]] = True
-        var_segs = np.flatnonzero(read)
-        inc_idx, own_idx = rd.inc_idx.take(var_segs, axis=1), rd.own_idx.take(var_segs, axis=1)
-        m = _var_step(rc, chan, inc_idx, own_idx, np.empty(inc_idx.shape),
-                      np.empty(own_idx.shape), np.empty(inc_idx.shape))
-        for row, t_row in zip(rd.m, np.tanh(np.multiply(0.5, m, out=m), out=m)):
-            row[var_segs] = t_row
-        t = rd.m.ravel()
-    else:
-        t = np.where(chan >= 0, 1.0, -1.0)
-    prod = _check_products(t, idx, np.empty(segs.size), np.empty(segs.size))
-    q = plan.fixed[:S]
-    q[segs] = np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=prod))
-    # each window's first total in full, then the steps carry it as in the
-    # all-shift call; one cumsum runs over every window, so each window's
-    # values less the total carried in from the windows before it
-    total = np.empty(lens.sum(), np.int64)
-    first = np.cumsum(lens) - lens
-    total[first] = q.take(at_lo).sum(axis=0)
-    if new.size:
-        step_shift = np.ones(total.size, dtype=bool)
-        step_shift[first] = False
-        starts = np.searchsorted(step_pos, plan.shift_start[_ranges(lo + 1, hi + 1)])
-        total[step_shift] = np.add.reduceat(q[new] - q[new - 1], starts)
-    np.cumsum(total, out=total)
-    total -= np.repeat(np.concatenate([[0], total[first[1:] - 1]]), lens)
-    scores = np.full(n, -np.inf)
-    scores[_ranges(lo, hi + 1)] = total * 2.0 ** -_SCORE_BITS
-    return scores
+def _active(plan: _ScorePlan, lo: np.ndarray, hi: np.ndarray) -> list[list]:
+    """Per level, bottom-up, the segments covering the windows [lo, hi] (None
+    for all): per window, each node's segment at lo, by one search on the
+    last checks and through readers below, and the range [first, end) of
+    those starting inside it."""
+    n, nodes = plan.chan.shape[1], np.arange(plan.seg_ptr[1])
+    if lo.size == 1 and lo[0] == 0 and hi[0] == n - 1:
+        return [None] * (2 * len(plan.rounds) + 1)
+    at = plan.pos[nodes + np.searchsorted(plan.keys, nodes * n + lo[:, None])]
+    (vrows, vars_), (crows, checks) = plan.readers
+    levels, idx = [(at, plan.seg_ptr)], plan.prod_idx
+    for rd in reversed(plan.rounds):
+        var_at = idx[vrows, at[:, vars_]] % rd.m.shape[1]
+        at, idx = rd.var_idx[crows, var_at[:, checks]] % rd.loo.shape[1], rd.check_idx
+        levels += [(var_at, rd.var_ptr), (at, rd.check_ptr)]
+    return [list(zip(at, ptr[lo + 1].tolist(), ptr[hi + 1].tolist())) for at, ptr in levels[::-1]]
+
+
+def _level(active: list | None, idx: np.ndarray, *tables: np.ndarray) -> tuple:
+    """idx's columns at a level's active segments (per window one gather at lo, then a
+    slice) and a fresh table that wide per table given; with active None, all as is."""
+    if active is None:
+        return (idx, *tables)
+    cols = np.concatenate([part for at, first, end in active
+                           for part in (idx.take(at, axis=-1), idx[..., first:end])], axis=-1)
+    return (cols, *(np.empty(table.shape[:-1] + cols.shape[-1:], table.dtype) for table in tables))
+
+
+def _put(active: list | None, table: np.ndarray, values: np.ndarray) -> None:
+    """Write a level's active columns into the plan's table, for the level above."""
+    col = 0
+    for at, first, end in active or ():
+        table[..., at] = values[..., col:col + at.size]
+        col += at.size + end - first
+        table[..., first:end] = values[..., col - end + first:col]
 
 
 def lambda_scores(code: LdpcCode, llr, depth: int, windows=None) -> np.ndarray:
@@ -631,51 +613,64 @@ def lambda_scores(code: LdpcCode, llr, depth: int, windows=None) -> np.ndarray:
     scan their inputs in order.  A score is the exact int64 sum of its r
     check products in units of 2**-_SCORE_BITS, rounded to float64 once, so
     shift j's is shift j - 1's plus the steps of the segments starting at
-    j: the bits of summing each shift from scratch.  Every intermediate
-    table is one of the plan's, written in place; only the scores are fresh.
+    j: the bits of summing each shift from scratch.
 
     windows, a list of sorted, disjoint inclusive [lo, hi] shift ranges,
     scores only the shifts inside them, each bit-equal to the all-shift
-    call, and scores every other shift -inf.  Then the last variable level
-    and the check products run only on the segments that cover a window
-    shift, in window-sized tables: every check's segment at a window's first
-    shift (one searchsorted on the plan's keys), and the segments whose
-    steps come inside a window.  Each window's first score is the exact sum
-    of its r products, and its steps carry it from there.  Earlier rounds
-    run in full.
+    call, and every other shift -inf: each level runs only on the segments
+    covering a window shift (see _active), in call-sized tables written
+    back into the plan's for the level above.  The all-shift call is the
+    window [0, n - 1], run on the plan's whole tables in place; only the
+    scores are fresh.
     """
-    _validate_depth(depth)
-    bounds = None if windows is None else _window_bounds(code.n, windows)
+    depth, n = _validate_depth(depth), code.n
+    lo, hi = (np.array([0]), np.array([n - 1])) if windows is None else _window_bounds(n, windows)
     plan = code._plans.get(("score", depth))
     if plan is None:
         plan = code._plans["score", depth] = _build_score_plan(code, depth)
+    active = _active(plan, lo, hi)
     # the LLRs are copied, clipped and checked in the channel table itself
-    np.negative(_clipped_llr(code, llr, out=plan.chan[:, 0]), out=plan.chan[:, 1])
-    m = chan = plan.chan.ravel()
-    rc = None
+    np.negative(_clipped_llr(code, llr, out=plan.chan[0]), out=plan.chan[1])
+    chan = plan.chan.ravel()
     # tanh, like every step here, is elementwise, so it runs once per distinct
     # message, before the gather that fans messages out to segments.  Every
     # gather clips its (in-range) indices: numpy's default mode would
     # buffer the output instead of writing it in place
-    for rd in plan.rounds:
-        np.tanh(np.multiply(0.5, m, out=rd.tanh), out=rd.tanh)
-        rd.tanh.take(rd.check_idx, out=rd.t, mode="clip")
-        rc = _check_step(rd.loo, rd.views).ravel()
-        if bounds is None or rd is not plan.rounds[-1]:     # else on the windows only
-            m = _var_step(rc, chan, rd.inc_idx, rd.own_idx, rd.csum, rd.own, rd.m).ravel()
-    if bounds is not None:
-        return _window_scores(code, plan, chan, rc, *bounds)
-    if depth == 1:
-        t = np.where(m >= 0, 1.0, -1.0)
-    else:       # in place: the last messages are not read again
-        t = np.tanh(np.multiply(0.5, m, out=m), out=m)
-    prod = _check_products(t, plan.prod_idx, plan.prod, plan.tmp)
-    q = plan.fixed[:prod.size]
-    np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=plan.tmp), out=q, casting="unsafe")
-    np.subtract(q[1:], q[:-1], out=plan.fixed[prod.size:])
-    terms = plan.fixed.take(plan.term_idx, out=plan.terms, mode="clip")
-    totals = np.add.reduceat(terms, plan.shift_start[:-1], out=plan.fixed[:code.n])
-    return np.multiply(np.cumsum(totals, out=totals), 2.0 ** -_SCORE_BITS)
+    t = (np.where(chan >= 0, 1.0, -1.0) if not plan.rounds
+         else np.tanh(np.multiply(0.5, chan, out=plan.tanh), out=plan.tanh))
+    for rd, at, var_at in zip(plan.rounds, active[::2], active[1::2]):
+        idx, tt, loo, suf = _level(at, rd.check_idx, rd.t, rd.loo, rd.suf)
+        t.take(idx, out=tt, mode="clip")
+        _put(at, rd.loo, _check_step(loo, rd.views if at is None else _check_views(tt, loo, suf)))
+        idx, csum, own, m = _level(var_at, rd.var_idx, rd.csum, rd.own, rd.m)
+        m = _var_step(rd.loo.ravel(), chan, idx, csum, own, m)
+        _put(var_at, rd.m, np.tanh(np.multiply(0.5, m, out=m), out=m))
+        t = rd.m.ravel()
+    # each check product: its slots multiplied in one at a time, in order, as
+    # np.prod multiplies rows over the slot axis
+    at = active[-1]
+    idx, prod, tmp, q = _level(at, plan.prod_idx, plan.prod, plan.tmp, plan.q)
+    t.take(idx[0], out=prod, mode="clip")
+    for row in idx[1:]:
+        np.multiply(prod, t.take(row, out=tmp, mode="clip"), out=prod)
+    np.rint(np.multiply(prod, 2.0 ** _SCORE_BITS, out=tmp), out=q, casting="unsafe")
+    _put(at, plan.q, q)
+    # per window, the terms are q at lo, then each later segment's step (its q less
+    # its previous segment's); a shift's total adds the run starting at it, never
+    # empty, as every shift j > 0 starts a segment of each check of variable j - 1
+    r, seg_ptr, block, scores = plan.seg_ptr[1], plan.seg_ptr, 0, np.full(n, -np.inf)
+    for l, h in zip(lo.tolist(), hi.tolist()):
+        first, end = seg_ptr[l + 1], seg_ptr[h + 1]
+        terms = q[block:block + r + end - first]
+        steps = plan.q.take(plan.prev[first:end], out=plan.steps if at is None else None,
+                            mode="clip")
+        np.subtract(terms[r:], steps, out=terms[r:])
+        starts = seg_ptr[l:h + 1] - (first - r)
+        starts[0] = 0
+        total = np.add.reduceat(terms, starts)
+        np.multiply(np.add.accumulate(total, out=total), 2.0 ** -_SCORE_BITS, out=scores[l:h + 1])
+        block += terms.size
+    return scores
 
 
 def candidate_inversions(scores, c: int) -> list[int]:
@@ -746,8 +741,13 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
     scored by the correlation of its balanced form with the clipped LLRs,
     which orders the pairs exactly by observation likelihood on a symmetric
     channel; the first best row wins, so the earlier candidate wins a tie
-    (copies of one word score alike).
+    (copies of one word score alike).  depth, num_candidates and max_iter
+    are checked first on either path, each read as a whole number.
     """
+    depth = _validate_depth(depth)
+    if num_candidates is not None:
+        num_candidates = as_whole_number(num_candidates, "candidate count")
+    max_iter = as_whole_number(max_iter, "max_iter")
     clipped = _clipped_llr(code, llr)
     if num_candidates is None:
         cands, block = list(range(code.n)), _BP_BLOCK

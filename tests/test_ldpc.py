@@ -571,10 +571,10 @@ class TestBpKernel:
 
 def _written_tables(plan):
     """(name, array) of every table a scorer call writes into."""
-    for name in ("chan", "prod", "tmp", "fixed", "terms"):
+    for name in ("chan", "tanh", "prod", "tmp", "q", "steps"):
         yield name, getattr(plan, name)
     for k, rd in enumerate(plan.rounds):
-        for name in ("tanh", "t", "loo", "suf", "csum", "own", "m"):
+        for name in ("t", "loo", "suf", "csum", "own", "m"):
             yield f"round {k} {name}", getattr(rd, name)
 
 
@@ -706,7 +706,10 @@ class TestShiftScores:
             runs = np.concatenate([np.diff(np.concatenate(([-1], d, [n - 1]))) for d in deps])
             for llr in _mixed_llrs(rng, n, 4):
                 scores = ldpc.lambda_scores(code, llr, depth)
-                prod = code._plans["score", depth].prod
+                # the products in check order: check c's segment s at ptr[c] + c + s;
+                # one starting at shift n is never formed and repeats 0 times
+                plan = code._plans["score", depth]
+                prod = plan.prod.take(plan.pos, mode="clip")
                 assert prod.size == runs.size
                 per_check = np.repeat(prod, runs).reshape(code.r, n)
                 shuffled = per_check[rng.permutation(code.r)]
@@ -778,6 +781,8 @@ class TestShiftScores:
     def test_depth_validation(self, mid_code):
         with pytest.raises(ValueError):
             ldpc.lambda_scores(mid_code, np.zeros(mid_code.n), 4)
+        with pytest.raises(ValueError, match="score depth 2.5 is not an integer"):
+            ldpc.lambda_scores(mid_code, np.zeros(mid_code.n), 2.5)
         with pytest.raises(ValueError):
             ldpc.lambda_scores(mid_code, np.zeros(mid_code.n - 1), 2)
 
@@ -850,6 +855,68 @@ class TestWindowedScores:
                     want = lambda_scores_scratch(mid_code, llr, depth, shifts=shifts)
                     got = ldpc.lambda_scores(mid_code, llr, depth, windows)
                     assert np.array_equal(got, want), (depth, windows)
+
+    @pytest.mark.parametrize("shape", [(56, 2, 7, 3), (1120, 4, 7, 1)])
+    def test_edge_windows_equal_all_shift_scores(self, shape):
+        # a second window whose segments at lo start inside the first, 16
+        # disjoint windows, the first and last shift alone, and every shift
+        n, a, b, seed = shape
+        code = ldpc.build_gallager(n, a, b, seed=seed)
+        rng = channel.make_rng((53, n))
+        lo = np.arange(16) * (n // 16) + 1
+        cases = ([[10, 40], [42, min(60, n - 1)]], np.stack([lo, lo + n // 32], axis=1),
+                 [[0, 0]], [[n - 1, n - 1]], [[0, n - 1]])
+        for depth in (1, 2, 3):
+            for llr in _mixed_llrs(rng, n, 2):
+                full = ldpc.lambda_scores(code, llr, depth)
+                for windows in cases:
+                    inside = np.zeros(n, dtype=bool)
+                    for w_lo, w_hi in windows:
+                        inside[w_lo:w_hi + 1] = True
+                    # first fill the plan's tables from other LLRs, so that a segment
+                    # the windowed call reads without writing shows
+                    ldpc.lambda_scores(code, llr[::-1], depth)
+                    got = ldpc.lambda_scores(code, llr, depth, windows)
+                    assert np.array_equal(got[inside], full[inside]), (depth, windows)
+                    assert np.all(got[~inside] == -np.inf), (depth, windows)
+
+    @pytest.mark.parametrize("shape, depth", [((56, 2, 7, 3), 1), ((56, 2, 7, 3), 2),
+                                              ((56, 2, 7, 3), 3), ((280, 4, 7, 1), 2)])
+    def test_plan_levels_are_shift_major(self, shape, depth):
+        # each segment's start shift, rebuilt from the index tables alone: the
+        # channel's flipped LLR of v starts at v + 1, and any other segment at
+        # the latest start among the segments it reads
+        n, a, b, seed = shape
+        code = ldpc.build_gallager(n, a, b, seed=seed)
+        plan = ldpc._build_score_plan(code, depth)
+        chan_start = np.concatenate([np.zeros(n, dtype=np.intp), np.arange(1, n + 1)])
+
+        def starts(idx, children):
+            width = [child.size for child in children]
+            return np.max([children[k].take(row % width[k])
+                           for k, row in enumerate(idx)], axis=0)
+
+        child = chan_start
+        levels = []
+        for rd in plan.rounds:
+            check = starts(rd.check_idx, [child] * b)
+            var = starts(rd.var_idx, [chan_start] + [check] * a)
+            levels += [(rd.check_ptr, check, rd.check_idx, [child] * b, code.check_nbrs),
+                       (rd.var_ptr, var, rd.var_idx, [chan_start] + [check] * a,
+                        np.hstack([np.arange(n)[:, None], code.var_edge_ids // b]))]
+            child = var
+        levels.append((plan.seg_ptr, starts(plan.prod_idx, [child] * b), plan.prod_idx,
+                       [child] * b, code.check_nbrs))
+        for seg_ptr, start, idx, children, nbrs in levels:
+            num = len(nbrs)
+            assert np.all(np.diff(start) >= 0)          # start shifts never decrease
+            assert seg_ptr[1] == num and np.all(start[:num] == 0) and start[-1] < n
+            assert np.array_equal(seg_ptr, np.searchsorted(start, np.arange(n + 1)))
+            # position x < num is node x's segment 0: it reads each input's segment 0
+            for k, row in enumerate(idx):
+                assert np.array_equal(row[:num] % children[k].size, nbrs[:, k])
+        assert np.array_equal(plan.pos[np.searchsorted(
+            plan.keys, np.arange(code.r) * n) + np.arange(code.r)], np.arange(code.r))
 
     @pytest.mark.parametrize("windows", [[], [[5, 3]], [[-1, 4]], [[0, 56]], [[0, 5], [5, 9]],
                                          [[10, 12], [0, 4]], [[0.0, 4.0]], [0, 4]])
@@ -1009,6 +1076,44 @@ class TestBalancedDecoding:
         stored = res.z.copy()
         stored[:res.i] ^= 1
         assert np.array_equal(stored, x.to_array())
+
+    @pytest.mark.parametrize("num_candidates", [4, None])
+    def test_depth_checked_on_every_path(self, small_code, num_candidates):
+        # the exhaustive path scores nothing, so it used to decode any depth
+        llr = ldpc.bsc_llr(np.zeros(small_code.n, dtype=np.uint8), 0.05)
+        for depth in (0, 4, 9):
+            with pytest.raises(ValueError, match="score depth must be 1, 2, or 3"):
+                ldpc.balanced_decode(small_code, llr, depth=depth, num_candidates=num_candidates)
+        # 2.5 used to fail as a raw TypeError from range, on the top-c path
+        with pytest.raises(ValueError, match="score depth 2.5 is not an integer"):
+            ldpc.balanced_decode(small_code, llr, depth=2.5, num_candidates=num_candidates)
+        want = ldpc.balanced_decode(small_code, llr, depth=2, num_candidates=num_candidates)
+        got = ldpc.balanced_decode(small_code, llr, depth=2.0, num_candidates=num_candidates)
+        assert _same_decode(got, want)
+
+    def test_candidate_count_read_as_whole_number(self, small_code):
+        # 2.5 used to fail as a raw TypeError from slicing the candidate list
+        llr = ldpc.bsc_llr(np.zeros(small_code.n, dtype=np.uint8), 0.05)
+        with pytest.raises(ValueError, match="candidate count 2.5 is not an integer"):
+            ldpc.balanced_decode(small_code, llr, num_candidates=2.5)
+        want = ldpc.balanced_decode(small_code, llr, num_candidates=2)
+        got = ldpc.balanced_decode(small_code, llr, num_candidates=2.0)
+        assert _same_decode(got, want)
+
+    @pytest.mark.parametrize("num_candidates", [4, None])
+    def test_max_iter_read_as_whole_number(self, small_code, num_candidates):
+        # 2.5 used to fail as a raw TypeError from range
+        llr = ldpc.bsc_llr(np.zeros(small_code.n, dtype=np.uint8), 0.05)
+        with pytest.raises(ValueError, match="max_iter 2.5 is not an integer"):
+            ldpc.balanced_decode(small_code, llr, num_candidates=num_candidates, max_iter=2.5)
+        with pytest.raises(ValueError, match="max_iter 2.5 is not an integer"):
+            ldpc.bp_decode(small_code, llr, max_iter=2.5)
+        want = ldpc.balanced_decode(small_code, llr, num_candidates=num_candidates, max_iter=3)
+        got = ldpc.balanced_decode(small_code, llr, num_candidates=num_candidates, max_iter=3.0)
+        assert _same_decode(got, want)
+        bp_got, bp_want = (ldpc.bp_decode(small_code, llr, max_iter=m) for m in (3.0, 3))
+        assert np.array_equal(bp_got.word, bp_want.word)
+        assert (bp_got.satisfied, bp_got.iterations) == (bp_want.satisfied, bp_want.iterations)
 
     def test_failure_reported(self, full_scale_code):
         # saturate with noise so no candidate satisfies parity

@@ -47,7 +47,7 @@ def test_every_trace_site_wraps_and_unwraps():
     assert ldpc._balancing_index_arr is bec._balancing_index_arr is words.find_balancing_index
 
 
-@pytest.mark.parametrize("name", ["bsc-280", "bec-256", "ber-10k"])
+@pytest.mark.parametrize("name", ["bsc-280", "bsc-1120", "bec-256", "ber-10k"])
 def test_workload_trials_pass_and_match_the_runner(name):
     # the first crosscheck_trials trials of seed 1, as a benchmark run checks them
     wl = load("workloads").WORKLOADS[name]
