@@ -110,8 +110,9 @@ class LdpcCode:
     var_edge_ids: np.ndarray     # (n, a) check-major edge ids per variable
     # per-code tables built on first use: ("score", depth) -> _ScorePlan,
     # ("bp", rows) -> _BpPlan, "encode" -> G's columns packed along k,
-    # "flip_parity" -> the erasure decoder's flip-parity table.  The score and
-    # BP plans hold the tables their calls write: one call per code at a time
+    # "flip_parity" and "peel_graph" -> the erasure decoder's flip-parity
+    # table and its peeling adjacency.  The score and BP plans hold the
+    # tables their calls write: one call per code at a time
     _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -679,8 +680,9 @@ def candidate_inversions(scores, c: int) -> list[int]:
     j is a local maximum when strictly above its left neighbor and at least
     its right neighbor, a shift beyond either end scoring -inf: so a -inf
     shift (one outside lambda_scores' windows) is never a candidate.  Ties
-    rank the smaller shift first.
+    rank the smaller shift first.  c is read as a whole number.
     """
+    c = as_whole_number(c, "candidate count")
     if c < 1:
         raise ValueError("need at least one candidate")
     lam = np.asarray(scores, dtype=np.float64)

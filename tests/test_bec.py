@@ -241,15 +241,18 @@ def received_words(code, seed: int, trials: int, rates=(0.2, 0.3, 0.35, 0.4, 0.5
 class TestMatchesOracle:
     @pytest.mark.parametrize("shape, trials", [
         pytest.param(shape, trials, id=",".join(map(str, shape[:3])))
-        for shape, trials in (((64, 3, 4, 11), 12), ((128, 3, 4, 11), 8),
+        for shape, trials in (((60, 2, 4, 11), 12), ((64, 3, 4, 11), 12),
+                              ((128, 3, 4, 11), 8), ((132, 3, 6, 11), 8),
                               ((256, 3, 4, 11), 6), ((280, 4, 7, 1), 6),
                               ((1024, 3, 4, 11), 4))])
     def test_decode_and_peel_equal_oracle(self, shape, trials):
+        # degree-2 variables, six-neighbor checks, and at p = 0.6 waves in
+        # which one check loses several erasures at once
         n, a, b, seed = shape
         code = ldpc.build_gallager(n, a, b, seed=seed)
         rng = channel.make_rng(40)
         statuses = set()
-        for y, i_true in received_words(code, n, trials):
+        for y, i_true in received_words(code, n, trials, rates=(0.2, 0.3, 0.35, 0.4, 0.5, 0.6)):
             for budget in (n + 1, 4):
                 res = bec.bec_decode(code, y, budget=budget)
                 assert bec_oracle.same_result(
@@ -330,6 +333,10 @@ class TestFlipParityTable:
             assert set(np.nonzero(table[c])[0]) == set(odd.values())
 
     def test_tables_never_shared(self, tmp_path):
+        def arrays(c):
+            """The flip-parity table and the two peeling-adjacency arrays."""
+            return [c._plans["flip_parity"], *c._plans["peel_graph"]]
+
         code = ldpc.build_gallager(64, 3, 4, seed=11)
         other = ldpc.build_gallager(64, 3, 4, seed=12)
         copy = dataclasses.replace(code)
@@ -339,13 +346,14 @@ class TestFlipParityTable:
         y = np.zeros(64, dtype=np.int8)
         for c in codes:
             bec.bec_decode(c, y, budget=4)
-        tables = [c._plans["flip_parity"] for c in codes]
-        assert len({id(t) for t in tables}) == len(codes)
-        assert not np.array_equal(tables[0], tables[1])
-        assert np.array_equal(tables[0], tables[2])
-        assert np.array_equal(tables[0], tables[3])
+        per_code = [arrays(c) for c in codes]
+        for tables in zip(*per_code):
+            assert len({id(t) for t in tables}) == len(codes)
+            assert not np.array_equal(tables[0], tables[1])
+            assert np.array_equal(tables[0], tables[2])
+            assert np.array_equal(tables[0], tables[3])
         bec.bec_decode(code, y, budget=4)
-        assert code._plans["flip_parity"] is tables[0]
+        assert all(t is u for t, u in zip(arrays(code), per_code[0]))
 
 
 class TestInputValidation:

@@ -1099,6 +1099,11 @@ class TestBalancedDecoding:
         want = ldpc.balanced_decode(small_code, llr, num_candidates=2)
         got = ldpc.balanced_decode(small_code, llr, num_candidates=2.0)
         assert _same_decode(got, want)
+        # candidate_inversions reads its count by the same rule
+        scores = np.array([0.0, 3.0, 1.0, 2.0, 0.0])
+        assert ldpc.candidate_inversions(scores, 2.0) == ldpc.candidate_inversions(scores, 2) == [1, 3]
+        with pytest.raises(ValueError, match="candidate count 2.5 is not an integer"):
+            ldpc.candidate_inversions(scores, 2.5)
 
     @pytest.mark.parametrize("num_candidates", [4, None])
     def test_max_iter_read_as_whole_number(self, small_code, num_candidates):
