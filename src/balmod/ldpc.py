@@ -86,14 +86,15 @@ def _nullspace_basis(rref: np.ndarray, pivots: list[int], n: int) -> tuple[np.nd
 # Code construction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdpcCode:
     """Sparse parity-check matrix with its systematic generator and graph maps.
 
     k is the nominal dimension n - r; the Gallager construction always leaves
     at least a - 1 dependent rows, so the null space has a few more free
     columns than k and the extras are pinned to zero by the generator.
-    Codewords stay in the original column order.
+    Codewords stay in the original column order.  Codes compare and hash by
+    identity, as their per-code tables do: a copy builds its own.
     """
 
     n: int
@@ -113,7 +114,7 @@ class LdpcCode:
     # "flip_parity" and "peel_graph" -> the erasure decoder's flip-parity
     # table and its peeling adjacency.  The score and BP plans hold the
     # tables their calls write: one call per code at a time
-    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -155,6 +156,10 @@ def build_gallager(n: int, a: int, b: int, seed: int) -> LdpcCode:
     base matrix.  The construction forces at least a - 1 dependent rows;
     draws with any further rank deficiency are rejected and redrawn with the
     next seed (bounded retries)."""
+    n = as_whole_number(n, "code length n")
+    a = as_whole_number(a, "column weight a")
+    b = as_whole_number(b, "row weight b")
+    seed = as_whole_number(seed, "seed")
     if a < 2:
         raise ValueError("column weight a must be at least 2")
     if b < 2 or n <= 0 or n % b:

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import as_levels, make_rng
 from .ldpc import LdpcCode, bp_decode, bsc_llr, encode
 from .thresholds import balancing_threshold_exact, read_with_threshold
-from .words import BalancedWord, as_bits, balance
+from .words import BalancedWord, as_bits, as_whole_number, balance
 
 
 # crossover probability the inner decoder's constant-magnitude LLRs assume
@@ -52,6 +52,8 @@ class PartialScheme:
 def make_partial_scheme(code: LdpcCode, k_info: int, layout_seed: int) -> PartialScheme:
     """Wire a scheme: u~ plus the binary index must fit the code dimension;
     any remaining message bits are zero padding."""
+    k_info = as_whole_number(k_info, "info segment length")
+    layout_seed = as_whole_number(layout_seed, "layout seed")
     if k_info < 2 or k_info % 2:
         raise ValueError("info segment length must be even and at least 2")
     i_bits = math.ceil(math.log2(k_info))

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import re
 import tempfile
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from balmod import channel, ldpc
 from balmod.words import BitWord, find_balancing_index, invert_prefix, weight
 import bp_oracle
-from score_oracle import _score_full, exact_sum, lambda_scores_scratch
+from score_oracle import check_products, exact_sum, lambda_scores_scratch
 
 # small codes for the noise-free property, built once
 NOISE_FREE_CODES = (ldpc.build_gallager(8, 2, 4, seed=2),
@@ -121,6 +122,10 @@ class TestConstruction:
         assert full_scale_code.r == 160
         assert full_scale_code.n == 280
         assert full_scale_code.k == 120
+        # codes compare and hash by identity, never by their arrays
+        copy = dataclasses.replace(full_scale_code)
+        assert full_scale_code == full_scale_code and full_scale_code != copy
+        assert len({full_scale_code, copy, full_scale_code}) == 2
 
     def test_message_bits_verbatim(self, small_code):
         rng = channel.make_rng(11)
@@ -158,6 +163,11 @@ class TestConstruction:
         for n in (0, -7):
             with pytest.raises(ValueError, match="n must be a positive multiple of the row weight b"):
                 ldpc.build_gallager(n, 4, 7, seed=1)
+        # whole floats read as ints; any other value is named
+        assert np.array_equal(ldpc.build_gallager(28.0, 4, 7, 1.0).H,
+                              ldpc.build_gallager(28, 4, 7, 1).H)
+        with pytest.raises(ValueError, match="^seed 1.5 is not an integer$"):
+            ldpc.build_gallager(28, 4, 7, seed=1.5)
 
 
 class TestBalancedEncode:
@@ -616,12 +626,15 @@ class TestShiftScores:
                 assert np.array_equal(scores, lambda_scores_scratch(mid_code, llr, depth))
 
     def test_batch_agrees_with_scratch(self):
-        code = ldpc.build_gallager(70, 4, 7, seed=2)
-        rng = channel.make_rng(17)
-        for depth in (1, 2, 3):
-            for llr in _mixed_llrs(rng, code.n, 4):
-                scores = ldpc.lambda_scores(code, llr, depth)
-                assert np.array_equal(scores, lambda_scores_scratch(code, llr, depth)), depth
+        # n = 1120: one Gaussian and one BSC input per depth, every shift
+        for shape, count in (((70, 4, 7, 2), 4), ((1120, 4, 7, 1), 2)):
+            code = ldpc.build_gallager(*shape)
+            rng = channel.make_rng(17)
+            for depth in (1, 2, 3):
+                for llr in _mixed_llrs(rng, code.n, count):
+                    scores = ldpc.lambda_scores(code, llr, depth)
+                    ref = lambda_scores_scratch(code, llr, depth)
+                    assert np.array_equal(scores, ref), (code.n, depth)
 
     def test_bsc_candidates_match_scratch(self, mid_code):
         # exact ties on BSC LLRs: a last-bit difference would reorder them
@@ -774,7 +787,7 @@ class TestShiftScores:
     def test_zero_shift_equals_plain_score(self, mid_code):
         rng = channel.make_rng(19)
         llr = rng.normal(0, 3, mid_code.n)
-        plain = exact_sum(_score_full(mid_code, np.clip(llr, -30, 30), 2).prod)
+        plain = exact_sum(check_products(mid_code, np.clip(llr, -30, 30)[None], 2)[0])
         assert lambda_scores_scratch(mid_code, llr, 2)[0] == plain
         assert ldpc.lambda_scores(mid_code, llr, 2)[0] == plain
 

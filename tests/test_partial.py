@@ -43,6 +43,14 @@ class TestEncode:
     def test_dimension_mismatch_rejected(self, scheme):
         with pytest.raises(ValueError):
             make_partial_scheme(scheme.code, k_info=150, layout_seed=1)
+        # whole floats read as ints; any other value is named
+        again = make_partial_scheme(scheme.code, k_info=112.0, layout_seed=42.0)
+        assert again.k_info == 112 and type(again.k_info) is int
+        assert np.array_equal(again.layout, scheme.layout)
+        u = random_message(scheme, 44)
+        assert np.array_equal(pb_encode(again, u).physical, pb_encode(scheme, u).physical)
+        with pytest.raises(ValueError, match="^layout seed 1.5 is not an integer$"):
+            make_partial_scheme(scheme.code, k_info=112, layout_seed=1.5)
 
 
 class TestReadThreshold:
