@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import as_levels
+from .words import as_whole_number
 
 VARIANCE_FLOOR = 1e-9
 RESPONSIBILITY_FLOOR = 1e-12
@@ -124,6 +125,7 @@ def fit(c, init: MixtureParams | None = None, max_iter: int = 200,
     decreases (up to floating-point noise); labels are sorted so u0 <= u1.
     """
     levels = as_levels(c, min_size=2)
+    max_iter = as_whole_number(max_iter, "max_iter")
     params = init if init is not None else _default_init(levels)
     resp, ll = _e_step(levels, params)
     history = [ll]

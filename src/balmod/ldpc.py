@@ -8,17 +8,19 @@ from the code's redundancy.
 
 For symmetric channels, candidate inversion indices are ranked by a shift
 score: the exact sum over checks of the product of tanh(m/2) over the check's
-incoming variable messages after a fixed small number of message-passing
-rounds, each product rounded to a multiple of 2^-50.  At depth 1 it is exactly
-(number of checks) - 2 * (unsatisfied checks).  A message or product changes
-with the shift only where it passes a variable in its depth-neighborhood, so
-the scorer evaluates each once per segment between such steps, every level
-ordered by start shift: a window of shifts is each node's segment at its
-first shift plus one contiguous run, and every shift is one window.  At
-depth 2 or more the balanced decoder scores only the merged +-w windows
-(w = 16) around the K = 16 best depth-1 maxima, on codes where those can
-cover at most half of the shifts (2K(2w + 1) <= n, so n >= 1056); shorter
-codes score every shift.
+incoming variable messages, each product rounded to a multiple of 2^-50.  The
+messages of a depth-l score at shift j are those bp_decode holds after l - 1
+iterations on the j-shifted LLRs, bit for bit, as both run _check_step and
+_posterior.  At depth 1 the product is of the LLRs' signs, so the score is
+exactly (number of checks) - 2 * (unsatisfied checks).  A message or product
+changes with the shift only where it passes a variable in its
+depth-neighborhood, so the scorer evaluates each once per segment between
+such steps, every level ordered by start shift: a window of shifts is each
+node's segment at its first shift plus one contiguous run, and every shift
+is one window.  At depth 2 or more the balanced decoder scores only the
+merged +-w windows (w = 16) around the K = 16 best depth-1 maxima, on codes
+where those can cover at most half of the shifts (2K(2w + 1) <= n, so
+n >= 1056); shorter codes score every shift.
 """
 
 from __future__ import annotations
@@ -257,6 +259,17 @@ def _check_step(loo: np.ndarray, views: tuple) -> np.ndarray:
     return np.multiply(2.0, np.arctanh(loo, out=loo), out=loo)
 
 
+def _posterior(incoming, own: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Posterior LLRs, written into out and returned: the incoming rows
+    (one per edge, in check order) added left to right, then the own LLRs.
+    BP and the scorer form every posterior here, and each variable-to-check
+    message as its posterior less the edge's incoming message, clipped."""
+    np.copyto(out, incoming[0])
+    for row in incoming[1:]:
+        np.add(out, row, out=out)
+    return np.add(out, own, out=out)
+
+
 def bsc_llr(y, p: float) -> np.ndarray:
     """Per-bit LLR log((1-p)/p) with sign set by the observation."""
     if not 0.0 < p < 0.5:
@@ -303,7 +316,6 @@ class _BpPlan:
     views: tuple             # _check_views of tanh, loo and suf
     inc: np.ndarray          # (a, rows, n): check-to-variable messages per variable
     incs: tuple              # inc's per-edge views
-    total: np.ndarray        # (rows, n): each variable's incoming sum
     post: np.ndarray         # (rows, n): posterior LLRs
     post_chk: np.ndarray     # (b, rows, r): posteriors gathered per check slot
     m: np.ndarray            # (b, rows, r): variable-to-check messages
@@ -324,9 +336,8 @@ def _build_bp_plan(code: LdpcCode, rows: int) -> _BpPlan:
     inc = np.empty((a, rows, n))
     return _BpPlan(to_var=to_var, to_check=to_check, tanh=tanh, loo=loo, suf=suf,
                    views=_check_views(tanh, loo, suf), inc=inc, incs=tuple(inc),
-                   total=np.empty((rows, n)), post=np.empty((rows, n)),
-                   post_chk=np.empty((b, rows, r)), m=np.empty((b, rows, r)),
-                   neg=np.empty((b, rows, r), dtype=bool),
+                   post=np.empty((rows, n)), post_chk=np.empty((b, rows, r)),
+                   m=np.empty((b, rows, r)), neg=np.empty((b, rows, r), dtype=bool),
                    parity=np.empty((rows, r), dtype=bool), unsat=np.empty(rows, dtype=bool))
 
 
@@ -340,11 +351,10 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
     results are those of a one-row decode.  With first_stop, every row is
     recorded at the first iteration that clears any row's syndrome, and the
     rows satisfied then are those a one-row decode clears at that
-    iteration.  Each step repeats the one-row arithmetic in its order: the
-    checks run _check_step, a variable sums its a incoming messages left to
-    right, as numpy sums up to 7 terms (more go through numpy's own sum, as
-    in one row), and an outgoing message is that total minus the edge's own
-    incoming message.  So every row is bit-equal to decoding it alone.
+    iteration.  Each step is elementwise along the rows: the checks run
+    _check_step, a variable forms its posterior by _posterior, and an
+    outgoing message is the posterior less the edge's own incoming message.
+    So every row is bit-equal to decoding it alone.
     Every intermediate table is one of the (code, batch size) plan's,
     written in place; gathers clip their (in-range) indices, as numpy's
     default mode would buffer the output instead of writing it in place.
@@ -357,20 +367,14 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
     words = np.empty(L.shape, dtype=np.uint8)   # every row is written once, when recorded
     satisfied = np.empty(len(L), dtype=bool)
     iterations = np.zeros(len(L), dtype=int)    # 0 until the row is recorded
-    inc, incs, total, post, m = plan.inc, plan.incs, plan.total, plan.post, plan.m
+    inc, post, m = plan.inc, plan.post, plan.m
     flat_loo, flat_post = plan.loo.ravel(), post.ravel()
     L.ravel().take(plan.to_check, out=m, mode="clip")
     for it in range(1, max_iter + 1):
         np.tanh(np.multiply(0.5, m, out=plan.tanh), out=plan.tanh)
         m_cv = _check_step(plan.loo, plan.views)
         flat_loo.take(plan.to_var, out=inc, mode="clip")
-        if code.a <= 7:
-            np.add(incs[0], incs[1], out=total)
-            for inc_k in incs[2:]:
-                np.add(total, inc_k, out=total)
-        else:
-            np.ascontiguousarray(inc.transpose(1, 2, 0)).sum(axis=2, out=total)
-        np.add(L, total, out=post)
+        _posterior(plan.incs, L, post)
         post_chk = flat_post.take(plan.to_check, out=plan.post_chk, mode="clip")
         # a check is unsatisfied when an odd number of its slots are negative
         parity = np.bitwise_xor.reduce(np.less(post_chk, 0, out=plan.neg), axis=0,
@@ -426,9 +430,9 @@ class _ScoreRound:
     loo: np.ndarray          # check messages (_check_step's output)
     suf: np.ndarray          # _check_step's suffix products
     views: tuple             # _check_views of t, loo and suf
-    csum: np.ndarray         # (a, variable segments): incoming messages, prefix-summed
-    own: np.ndarray          # (1, variable segments): the own channel LLRs
-    m: np.ndarray            # (a, variable segments): tanh(m / 2) of the outgoing messages
+    own: np.ndarray          # (variable segments,): the own channel LLRs
+    post: np.ndarray         # (variable segments,): the posteriors
+    m: np.ndarray            # (a, variable segments): incoming, then tanh(m / 2) of outgoing
 
 
 @dataclass(frozen=True)
@@ -532,8 +536,8 @@ def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
         t, loo, suf = (np.empty(check_idx.shape) for _ in range(3))
         rounds.append(_ScoreRound(
             check_ptr=check_ptr, var_ptr=var_ptr, check_idx=check_idx, var_idx=var_idx, t=t,
-            loo=loo, suf=suf, views=_check_views(t, loo, suf), csum=np.empty(var_idx[1:].shape),
-            own=np.empty(var_idx[:1].shape), m=np.empty(var_idx[1:].shape)))
+            loo=loo, suf=suf, views=_check_views(t, loo, suf), own=np.empty(var_idx.shape[1]),
+            post=np.empty(var_idx.shape[1]), m=np.empty(var_idx[1:].shape)))
         slots = var_slot.reshape(r, b)
     (_, keys, pos, K), seg_ptr, order, (prod_idx,) = _join(
         n, [(var_level, code.check_nbrs, slots)])
@@ -545,21 +549,15 @@ def _build_score_plan(code: LdpcCode, depth: int) -> _ScorePlan:
                       q=np.empty(K, np.int64), steps=np.empty(K - r, np.int64))
 
 
-def _var_step(rc: np.ndarray, chan: np.ndarray, idx: np.ndarray, csum: np.ndarray,
-              own: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _var_step(rc: np.ndarray, chan: np.ndarray, idx: np.ndarray, own: np.ndarray,
+              post: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Outgoing messages of the variable segments idx indexes (row 0 into the
     channel table chan, the rest into the flat check messages rc), written
-    into m and returned: the own LLR plus the exclusive prefix sum, plus the
-    suffix sum of the incoming messages, clipped; csum and own are scratch."""
-    csum = rc.take(idx[1:], out=csum, mode="clip")
-    for k in range(1, len(csum)):   # in place: np.cumsum on axis 0 is ~10x slower
-        csum[k] += csum[k - 1]
-    m[0] = 0.0
-    m[1:] = csum[:-1]
-    np.add(chan.take(idx[:1], out=own, mode="clip"), m, out=m)
-    np.subtract(csum[-1], csum[:-1], out=csum[:-1])     # the suffix sums; the last is 0
-    csum[-1] = 0.0
-    return _clip(np.add(m, csum, out=m), LLR_CLIP)
+    into m and returned: BP's, the posterior (_posterior) less each incoming
+    message, clipped; own and post are scratch."""
+    m = rc.take(idx[1:], out=m, mode="clip")
+    post = _posterior(m, chan.take(idx[0], out=own, mode="clip"), post)
+    return _clip(np.subtract(post, m, out=m), LLR_CLIP)
 
 
 def _window_bounds(n: int, windows) -> tuple[np.ndarray, np.ndarray]:
@@ -615,8 +613,8 @@ def lambda_scores(code: LdpcCode, llr, depth: int, windows=None) -> np.ndarray:
 
     Each message is evaluated once per segment of its dependency set (see
     _ScorePlan) with the per-node arithmetic of the per-shift reference: the
-    checks run BP's _check_step, and a variable's sums and a check's product
-    scan their inputs in order.  A score is the exact int64 sum of its r
+    checks run BP's _check_step, a variable BP's _posterior, and a check's
+    product scans its inputs in order.  A score is the exact int64 sum of its r
     check products in units of 2**-_SCORE_BITS, rounded to float64 once, so
     shift j's is shift j - 1's plus the steps of the segments starting at
     j: the bits of summing each shift from scratch.
@@ -648,8 +646,8 @@ def lambda_scores(code: LdpcCode, llr, depth: int, windows=None) -> np.ndarray:
         idx, tt, loo, suf = _level(at, rd.check_idx, rd.t, rd.loo, rd.suf)
         t.take(idx, out=tt, mode="clip")
         _put(at, rd.loo, _check_step(loo, rd.views if at is None else _check_views(tt, loo, suf)))
-        idx, csum, own, m = _level(var_at, rd.var_idx, rd.csum, rd.own, rd.m)
-        m = _var_step(rd.loo.ravel(), chan, idx, csum, own, m)
+        idx, own, post, m = _level(var_at, rd.var_idx, rd.own, rd.post, rd.m)
+        m = _var_step(rd.loo.ravel(), chan, idx, own, post, m)
         _put(var_at, rd.m, np.tanh(np.multiply(0.5, m, out=m), out=m))
         t = rd.m.ravel()
     # each check product: its slots multiplied in one at a time, in order, as

@@ -94,7 +94,7 @@ def rank_multiset(word, counts: Sequence[int]) -> int:
 
 
 def symbol_counts(word, q: int) -> list[int]:
-    counts = [0] * q
+    counts = [0] * words.as_whole_number(q, "alphabet size")
     for s in _as_symbols(word, q):
         counts[s] += 1
     return counts
@@ -105,14 +105,17 @@ def is_balanced(word, q: int) -> bool:
     return len(set(counts)) == 1
 
 
-def _check_alphabet(q: int) -> None:
+def _check_alphabet(q) -> int:
+    """The alphabet size q, read as a whole number and at least 2."""
+    q = words.as_whole_number(q, "alphabet size")
     if q < 2:
         raise ValueError("alphabet size must be at least 2")
+    return q
 
 
 def unrank_balanced(r: int, q: int, m: int) -> QaryWord:
     """r-th balanced word of length q*m over {0,..,q-1}, lexicographic order."""
-    _check_alphabet(q)
+    q = _check_alphabet(q)
     return unrank_multiset(r, [m] * q)
 
 
@@ -122,7 +125,7 @@ def rank_balanced(word, q: int | None = None) -> int:
     if q is None:
         q = max(syms) + 1 if syms else 1
     else:
-        _check_alphabet(q)
+        q = _check_alphabet(q)
     counts = symbol_counts(syms, q)
     if len(set(counts)) != 1:
         raise ValueError(f"word is not balanced: counts {counts}")
@@ -132,6 +135,7 @@ def rank_balanced(word, q: int | None = None) -> int:
 def min_balanced_length(k: int, q: int) -> tuple[int, int]:
     """Smallest (n, m) with n = q*m such that the number of balanced words
     covers all 2**k messages."""
+    k, q = words.as_whole_number(k, "message length k"), words.as_whole_number(q, "alphabet size")
     if k < 1 or q < 2:
         raise ValueError("need k >= 1 and q >= 2")
     m = 1
@@ -152,7 +156,7 @@ def bits_to_balanced(bits, q: int) -> QaryWord:
 
 def balanced_to_bits(word, q: int, k: int) -> np.ndarray:
     """Recover the k-bit message from a balanced q-ary word."""
-    r = rank_balanced(word, q)
+    k, r = words.as_whole_number(k, "message length k"), rank_balanced(word, q)
     if r >= 2 ** k:
         raise ValueError(f"rank {r} does not fit in {k} bits")
     return np.array([(r >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.uint8)
@@ -255,7 +259,7 @@ def knuth_q_balance(word, q: int) -> tuple[QaryWord, BalancingTrace]:
     then each side is balanced recursively.  For q = 4 the shift is the map
     0->2, 1->3, 2->0, 3->1 applied to the word prefix.
     """
-    _check_alphabet(q)
+    q = _check_alphabet(q)
     values = _as_symbols(word, q)
     if len(values) % q:
         raise ValueError(f"length {len(values)} not divisible by q={q}")
@@ -295,7 +299,7 @@ def _unbalance_rec(values: list[int], alphabet: list[int],
 
 def knuth_q_unbalance(word, trace: BalancingTrace, q: int) -> QaryWord:
     """Invert knuth_q_balance using the recorded trace."""
-    _check_alphabet(q)
+    q = _check_alphabet(q)
     values = _as_symbols(word, q)
     if len(values) % q:
         raise ValueError(f"length {len(values)} not divisible by q={q}")
@@ -310,6 +314,7 @@ def knuth_q_unbalance(word, trace: BalancingTrace, q: int) -> QaryWord:
 def trace_bit_cost(q: int, m: int) -> int:
     """Published bit budget (q-1)ab - q(a-2) - 2 for storing the operation
     locations when q = 2**a and m = 2**b."""
+    q, m = _check_alphabet(q), words.as_whole_number(m, "symbol count m")
     a = q.bit_length() - 1
     b = m.bit_length() - 1
     if 2 ** a != q or 2 ** b != m:
@@ -320,6 +325,6 @@ def trace_bit_cost(q: int, m: int) -> int:
 def redundancy_factor(q: int) -> float:
     """Redundancy of the prefix-operation construction relative to codes using
     full sets of balanced words: 2(q-1)log2(q) / (q - log2(q))."""
-    _check_alphabet(q)
+    q = _check_alphabet(q)
     lq = math.log2(q)
     return 2.0 * (q - 1) * lq / (q - lq)

@@ -141,7 +141,7 @@ def weight(w) -> int:
 
 def invert_prefix(w: BitWord, i: int) -> BitWord:
     """Complement the first i bits; involution in i."""
-    n = len(w)
+    i, n = as_whole_number(i, "prefix length"), len(w)
     if not 0 <= i <= n:
         raise ValueError(f"prefix length {i} outside [0, {n}]")
     return BitWord(bytes(1 - b for b in w.bits[:i]) + w.bits[i:])

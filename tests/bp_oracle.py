@@ -1,7 +1,8 @@
 """Reference semantics of belief propagation, kept as the tests' oracle.
 
 `bp_decode` is the one-word flooding sum-product loop that `ldpc.bp_decode`
-ran before BP moved into a batched kernel, and `balanced_decode` the serial
+ran before BP moved into a batched kernel, on the BP round the score oracle
+runs (`score_oracle.flooding_round`), and `balanced_decode` the serial
 candidate loop over it.  With top candidates, each candidate still runs to
 its own convergence, but only the rows that converge at the smallest
 iteration count of any satisfied row compete for the win (the kernel stops
@@ -19,35 +20,25 @@ of them, every other shift scoring -inf.
 import numpy as np
 
 from balmod import ldpc
-from balmod.ldpc import (LLR_CLIP, _ATANH_LIMIT, BalancedDecodeResult, BpResult, LdpcCode,
+from balmod.ldpc import (LLR_CLIP, BalancedDecodeResult, BpResult, LdpcCode,
                          candidate_inversions, lambda_scores, syndrome)
 from balmod.words import find_balancing_index
-from score_oracle import _loo_prod, lambda_scores_scratch
+from score_oracle import flooding_round, lambda_scores_scratch
 
 
 def bp_decode(code: LdpcCode, llr, max_iter: int = 50) -> BpResult:
-    """Flooding sum-product decoding; positive LLR favors bit 0.
-
-    Stops once the hard decision satisfies every check, else after max_iter
-    (at least 1) iterations with satisfied = False.  Messages are clipped to +-30 to keep
-    tanh / arctanh stable.
-    """
+    """Flooding sum-product decoding, positive LLR favoring bit 0: rounds of
+    score_oracle's flooding_round until the hard decision satisfies every
+    check, else max_iter (at least 1) of them with satisfied = False."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)
+    L = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLIP, LLR_CLIP)[None]
     if L.size != code.n:
         raise ValueError(f"llr length {L.size} != n = {code.n}")
-    r, b = code.r, code.b
-    vei = code.var_edge_ids
-    m_vc = L[code.check_nbrs.ravel()]      # flat check-major edges
-    hard = (L < 0).astype(np.uint8)
+    m = L[:, code.check_nbrs.ravel()]      # flat check-major edges
     for it in range(1, max_iter + 1):
-        t = np.tanh(0.5 * m_vc.reshape(r, b))
-        m_cv = 2.0 * np.arctanh(np.clip(_loo_prod(t), -_ATANH_LIMIT, _ATANH_LIMIT))
-        inc = m_cv.reshape(-1)[vei]          # (n, a) check messages per variable
-        post = L + inc.sum(axis=1)
-        m_vc[vei] = np.clip(post[:, None] - inc, -LLR_CLIP, LLR_CLIP)
-        hard = (post < 0).astype(np.uint8)
+        post, m = flooding_round(code, L, m)
+        hard = (post[0] < 0).astype(np.uint8)
         if not np.any(syndrome(code, hard)):
             return BpResult(word=hard, satisfied=True, iterations=it)
     return BpResult(word=hard, satisfied=False, iterations=max_iter)

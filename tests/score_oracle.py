@@ -1,20 +1,21 @@
 """Reference semantics of the shift score, kept as the tests' oracle.
 
 For shift j the clipped channel LLRs of variables 0..j-1 are negated, then
-`depth` rounds of flooding message passing run over the whole graph, and the
-score is the sum over checks of the product entering each check.  That sum
-is exact: each product is rounded to a multiple of 2^-50, the rounded
-products are added as Python ints, and the total is rounded to a float once
-(`exact_sum`), so it does not depend on the order of the checks.
+`depth` - 1 BP rounds (`flooding_round`, which `bp_oracle` iterates too)
+run over the whole graph, and the score is the exact sum over checks of the
+product entering each check (`exact_sum`), whatever the checks' order.
 
 The shifts are batched, a block of them at a time: each round is one
 whole-array step over a (shift, edge) block, in the arithmetic order of one
 node at a time (a check's leave-one-out product along its b slots, a
-variable's cumulative sum along its a edges).  Each shift is still computed
-from scratch, from its own sign-flipped LLRs: nothing is shared between
-shifts, and there is no score plan, no segment reuse and no int64 sum.
-`ldpc.lambda_scores` must equal `lambda_scores_scratch` bit for bit.
+variable's sum along its a edges, left to right).  Each shift is still
+computed from scratch: nothing is shared between shifts, and there is no
+score plan, no segment reuse and no int64 sum.  `ldpc.lambda_scores` must
+equal `lambda_scores_scratch` bit for bit.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -35,30 +36,36 @@ def _loo_prod(t: np.ndarray) -> np.ndarray:
     return pre * suf
 
 
+def flooding_round(code: LdpcCode, words: np.ndarray, m: np.ndarray) -> tuple:
+    """One BP round on (rows, n) clipped LLR words and their (rows, r * b)
+    check-major variable-to-check messages m: the posteriors (rows, n), and
+    the next messages, clip(posterior - incoming message)."""
+    t = np.tanh(0.5 * m.reshape(len(words), code.r, code.b))
+    rc = 2.0 * np.arctanh(np.clip(_loo_prod(t), -_ATANH_LIMIT, _ATANH_LIMIT))
+    inc = rc.reshape(len(words), -1)[:, code.var_edge_ids]     # (rows, n, a)
+    # own LLR + incoming added left to right (np.sum adds 8 or more pairwise)
+    post = words + functools.reduce(np.add, np.moveaxis(inc, -1, 0))
+    out = np.empty_like(m)
+    out[:, code.var_edge_ids] = np.clip(post[..., None] - inc, -LLR_CLIP, LLR_CLIP)
+    return post, out
+
+
 def check_products(code: LdpcCode, words: np.ndarray, depth: int) -> np.ndarray:
-    """The (rows, r) products entering each check after `depth` rounds, for
-    a (rows, n) block of clipped LLR words: signs at depth 1, tanh(m/2) of
-    the messages of round `depth` otherwise."""
-    r, b = code.r, code.b
-    vei = code.var_edge_ids
-    m = words[:, code.check_nbrs.ravel()]         # round 1: each variable's own LLR
+    """The (rows, r) products entering each check after `depth` - 1 rounds,
+    for a (rows, n) block of clipped LLR words: signs at depth 1, tanh(m/2)
+    of the messages otherwise."""
+    m = words[:, code.check_nbrs.ravel()]         # before round 1: each variable's own LLR
     for _ in range(1, depth):
-        t = np.tanh(0.5 * m.reshape(-1, r, b))
-        rc = 2.0 * np.arctanh(np.clip(_loo_prod(t), -_ATANH_LIMIT, _ATANH_LIMIT))
-        csum = np.cumsum(rc.reshape(len(words), -1)[:, vei], axis=-1)
-        pre = np.concatenate((np.zeros_like(csum[..., :1]), csum[..., :-1]), axis=-1)
-        suf = csum[..., -1:] - csum
-        m[:, vei] = np.clip(words[:, :, None] + pre + suf, -LLR_CLIP, LLR_CLIP)
-    m = m.reshape(-1, r, b)
-    if depth == 1:
-        return np.prod(np.where(m >= 0, 1.0, -1.0), axis=-1)
-    return np.prod(np.tanh(0.5 * m), axis=-1)
+        m = flooding_round(code, words, m)[1]
+    m = m.reshape(-1, code.r, code.b)
+    return np.prod(np.where(m >= 0, 1.0, -1.0) if depth == 1 else np.tanh(0.5 * m), axis=-1)
 
 
 def exact_sum(products) -> float:
-    """The score's sum of check products: each rounded to the nearest
-    multiple of 2^-50 (ties to even), added exactly, rounded once."""
-    return sum(int(v) for v in np.rint(np.asarray(products) * 2.0 ** 50).tolist()) * 2.0 ** -50
+    """The score's sum of check products, each rounded to the nearest multiple
+    of 2^-50 (ties to even): integers below 2^53 in those units, which math.fsum
+    adds exactly and rounds once."""
+    return math.fsum(np.rint(np.asarray(products) * 2.0 ** 50).tolist()) * 2.0 ** -50
 
 
 def lambda_scores_scratch(code: LdpcCode, llr, depth: int, shifts=None) -> np.ndarray:

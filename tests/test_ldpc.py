@@ -328,10 +328,18 @@ class TestBpKernel:
                                        (64, 8, 16, 1)])
     @pytest.mark.parametrize("kind", ["gauss", "bsc"])
     def test_matches_oracle_for_other_column_weights(self, shape, kind):
-        # a = 8 sums its incoming messages through numpy's own sum, as one row does
+        # at a = 8 a left-to-right sum of the incoming messages differs from
+        # numpy's pairwise sum; both the kernel and the oracle add left to right
         code = ldpc.build_gallager(*shape)
         rng = channel.make_rng((37, shape[0], kind == "bsc"))
         _assert_kernel_matches_oracle(code, _noisy_llrs(code, rng, 40, kind))
+
+    def test_column_weight_one_code_decodes(self):
+        # load_code reads an a = 1 listing (build_gallager draws a >= 2); BP
+        # indexed a second incoming message that such a code lacks
+        H = np.kron(np.eye(2, dtype=np.uint8), np.ones((1, 4), dtype=np.uint8))
+        code = ldpc._assemble(H, 1, 4, 0, 0)
+        _assert_kernel_matches_oracle(code, channel.make_rng(49).normal(0, 2, (8, code.n)))
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_matches_oracle_at_small_max_iter(self, full_scale_code, max_iter):
@@ -584,13 +592,41 @@ def _written_tables(plan):
     for name in ("chan", "tanh", "prod", "tmp", "q", "steps"):
         yield name, getattr(plan, name)
     for k, rd in enumerate(plan.rounds):
-        for name in ("t", "loo", "suf", "csum", "own", "m"):
+        for name in ("t", "loo", "suf", "own", "post", "m"):
             yield f"round {k} {name}", getattr(rd, name)
+
+
+class TestPosterior:
+    @pytest.mark.parametrize("a", [2, 3, 7, 8, 16])
+    def test_adds_incoming_left_to_right_then_own(self, a):
+        # BP passes its incoming messages as a tuple of rows, the scorer as one table
+        rng = channel.make_rng((47, a))
+        inc = rng.normal(0, 1, (a, 2000)) * 10.0 ** rng.integers(-3, 4, (a, 2000))
+        own = rng.normal(0, 4, 2000)
+        want = []
+        for col, o in zip(inc.T.tolist(), own.tolist()):
+            total = col[0]
+            for x in col[1:]:
+                total += x
+            want.append(total + o)
+        for incoming in (inc, tuple(inc)):
+            out = np.empty(2000)
+            assert ldpc._posterior(incoming, own, out) is out
+            assert np.array_equal(out, want)
+        # not vacuous: these inputs round differently in another order.  From
+        # 8 terms on, numpy's sum along a contiguous edge axis adds pairwise;
+        # below that it adds left to right, and adding the own LLR first differs
+        own_first = own.copy()
+        for row in inc:
+            own_first += row
+        assert not np.array_equal(own_first, want)
+        if a >= 8:
+            assert not np.array_equal(np.ascontiguousarray(inc.T).sum(axis=1) + own, want)
 
 
 def _bp_written_tables(plan):
     """(name, array) of every table a BP kernel call writes into."""
-    for name in ("tanh", "loo", "suf", "inc", "total", "post", "post_chk", "m", "neg",
+    for name in ("tanh", "loo", "suf", "inc", "post", "post_chk", "m", "neg",
                  "parity", "unsat"):
         yield name, getattr(plan, name)
 
@@ -626,8 +662,9 @@ class TestShiftScores:
                 assert np.array_equal(scores, lambda_scores_scratch(mid_code, llr, depth))
 
     def test_batch_agrees_with_scratch(self):
-        # n = 1120: one Gaussian and one BSC input per depth, every shift
-        for shape, count in (((70, 4, 7, 2), 4), ((1120, 4, 7, 1), 2)):
+        # n = 1120: one Gaussian and one BSC input per depth, every shift; at
+        # a = 8 a variable's posterior adds more terms than numpy sums in order
+        for shape, count in (((70, 4, 7, 2), 4), ((1120, 4, 7, 1), 2), ((64, 8, 16, 1), 4)):
             code = ldpc.build_gallager(*shape)
             rng = channel.make_rng(17)
             for depth in (1, 2, 3):
@@ -635,6 +672,22 @@ class TestShiftScores:
                     scores = ldpc.lambda_scores(code, llr, depth)
                     ref = lambda_scores_scratch(code, llr, depth)
                     assert np.array_equal(scores, ref), (code.n, depth)
+
+    @pytest.mark.parametrize("shape", [(56, 2, 7, 3), (64, 8, 16, 1)])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_score_is_bp_state_after_depth_minus_one_iterations(self, shape, depth):
+        # BP's kernel on every shifted word, stopped at iteration `depth`, holds
+        # the messages of depth - 1 iterations; each check's product of their
+        # signs (depth 1) or tanh(m / 2), slot by slot, sums to the score
+        code = ldpc.build_gallager(*shape)
+        llr = channel.make_rng((48, depth)).normal(0, 4, code.n)
+        rows = np.where(np.arange(code.n) < np.arange(code.n)[:, None], -llr, llr)
+        iterations = ldpc._bp_rows(code, rows, depth)[2]
+        assert iterations.max() == depth            # not every row stopped earlier
+        m = code._plans["bp", code.n].m             # (b, rows, r)
+        prods = np.prod(np.where(m >= 0, 1.0, -1.0) if depth == 1 else np.tanh(0.5 * m), axis=0)
+        assert np.array_equal(ldpc.lambda_scores(code, llr, depth),
+                              [exact_sum(row) for row in prods])
 
     def test_bsc_candidates_match_scratch(self, mid_code):
         # exact ties on BSC LLRs: a last-bit difference would reorder them

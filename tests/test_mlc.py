@@ -163,10 +163,17 @@ class TestAlphabetSize:
                  lambda: mlc.rank_balanced(word("0101"), q=q),
                  lambda: mlc.knuth_q_balance(word("0123"), q),
                  lambda: mlc.knuth_q_unbalance(word("0123"), mlc.BalancingTrace((1,), (0,)), q),
-                 lambda: mlc.redundancy_factor(q)]
+                 lambda: mlc.redundancy_factor(q),
+                 lambda: mlc.trace_bit_cost(q, 4)]
         for call in calls:
             with pytest.raises(ValueError, match="^alphabet size must be at least 2$"):
                 call()
+
+    def test_whole_float_sizes_are_read(self):
+        # trace_bit_cost(4.0, 4) raised AttributeError, unrank_balanced(3, 2.0, 2) TypeError
+        assert mlc.trace_bit_cost(4.0, np.float64(8.0)) == mlc.trace_bit_cost(4, 8)
+        assert mlc.unrank_balanced(3, 2.0, 2.0).tolist() == mlc.unrank_balanced(3, 2, 2).tolist()
+        assert mlc.redundancy_factor(np.int64(4)) == mlc.redundancy_factor(4.0) == 6.0
 
     @pytest.mark.parametrize("symbol", [4, 9, -1])
     def test_balance_and_unbalance_reject_symbols_outside_alphabet(self, symbol):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balmod import bec, channel, harness, intervals, ldpc, mlc, partial, thresholds
+from balmod import bec, channel, em, harness, intervals, ldpc, mlc, partial, thresholds
 from balmod.words import (BalancedWord, BitWord, KnuthCodeword, as_bits, as_whole_number,
                           as_whole_numbers, balance, decode_prefix, encode_prefix,
                           find_balancing_index, invert_prefix, knuth_decode, knuth_encode,
@@ -226,6 +226,15 @@ class TestWholeNumberRule:
             ("rank 1.5", lambda: encode_prefix(1.5, 4)),
             ("enumeration budget nan", lambda: harness.WerBecSpec(budget=float("nan"))),
             ("n 8.5", lambda: intervals.IntervalSet.full(8.5)),
+            # these raised TypeError or AttributeError, or returned a value for 4.5
+            ("max_iter 2.5", lambda: em.fit(np.arange(8.0), max_iter=2.5)),
+            ("prefix length 2.5", lambda: invert_prefix(bw("0101"), 2.5)),
+            ("alphabet size 2.5", lambda: mlc.unrank_balanced(0, 2.5, 2)),
+            ("symbol count m 2.5", lambda: mlc.trace_bit_cost(4, 2.5)),
+            ("alphabet size 4.5", lambda: mlc.redundancy_factor(4.5)),
+            ("alphabet size 2.5", lambda: mlc.symbol_counts([0, 1], 2.5)),
+            ("message length k 10.5", lambda: mlc.min_balanced_length(10.5, 3)),
+            ("message length k 2.5", lambda: mlc.balanced_to_bits([0, 1, 1, 0], 2, 2.5)),
         ]
         for named, call in sites:
             with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
