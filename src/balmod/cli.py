@@ -112,6 +112,15 @@ def _given(params: dict, names) -> dict:
     return {k: params[k] for k in names if k in params}
 
 
+def _knuth_only(args) -> None:
+    """With --scheme knuth, a flag that only --scheme ldpc reads is an error,
+    not ignored; config keys are shared by every command and pass."""
+    for flag, dest in (("--code", "code"), ("--seed", "seed"), ("--p", "p"),
+                       ("--ell", "depth"), ("--cands", "num_candidates")):
+        if getattr(args, dest, None) is not None:
+            raise ValueError(f"{flag} applies only to --scheme ldpc")
+
+
 def _ldpc_code(params: dict) -> ldpc.LdpcCode:
     """The code that encode and decode build for --scheme ldpc."""
     p = {"n": 280, "col_weight": 4, "row_weight": 7, "seed": 1} | params
@@ -157,6 +166,7 @@ def cmd_encode(args) -> int:
     params = _params(args)
     u = args.bits
     if args.scheme == "knuth":
+        _knuth_only(args)
         cw = words.knuth_encode(u)
         print(f"prefix={cw.prefix} payload={cw.payload}")
         print(f"codeword={cw.prefix}{cw.payload}")
@@ -171,6 +181,7 @@ def cmd_decode(args) -> int:
     params = _params(args)
     y = args.bits
     if args.scheme == "knuth":
+        _knuth_only(args)
         total = len(y)
         k = next((k for k in range(2, total, 2) if k + words.prefix_length(k) == total),
                  None)
@@ -184,7 +195,7 @@ def cmd_decode(args) -> int:
         code = _ldpc_code(params)
         if len(y) != code.n:
             raise ValueError(f"--bits has {len(y)} bits, the code length n is {code.n}")
-        res = ldpc.balanced_decode_bsc(code, y, p=args.p,
+        res = ldpc.balanced_decode_bsc(code, y, p=0.02 if args.p is None else args.p,
                                        **_given(params, ("depth", "num_candidates")))
         if not res.ok:
             print("decode failure")
@@ -277,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--bits", type=bits, required=True)
     p_dec.add_argument("--scheme", choices=("knuth", "ldpc"), default="knuth")
     p_dec.add_argument("--code", type=str, help="n,a,b")
-    p_dec.add_argument("--p", type=float, default=0.02, help="assumed crossover")
+    p_dec.add_argument("--p", type=float, help="assumed crossover (default 0.02)")
     p_dec.add_argument("--ell", dest="depth", type=int)
     p_dec.add_argument("--cands", dest="num_candidates", type=int)
     _add_common(p_dec, seed=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bec, channel, ldpc, thresholds
-from .words import as_bits, as_whole_number, balance
+from .words import as_whole_number, as_whole_numbers, balance
 
 CSV_COLUMNS = ("x", "strategy", "metric", "value", "stderr", "trials", "seed")
 
@@ -45,10 +45,34 @@ class ResultTable:
                 and (metric is None or r.metric == metric)]
 
 
+# the runner specs' integer fields besides block_lengths (BerCurveSpec.cells
+# keeps its own rule, a positive even integer)
+_WHOLE_FIELDS = ("n", "col_weight", "row_weight", "depth", "num_candidates", "max_iter",
+                 "trials", "seed", "code_seed", "budget")
+
+
+class _Spec:
+    """The runner specs' one rule for their integer fields: each is read by
+    the whole-number rule and stored as an int (a None budget stays None), a
+    negative seed or budget is named, and a trial count must be at least 1."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "block_lengths":
+                value = tuple(as_whole_numbers(value, "block length"))
+            elif f.name in _WHOLE_FIELDS and not (f.name == "budget" and value is None):
+                what = "enumeration budget" if f.name == "budget" else f.name
+                value = as_whole_number(value, what)
+                if value < 0 and f.name in ("seed", "code_seed", "budget"):
+                    raise ValueError(f"{what} {value} is negative")
+            object.__setattr__(self, f.name, value)
+        if self.trials < 1:
+            raise ValueError(f"need at least one trial, got trials={self.trials}")
+
+
 def _new_table(kind: str, spec) -> ResultTable:
-    """Empty table headed by the spec; every runner rejects trials < 1 here."""
-    if spec.trials < 1:
-        raise ValueError(f"need at least one trial, got trials={spec.trials}")
+    """Empty table headed by the spec."""
     parts = [f"kind={kind}"]
     for f in dataclasses.fields(spec):
         parts.append(f"{f.name}={getattr(spec, f.name)!r}".replace(" ", ""))
@@ -156,8 +180,15 @@ def emit(table: ResultTable, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _binom_stderr(p_hat: float, n: int) -> float:
-    return float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)) if n else 0.0
+def _add_rates(table: ResultTable, x: float, rates: dict, spec,
+               draws: int | None = None) -> None:
+    """One row per (strategy, metric) rate, in the dict's order, with its
+    binomial stderr over the draws (the trial count unless given)."""
+    draws = draws or spec.trials
+    for (strategy, metric), value in rates.items():
+        table.add(x=x, strategy=strategy, metric=metric, value=value,
+                  stderr=float(np.sqrt(max(value * (1.0 - value), 0.0) / draws)),
+                  trials=spec.trials, seed=spec.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +196,7 @@ def _binom_stderr(p_hat: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class BerCurveSpec:
+class BerCurveSpec(_Spec):
     model: str = channel.MEAN_DRIFT
     sigma: float = 0.2
     t_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -208,11 +239,8 @@ def run_ber_curve(spec: BerCurveSpec) -> ResultTable:
                     bits, thresholds.read_with_threshold(levels, v)).total
             errs["optimal"] += opt_counts.total
         denom = spec.cells * spec.trials
-        for name in strategies:
-            ber = errs[name] / denom
-            table.add(x=t, strategy=name, metric="ber", value=ber,
-                      stderr=_binom_stderr(ber, denom), trials=spec.trials,
-                      seed=spec.seed)
+        _add_rates(table, t, {(name, "ber"): errs[name] / denom for name in strategies},
+                   spec, denom)
         mt = channel.model_thresholds(model, t)
         for name, v in (("fixed", mt.vf), ("balancing", mt.vb), ("optimal", mt.vo)):
             table.add(x=t, strategy=f"analytic_{name}", metric="ber",
@@ -226,7 +254,7 @@ def run_ber_curve(spec: BerCurveSpec) -> ResultTable:
 
 
 @dataclass(frozen=True)
-class WerBecSpec:
+class WerBecSpec(_Spec):
     block_lengths: tuple[int, ...] = (64, 128, 256)
     col_weight: int = 3
     row_weight: int = 4
@@ -236,22 +264,16 @@ class WerBecSpec:
     code_seed: int = 11
     budget: int | None = None   # None: n + 1, complete enumeration
 
-    def __post_init__(self):
-        if self.budget is not None:
-            budget = as_whole_number(self.budget, "enumeration budget")
-            if budget < 0:
-                raise ValueError(f"enumeration budget {budget} is negative")
-            object.__setattr__(self, "budget", budget)
-
 
 def _bec_trials(code: ldpc.LdpcCode, p: float, budget: int, point: tuple, trials: int):
-    """Trial t of a point, lineage (*point, t): a random message balanced-encoded,
-    erased with probability p and decoded; yields (x, i, received y, BecResult)."""
+    """Trial t of a point, lineage (*point, t): a random message encoded and
+    balanced, erased with probability p and decoded; yields (codeword z,
+    index i, received y, BecResult)."""
     for trial in range(trials):
-        u = channel.make_rng((*point, trial)).integers(0, 2, code.k)
-        x, i_true = ldpc.balanced_encode(code, u)
+        z = ldpc.encode(code, channel.make_rng((*point, trial)).integers(0, 2, code.k))
+        x, i_true = balance(z)
         y = channel.apply_bec(x, p, seed=(*point, trial, 1))
-        yield x, i_true, y, bec.bec_decode(code, y, budget=budget)
+        yield z, i_true, y, bec.bec_decode(code, y, budget=budget)
 
 
 def _add_mean_residual(table: ResultTable, x: float, strategy: str, residuals, spec) -> None:
@@ -270,26 +292,18 @@ def run_wer_bec(spec: WerBecSpec) -> ResultTable:
         budget = spec.budget if spec.budget is not None else n + 1
         genie_ok = unique_ok = unique_returned = 0
         residuals = []
-        for x, i_true, y, res in _bec_trials(code, spec.erasure_p, budget,
+        for z, i_true, y, res in _bec_trials(code, spec.erasure_p, budget,
                                              (spec.seed, n_idx), spec.trials):
-            z_true = as_bits(x).copy()
-            z_true[:i_true] ^= 1
             g = bec.genie_peel(code, y, i_true)
-            genie_ok += int(g is not None and np.array_equal(g, z_true))
+            genie_ok += int(g is not None and np.array_equal(g, z))
             residuals.append(res.residual_set_size)
             if res.status == bec.UNIQUE:
                 unique_returned += 1
-                unique_ok += int(np.array_equal(res.z, z_true))
-        rows = (
-            ("genie", "wer", 1.0 - genie_ok / spec.trials),
-            ("balanced", "wer", 1.0 - unique_ok / spec.trials),
-            ("balanced", "unique_rate", unique_returned / spec.trials),
-            ("genie", "success_rate", genie_ok / spec.trials),
-        )
-        for strategy, metric, value in rows:
-            table.add(x=float(n), strategy=strategy, metric=metric, value=value,
-                      stderr=_binom_stderr(value, spec.trials),
-                      trials=spec.trials, seed=spec.seed)
+                unique_ok += int(np.array_equal(res.z, z))
+        _add_rates(table, float(n), {("genie", "wer"): 1.0 - genie_ok / spec.trials,
+                                     ("balanced", "wer"): 1.0 - unique_ok / spec.trials,
+                                     ("balanced", "unique_rate"): unique_returned / spec.trials,
+                                     ("genie", "success_rate"): genie_ok / spec.trials}, spec)
         _add_mean_residual(table, float(n), "balanced", residuals, spec)
     return table
 
@@ -299,7 +313,7 @@ def run_wer_bec(spec: WerBecSpec) -> ResultTable:
 
 
 @dataclass(frozen=True)
-class WerBscSpec:
+class WerBscSpec(_Spec):
     n: int = 280
     col_weight: int = 4
     row_weight: int = 7
@@ -315,43 +329,29 @@ class WerBscSpec:
 
 def run_wer_bsc(spec: WerBscSpec) -> ResultTable:
     """Paired word error rates on one BSC noise stream per trial: plain BP on
-    the unbalanced codeword, score-guided balanced decoding, and optionally
-    the exhaustive all-shifts decoder."""
+    the unbalanced codeword, then score-guided balanced decoding, and
+    optionally the exhaustive all-shifts decoder, on the balanced one."""
     table = _new_table("wer-bsc", spec)
     code = ldpc.build_gallager(spec.n, spec.col_weight, spec.row_weight, spec.code_seed)
+    # balanced_decode's candidate count per strategy; None scores every shift
+    decoders = {"balanced": spec.num_candidates} | (
+        {"exhaustive": None} if spec.include_exhaustive else {})
     for p_idx, p in enumerate(spec.p_grid):
-        unbal_err = bal_err = exh_err = 0
+        errs = dict.fromkeys(("unbalanced", *decoders), 0)
         for trial in range(spec.trials):
-            rng = channel.make_rng((spec.seed, p_idx, trial))
-            u = rng.integers(0, 2, code.k)
+            u = channel.make_rng((spec.seed, p_idx, trial)).integers(0, 2, code.k)
             z = ldpc.encode(code, u)
             x, _ = balance(z)
-            noise = (channel.make_rng((spec.seed, p_idx, trial, 1)).random(code.n)
-                     < p).astype(np.uint8)
-
-            res_u = ldpc.bp_decode(code, ldpc.bsc_llr(z ^ noise, p),
-                                   max_iter=spec.max_iter)
-            unbal_err += int(not (res_u.satisfied and np.array_equal(res_u.word, z)))
-
-            llr_b = ldpc.bsc_llr(x ^ noise, p)
-            res_b = ldpc.balanced_decode(code, llr_b, depth=spec.depth,
-                                         num_candidates=spec.num_candidates,
-                                         max_iter=spec.max_iter)
-            bal_err += int(not (res_b.ok and np.array_equal(res_b.z, z)))
-
-            if spec.include_exhaustive:
-                res_e = ldpc.balanced_decode(code, llr_b, depth=spec.depth,
-                                             num_candidates=None,
-                                             max_iter=spec.max_iter)
-                exh_err += int(not (res_e.ok and np.array_equal(res_e.z, z)))
-        pairs = [("unbalanced", unbal_err), ("balanced", bal_err)]
-        if spec.include_exhaustive:
-            pairs.append(("exhaustive", exh_err))
-        for strategy, cnt in pairs:
-            wer = cnt / spec.trials
-            table.add(x=p, strategy=strategy, metric="wer", value=wer,
-                      stderr=_binom_stderr(wer, spec.trials),
-                      trials=spec.trials, seed=spec.seed)
+            noise = channel.apply_bsc(np.zeros(code.n, np.uint8), p,
+                                      seed=(spec.seed, p_idx, trial, 1))
+            res = ldpc.bp_decode(code, ldpc.bsc_llr(z ^ noise, p), max_iter=spec.max_iter)
+            errs["unbalanced"] += not (res.satisfied and np.array_equal(res.word, z))
+            llr = ldpc.bsc_llr(x ^ noise, p)
+            for name, c in decoders.items():
+                res = ldpc.balanced_decode(code, llr, depth=spec.depth, num_candidates=c,
+                                           max_iter=spec.max_iter)
+                errs[name] += not (res.ok and np.array_equal(res.z, z))
+        _add_rates(table, p, {(name, "wer"): e / spec.trials for name, e in errs.items()}, spec)
     return table
 
 
@@ -360,7 +360,7 @@ def run_wer_bsc(spec: WerBscSpec) -> ResultTable:
 
 
 @dataclass(frozen=True)
-class InversionSetSpec:
+class InversionSetSpec(_Spec):
     block_lengths: tuple[int, ...] = (64, 128, 256)
     col_weight: int = 3
     row_weight: int = 4

@@ -23,6 +23,29 @@ class TestCodecCommands:
         out = run(capsys, "decode", "--bits", bits)
         assert "message=1111" in out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["encode", "--bits", "1111", "--code", "28,4,7"], "--code"),
+        (["encode", "--bits", "1111", "--seed", "5"], "--seed"),
+        (["decode", "--bits", "01100011", "--p", "0.3"], "--p"),
+        (["decode", "--bits", "01100011", "--ell", "3"], "--ell"),
+        (["decode", "--bits", "01100011", "--cands", "2"], "--cands"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_knuth_rejects_ldpc_flags(self, capsys, argv, flag):
+        # the Knuth codec reads none of them, so a given one is a mistake
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"balmod: error: {flag} applies only to --scheme ldpc\n"
+        assert captured.out == ""
+
+    def test_knuth_passes_shared_config_keys(self, capsys, tmp_path):
+        # the config serves every command, so its LDPC keys are not errors here
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"code": [28, 4, 7], "seed": 5, "ell": 3, "c": 2}))
+        out = run(capsys, "encode", "--bits", "1111", "--config", str(cfg))
+        assert "codeword=01100011" in out
+        assert "message=1111" in run(capsys, "decode", "--bits", "01100011",
+                                     "--config", str(cfg))
+
     def test_ldpc_encode_decode(self, capsys):
         msg = "1" * 12
         out = run(capsys, "encode", "--bits", msg, "--scheme", "ldpc",

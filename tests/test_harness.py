@@ -1,4 +1,6 @@
+import dataclasses
 import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,57 @@ from balmod.harness import (BerCurveSpec, InversionSetSpec, ResultTable,
 @pytest.fixture(scope="module")
 def ber_table():
     return run_ber_curve(BerCurveSpec(cells=4000, seed=5))
+
+
+SPECS = (BerCurveSpec, WerBecSpec, WerBscSpec, InversionSetSpec)
+
+
+class TestSpecWholeNumbers:
+    """One rule reads every integer field of the four runner specs."""
+
+    @pytest.mark.parametrize("spec_cls, field", [
+        (cls, f.name) for cls in SPECS for f in dataclasses.fields(cls)
+        if f.name in ("trials", "seed", "code_seed", "n", "col_weight", "row_weight",
+                      "depth", "num_candidates", "max_iter")])
+    def test_whole_float_reads_as_int_and_fraction_named(self, spec_cls, field):
+        default = getattr(spec_cls(), field)
+        spec = spec_cls(**{field: float(default)})
+        assert getattr(spec, field) == default and type(getattr(spec, field)) is int
+        with pytest.raises(ValueError, match=f"^{field} {default + 0.5} is not an integer$"):
+            spec_cls(**{field: default + 0.5})
+
+    @pytest.mark.parametrize("spec_cls", [WerBecSpec, InversionSetSpec])
+    def test_block_lengths_read_as_tuple_of_ints(self, spec_cls):
+        spec = spec_cls(block_lengths=[32, np.int64(64), 128.0])
+        assert spec.block_lengths == (32, 64, 128)
+        assert all(type(n) is int for n in spec.block_lengths)
+        with pytest.raises(ValueError, match="^block length 64.5 at index 1 is not an integer$"):
+            spec_cls(block_lengths=(32, 64.5))
+
+    @pytest.mark.parametrize("spec_cls", SPECS)
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_at_least_one(self, spec_cls, trials):
+        with pytest.raises(ValueError, match=f"^need at least one trial, got trials={trials}$"):
+            spec_cls(trials=trials)
+
+    @pytest.mark.parametrize("spec_cls, field", [
+        (cls, name) for cls in SPECS for name in ("seed", "code_seed")
+        if name in {f.name for f in dataclasses.fields(cls)}])
+    def test_negative_seed_named(self, spec_cls, field):
+        # numpy's own error names neither the field nor the value
+        with pytest.raises(ValueError, match=f"^{field} -1 is negative$"):
+            spec_cls(**{field: -1})
+
+    def test_negative_budget_named(self):
+        with pytest.raises(ValueError, match="^enumeration budget -2 is negative$"):
+            WerBecSpec(budget=-2)
+        assert WerBecSpec(budget=None).budget is None
+
+    def test_header_echoes_the_ints(self):
+        table = run_wer_bsc(WerBscSpec(n=28.0, depth=2.0, p_grid=(0.05,), trials=2.0))
+        header = table.spec_comments[1]
+        assert " n=28 " in header and " depth=2 " in header and " trials=2 " in header
+        assert table.rows[0].trials == 2
 
 
 class TestCsv:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from balmod import channel, ldpc
 from balmod.words import BitWord, find_balancing_index, invert_prefix, weight
 import bp_oracle
-from score_oracle import check_products, exact_sum, lambda_scores_scratch
+from score_oracle import check_products, exact_sum, flooding_round, lambda_scores_scratch
 
 # small codes for the noise-free property, built once
 NOISE_FREE_CODES = (ldpc.build_gallager(8, 2, 4, seed=2),
@@ -333,6 +333,24 @@ class TestBpKernel:
         code = ldpc.build_gallager(*shape)
         rng = channel.make_rng((37, shape[0], kind == "bsc"))
         _assert_kernel_matches_oracle(code, _noisy_llrs(code, rng, 40, kind))
+
+    @pytest.mark.parametrize("shape", [(56, 2, 7, 3), (280, 4, 7, 1), (64, 8, 16, 1)])
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+    def test_posteriors_equal_flooding_rounds_bit_for_bit(self, shape, max_iter):
+        # hard words cannot see the order in which a posterior is summed: the
+        # kernel's posterior after its last iteration is pinned to the oracle's
+        # after as many rounds, every bit of every float (a = 8 sums pairwise
+        # in numpy, so this code catches a sum other than left to right)
+        code = ldpc.build_gallager(*shape)
+        rng = channel.make_rng((50, shape[0], max_iter))
+        for llr in _noisy_llrs(code, rng, 20, "gauss"):
+            L = np.clip(llr, -ldpc.LLR_CLIP, ldpc.LLR_CLIP)[None]
+            _, _, iterations = ldpc._bp_rows(code, L, max_iter)
+            m = L[:, code.check_nbrs.ravel()]
+            for _ in range(iterations[0]):
+                post, m = flooding_round(code, L, m)
+            got = code._plans["bp", 1].post
+            assert np.array_equal(got.view(np.int64), post.view(np.int64))
 
     def test_column_weight_one_code_decodes(self):
         # load_code reads an a = 1 listing (build_gallager draws a >= 2); BP
