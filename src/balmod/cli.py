@@ -195,8 +195,7 @@ def cmd_decode(args) -> int:
         code = _ldpc_code(params)
         if len(y) != code.n:
             raise ValueError(f"--bits has {len(y)} bits, the code length n is {code.n}")
-        res = ldpc.balanced_decode_bsc(code, y, p=0.02 if args.p is None else args.p,
-                                       **_given(params, ("depth", "num_candidates")))
+        res = ldpc.balanced_decode_bsc(code, y, **_given(params, ("p", "depth", "num_candidates")))
         if not res.ok:
             print("decode failure")
             return 1
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--bits", type=bits, required=True)
     p_dec.add_argument("--scheme", choices=("knuth", "ldpc"), default="knuth")
     p_dec.add_argument("--code", type=str, help="n,a,b")
-    p_dec.add_argument("--p", type=float, help="assumed crossover (default 0.02)")
+    p_dec.add_argument("--p", type=float, help=f"assumed crossover (default {ldpc.DESIGN_P})")
     p_dec.add_argument("--ell", dest="depth", type=int)
     p_dec.add_argument("--cands", dest="num_candidates", type=int)
     _add_common(p_dec, seed=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bec, channel, ldpc, thresholds
-from .words import as_whole_number, as_whole_numbers, balance
+from .words import as_real, as_whole_number, as_whole_numbers, balance
 
 CSV_COLUMNS = ("x", "strategy", "metric", "value", "stderr", "trials", "seed")
 
@@ -45,16 +45,20 @@ class ResultTable:
                 and (metric is None or r.metric == metric)]
 
 
-# the runner specs' integer fields besides block_lengths (BerCurveSpec.cells
-# keeps its own rule, a positive even integer)
+# the runner specs' integer fields besides block_lengths (BerCurveSpec first
+# checks that cells is a positive even integer, a whole float not accepted)
 _WHOLE_FIELDS = ("n", "col_weight", "row_weight", "depth", "num_candidates", "max_iter",
-                 "trials", "seed", "code_seed", "budget")
+                 "cells", "trials", "seed", "code_seed", "budget")
 
 
 class _Spec:
-    """The runner specs' one rule for their integer fields: each is read by
-    the whole-number rule and stored as an int (a None budget stays None), a
-    negative seed or budget is named, and a trial count must be at least 1."""
+    """The runner specs' one rule per kind of field.  Each integer field is
+    read by the whole-number rule and stored as an int (a None budget stays
+    None), a negative seed or budget is named, and a trial count must be at
+    least 1.  Each real field is stored as a float and each grid as a tuple
+    of floats, by the real-number rule, so the CSV header reads the same
+    whatever numeric types built the spec.  include_exhaustive is True or
+    False."""
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -66,6 +70,12 @@ class _Spec:
                 value = as_whole_number(value, what)
                 if value < 0 and f.name in ("seed", "code_seed", "budget"):
                     raise ValueError(f"{what} {value} is negative")
+            elif f.name in ("sigma", "erasure_p", "second_order_a"):
+                value = as_real(value, f.name)
+            elif f.name in ("p_grid", "t_grid"):
+                value = tuple(as_real(v, f.name, i) for i, v in enumerate(value))
+            elif f.name == "include_exhaustive" and value is not True and value is not False:
+                raise ValueError(f"include_exhaustive must be True or False, got {value!r}")
             object.__setattr__(self, f.name, value)
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got trials={self.trials}")
@@ -73,9 +83,8 @@ class _Spec:
 
 def _new_table(kind: str, spec) -> ResultTable:
     """Empty table headed by the spec."""
-    parts = [f"kind={kind}"]
-    for f in dataclasses.fields(spec):
-        parts.append(f"{f.name}={getattr(spec, f.name)!r}".replace(" ", ""))
+    parts = [f"kind={kind}"] + [f"{f.name}={getattr(spec, f.name)!r}".replace(" ", "")
+                                for f in dataclasses.fields(spec)]
     return ResultTable(spec_comments=["balmod result v1", " ".join(parts)])
 
 
@@ -205,42 +214,38 @@ class BerCurveSpec(_Spec):
     seed: int = 1
     second_order_a: float = 0.0
 
+    def __post_init__(self):
+        if not (isinstance(self.cells, (int, np.integer))
+                and self.cells > 0 and self.cells % 2 == 0):
+            raise ValueError(f"cells must be a positive even integer, got cells={self.cells}")
+        super().__post_init__()
+
 
 def run_ber_curve(spec: BerCurveSpec) -> ResultTable:
     """Empirical BER of each threshold strategy per age t, with the model's
     closed-form error rates as overlay rows (trials = 0)."""
     table = _new_table("ber-curve", spec)
-    if not (isinstance(spec.cells, (int, np.integer))
-            and spec.cells > 0 and spec.cells % 2 == 0):
-        raise ValueError(f"cells must be a positive even integer, got cells={spec.cells}")
     model = channel.DriftModel(spec.model, spec.sigma)
-    half = spec.cells // 2
-    strategies = ("fixed", "balancing", "optimal", "mean", "second_order")
     for t_idx, t in enumerate(spec.t_grid):
-        errs = {s: 0 for s in strategies}
+        errs = dict.fromkeys(("fixed", "balancing", "optimal", "mean", "second_order"), 0)
         for trial in range(spec.trials):
             rng = channel.make_rng((spec.seed, t_idx, trial))
             bits = np.zeros(spec.cells, dtype=np.uint8)
-            bits[rng.permutation(spec.cells)[:half]] = 1
+            bits[rng.permutation(spec.cells)[:spec.cells // 2]] = 1
             levels = channel.sample_levels(bits, model, t,
                                            seed=(spec.seed, t_idx, trial, 1)).levels
-
-            vb = thresholds.balancing_threshold_exact(levels).value
-            _, opt_counts = thresholds.optimal_threshold_oracle(levels, bits)
-            chosen = {
-                "fixed": 0.5,
-                "balancing": vb,
-                "mean": thresholds.relaxed_threshold_mean(levels),
-                "second_order": thresholds.relaxed_threshold_second_order(
-                    levels, spec.second_order_a),
-            }
+            # each strategy's threshold, the genie's included, read the same way
+            chosen = {"fixed": 0.5,
+                      "balancing": thresholds.balancing_threshold_exact(levels).value,
+                      "optimal": thresholds.optimal_threshold_oracle(levels, bits)[0],
+                      "mean": thresholds.relaxed_threshold_mean(levels),
+                      "second_order": thresholds.relaxed_threshold_second_order(
+                          levels, spec.second_order_a)}
             for name, v in chosen.items():
                 errs[name] += thresholds.error_counts(
                     bits, thresholds.read_with_threshold(levels, v)).total
-            errs["optimal"] += opt_counts.total
         denom = spec.cells * spec.trials
-        _add_rates(table, t, {(name, "ber"): errs[name] / denom for name in strategies},
-                   spec, denom)
+        _add_rates(table, t, {(name, "ber"): e / denom for name, e in errs.items()}, spec, denom)
         mt = channel.model_thresholds(model, t)
         for name, v in (("fixed", mt.vf), ("balancing", mt.vb), ("optimal", mt.vo)):
             table.add(x=t, strategy=f"analytic_{name}", metric="ber",

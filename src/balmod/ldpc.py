@@ -115,7 +115,9 @@ class LdpcCode:
     # ("bp", rows) -> _BpPlan, "encode" -> G's columns packed along k,
     # "flip_parity" and "peel_graph" -> the erasure decoder's flip-parity
     # table and its peeling adjacency.  The score and BP plans hold the
-    # tables their calls write: one call per code at a time
+    # tables their calls write (a BP plan one check-slot scratch table for
+    # its tanh inputs, then its gathered posteriors): one call per code at a
+    # time
     _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -270,6 +272,10 @@ def _posterior(incoming, own: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(out, own, out=out)
 
 
+# the crossover a decoder's BSC LLRs assume where none is given
+DESIGN_P = 0.02
+
+
 def bsc_llr(y, p: float) -> np.ndarray:
     """Per-bit LLR log((1-p)/p) with sign set by the observation."""
     if not 0.0 < p < 0.5:
@@ -305,21 +311,23 @@ class _BpPlan:
     check order) of variable v at [k, q, v].  Slots lead, so every per-slot
     step is one contiguous whole-batch operation.  Every table a call writes
     is held here, so calls on one code must not overlap (one call per code
-    runs at a time).
+    runs at a time).  One check-slot scratch table, chk, holds both
+    check-side inputs of an iteration, which are never live together:
+    tanh(m / 2), read only inside _check_step, then the posteriors gathered
+    per check slot, written only after it returns.
     """
 
     to_var: np.ndarray       # (a, rows, n) into the flat check-side table
     to_check: np.ndarray     # (b, rows, r) into a flat (rows, n) table
-    tanh: np.ndarray         # (b, rows, r): tanh(m / 2) of the variable-to-check messages
+    chk: np.ndarray          # (b, rows, r): tanh(m / 2), then the posteriors per check slot
     loo: np.ndarray          # (b, rows, r): check-to-variable messages (_check_step's output)
     suf: np.ndarray          # (b, rows, r): _check_step's suffix products
-    views: tuple             # _check_views of tanh, loo and suf
+    views: tuple             # _check_views of chk, loo and suf
     inc: np.ndarray          # (a, rows, n): check-to-variable messages per variable
     incs: tuple              # inc's per-edge views
     post: np.ndarray         # (rows, n): posterior LLRs
-    post_chk: np.ndarray     # (b, rows, r): posteriors gathered per check slot
     m: np.ndarray            # (b, rows, r): variable-to-check messages
-    neg: np.ndarray          # (b, rows, r) bool: post_chk < 0
+    neg: np.ndarray          # (b, rows, r) bool: the gathered posteriors < 0
     parity: np.ndarray       # (rows, r) bool: each check's parity
     unsat: np.ndarray        # (rows,) bool: any check unsatisfied
 
@@ -332,12 +340,11 @@ def _build_bp_plan(code: LdpcCode, rows: int) -> _BpPlan:
     q = np.arange(rows)[:, None]
     to_var = (slot * (rows * r) + check)[:, None, :] + q * r
     to_check = np.ascontiguousarray(code.check_nbrs.T)[:, None, :] + q * n
-    tanh, loo, suf = (np.empty((b, rows, r)) for _ in range(3))
+    chk, loo, suf, m = (np.empty((b, rows, r)) for _ in range(4))
     inc = np.empty((a, rows, n))
-    return _BpPlan(to_var=to_var, to_check=to_check, tanh=tanh, loo=loo, suf=suf,
-                   views=_check_views(tanh, loo, suf), inc=inc, incs=tuple(inc),
-                   post=np.empty((rows, n)), post_chk=np.empty((b, rows, r)),
-                   m=np.empty((b, rows, r)), neg=np.empty((b, rows, r), dtype=bool),
+    return _BpPlan(to_var=to_var, to_check=to_check, chk=chk, loo=loo, suf=suf,
+                   views=_check_views(chk, loo, suf), inc=inc, incs=tuple(inc),
+                   post=np.empty((rows, n)), m=m, neg=np.empty((b, rows, r), dtype=bool),
                    parity=np.empty((rows, r), dtype=bool), unsat=np.empty(rows, dtype=bool))
 
 
@@ -371,11 +378,11 @@ def _bp_rows(code: LdpcCode, L: np.ndarray, max_iter: int, first_stop: bool = Fa
     flat_loo, flat_post = plan.loo.ravel(), post.ravel()
     L.ravel().take(plan.to_check, out=m, mode="clip")
     for it in range(1, max_iter + 1):
-        np.tanh(np.multiply(0.5, m, out=plan.tanh), out=plan.tanh)
+        np.tanh(np.multiply(0.5, m, out=plan.chk), out=plan.chk)
         m_cv = _check_step(plan.loo, plan.views)
         flat_loo.take(plan.to_var, out=inc, mode="clip")
         _posterior(plan.incs, L, post)
-        post_chk = flat_post.take(plan.to_check, out=plan.post_chk, mode="clip")
+        post_chk = flat_post.take(plan.to_check, out=plan.chk, mode="clip")
         # a check is unsatisfied when an odd number of its slots are negative
         parity = np.bitwise_xor.reduce(np.less(post_chk, 0, out=plan.neg), axis=0,
                                        out=plan.parity)
@@ -783,9 +790,10 @@ def balanced_decode(code: LdpcCode, llr, depth: int = 2, num_candidates: int | N
                                 score=float(scores[best]))
 
 
-def balanced_decode_bsc(code: LdpcCode, y, p: float, depth: int = 2,
+def balanced_decode_bsc(code: LdpcCode, y, p: float = DESIGN_P, depth: int = 2,
                         num_candidates: int | None = 4, max_iter: int = 50) -> BalancedDecodeResult:
-    """Hard-decision front end: constant-magnitude LLRs from the crossover p."""
+    """Hard-decision front end: constant-magnitude LLRs from the crossover p
+    (DESIGN_P unless given)."""
     return balanced_decode(code, bsc_llr(y, p), depth=depth,
                            num_candidates=num_candidates, max_iter=max_iter)
 

@@ -148,10 +148,7 @@ def bits_to_balanced(bits, q: int) -> QaryWord:
     """Encode a binary message as a balanced q-ary word via its integer rank."""
     bits = words.as_bits(bits)
     _, m = min_balanced_length(bits.size, q)
-    r = 0
-    for b in bits.tolist():
-        r = (r << 1) | b
-    return unrank_balanced(r, q, m)
+    return unrank_balanced(words.bits_to_int(bits), q, m)
 
 
 def balanced_to_bits(word, q: int, k: int) -> np.ndarray:
@@ -159,7 +156,7 @@ def balanced_to_bits(word, q: int, k: int) -> np.ndarray:
     k, r = words.as_whole_number(k, "message length k"), rank_balanced(word, q)
     if r >= 2 ** k:
         raise ValueError(f"rank {r} does not fit in {k} bits")
-    return np.array([(r >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.uint8)
+    return words.int_to_bits(r, k)
 
 
 # ---------------------------------------------------------------------------

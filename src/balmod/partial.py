@@ -17,13 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import as_levels, make_rng
-from .ldpc import LdpcCode, bp_decode, bsc_llr, encode
+from .ldpc import DESIGN_P, LdpcCode, bp_decode, bsc_llr, encode
 from .thresholds import balancing_threshold_exact, read_with_threshold
-from .words import BalancedWord, as_bits, as_whole_number, balance
-
-
-# crossover probability the inner decoder's constant-magnitude LLRs assume
-DESIGN_P = 0.02
+from .words import BalancedWord, as_bits, as_whole_number, balance, bits_to_int, int_to_bits
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,7 @@ def pb_encode(scheme: PartialScheme, u) -> PartialCodeword:
     if bits.size != scheme.k_info:
         raise ValueError(f"message length {bits.size} != {scheme.k_info}")
     u_tilde, i = balance(bits)
-    idx = np.array([(i >> (scheme.i_bits - 1 - t)) & 1 for t in range(scheme.i_bits)],
-                   dtype=np.uint8)
+    idx = int_to_bits(i, scheme.i_bits)
     message = np.zeros(scheme.code.k, dtype=np.uint8)
     message[:scheme.k_info] = u_tilde
     message[scheme.k_info:scheme.k_info + scheme.i_bits] = idx
@@ -128,10 +123,7 @@ def pb_decode(scheme: PartialScheme, y) -> PbDecodeResult:
         return PbDecodeResult(ok=False, u=None, reason="ecc decode failure")
     message = res.word[scheme.code.message_positions]
     u = message[:scheme.k_info]
-    idx_bits = message[scheme.k_info:scheme.k_info + scheme.i_bits]
-    i = 0
-    for b in idx_bits:
-        i = (i << 1) | int(b)
+    i = bits_to_int(message[scheme.k_info:scheme.k_info + scheme.i_bits])
     if i >= scheme.k_info:
         return PbDecodeResult(ok=False, u=None, reason=f"index {i} out of range")
     u[:i] ^= 1

@@ -115,6 +115,16 @@ def as_whole_number(value, what: str, index: int | None = None) -> int:
     return int(value)
 
 
+def as_real(value, what: str, index: int | None = None) -> float:
+    """value as a Python float: the one rule of what a real number is.  Any
+    value but a real number is named as `what` by value, and by index when
+    given one."""
+    if not isinstance(value, numbers.Real):
+        at = "" if index is None else f" at index {index}"
+        raise ValueError(f"{what} {value!r}{at} is not a real number")
+    return float(value)
+
+
 def as_whole_numbers(values, what: str) -> list[int]:
     """values as a list of Python ints by the rule of as_whole_number; the
     first other entry is named by value and index."""
@@ -132,6 +142,18 @@ def as_bits(w) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError(f"a word must be one-dimensional, got shape {a.shape}")
     return a
+
+
+def bits_to_int(w) -> int:
+    """The bits of a word, most significant first, as a Python int (0 for
+    the empty word); int_to_bits inverts it."""
+    return int("0" + "".join(map(str, as_bits(w).tolist())), 2)
+
+
+def int_to_bits(value: int, width: int) -> np.ndarray:
+    """The low `width` bits of value, most significant first, as a uint8
+    array."""
+    return np.array([(value >> s) & 1 for s in range(width - 1, -1, -1)], dtype=np.uint8)
 
 
 def weight(w) -> int:

@@ -1,11 +1,12 @@
 import argparse
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from balmod import cli
+from balmod import cli, ldpc, partial
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,6 +55,26 @@ class TestCodecCommands:
         out = run(capsys, "decode", "--bits", cw, "--scheme", "ldpc",
                   "--code", "28,4,7", "--seed", "1", "--p", "0.02")
         assert f"message={msg}" in out
+
+    def test_ldpc_decode_assumes_the_design_crossover(self, capsys, monkeypatch):
+        # one constant: the decoder's default crossover, which the CLI and its
+        # help take, and the partial-balanced decoder's
+        assert partial.DESIGN_P is ldpc.DESIGN_P == 0.02
+        assert inspect.signature(ldpc.balanced_decode_bsc).parameters["p"].default \
+            is ldpc.DESIGN_P
+        monkeypatch.setattr(ldpc, "DESIGN_P", 0.03)
+        with pytest.raises(SystemExit):
+            cli.main(["decode", "--help"])
+        assert "(default 0.03)" in capsys.readouterr().out
+        seen, real = [], ldpc.balanced_decode_bsc
+        monkeypatch.setattr(ldpc, "balanced_decode_bsc",
+                            lambda code, y, **kw: seen.append(kw.get("p")) or real(code, y, **kw))
+        x, _ = ldpc.balanced_encode(ldpc.build_gallager(28, 4, 7, 1), [1] * 12)
+        for extra in ([], ["--p", "0.1"]):
+            out = run(capsys, "decode", "--bits", str(x), "--scheme", "ldpc",
+                      "--code", "28,4,7", *extra)
+            assert "message=" + "1" * 12 in out
+        assert seen == [None, 0.1]
 
     def test_threshold_methods(self, capsys):
         out = run(capsys, "threshold", "--levels", "0.1,0.9,0.2,0.8")

@@ -67,6 +67,59 @@ class TestSpecWholeNumbers:
         assert table.rows[0].trials == 2
 
 
+class TestSpecRealsAndFlags:
+    """Each spec owns the rules of its real fields, grids, cell count and
+    exhaustive flag: a bad value fails when the spec is built, and the CSV
+    header reads the same whatever numeric types built the spec."""
+
+    @pytest.mark.parametrize("spec_cls, field", [
+        (cls, f.name) for cls in SPECS for f in dataclasses.fields(cls)
+        if f.name in ("sigma", "erasure_p", "second_order_a")])
+    def test_real_field_stored_as_float_and_non_real_named(self, spec_cls, field):
+        for value in (np.float64(0.25), np.float32(0.25), 0.25):
+            stored = getattr(spec_cls(**{field: value}), field)
+            assert stored == 0.25 and type(stored) is float
+        assert type(getattr(spec_cls(**{field: np.int64(1)}), field)) is float
+        for value in ("0.2", None, 0.2j):
+            with pytest.raises(ValueError, match=f"^{field} {re.escape(repr(value))} "
+                                                 "is not a real number$"):
+                spec_cls(**{field: value})
+
+    @pytest.mark.parametrize("spec_cls, field", [
+        (cls, f.name) for cls in SPECS for f in dataclasses.fields(cls)
+        if f.name in ("p_grid", "t_grid")])
+    def test_grid_stored_as_tuple_of_floats_and_entry_named(self, spec_cls, field):
+        for grid in (np.array([0.05, 0.25]), [np.float64(0.05), 0.25], (0.05, np.float32(0.25))):
+            stored = getattr(spec_cls(**{field: grid}), field)
+            assert stored == (0.05, 0.25) and all(type(v) is float for v in stored)
+        with pytest.raises(ValueError, match=f"^{field} 'x' at index 1 is not a real number$"):
+            spec_cls(**{field: [0.1, "x"]})
+
+    def test_header_echoes_the_cli_text(self):
+        # the CLI passes Python floats and tuples; numpy values write the same text
+        bsc = run_wer_bsc(WerBscSpec(n=28, trials=1, p_grid=np.array([0.05, 0.06])))
+        assert " p_grid=(0.05,0.06) " in bsc.spec_comments[1]
+        ber = run_ber_curve(BerCurveSpec(cells=20, sigma=np.float64(0.2), t_grid=[0.1]))
+        assert " sigma=0.2 t_grid=(0.1,) " in ber.spec_comments[1]
+
+    @pytest.mark.parametrize("cells", [-4, 0, 11, 10.0, True, "10"])
+    def test_cells_rule_holds_when_the_spec_is_built(self, cells):
+        with pytest.raises(ValueError, match="^cells must be a positive even integer, "
+                                             f"got cells={cells}$"):
+            BerCurveSpec(cells=cells)
+
+    def test_integer_cells_stored_as_int(self):
+        spec = BerCurveSpec(cells=np.int64(4000))
+        assert spec.cells == 4000 and type(spec.cells) is int
+
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None, np.True_])
+    def test_include_exhaustive_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="^include_exhaustive must be True or False, "
+                                             f"got {re.escape(repr(flag))}$"):
+            WerBscSpec(include_exhaustive=flag)
+        assert WerBscSpec(include_exhaustive=True).include_exhaustive is True
+
+
 class TestCsv:
     def test_round_trip_bytes(self, ber_table, tmp_path):
         p1 = tmp_path / "a.csv"

@@ -553,7 +553,7 @@ class TestBpKernel:
             assert np.array_equal(got, expect)
         assert np.array_equal(one.word, one_word)
         tables = [table for size in (1, 4)
-                  for _, table in _bp_written_tables(full_scale_code._plans["bp", size])]
+                  for _, table in _plan_tables(full_scale_code._plans["bp", size])]
         for out in (*first, one.word):
             assert not any(np.shares_memory(out, table) for table in tables)
 
@@ -605,13 +605,29 @@ class TestBpKernel:
             ("bp", code.n - ldpc._BP_BLOCK), ("bp", ldpc._BP_BLOCK)]
 
 
+# the read-only index maps of each plan class: every other ndarray field of a
+# plan is a table its calls write into, so a table added later is checked too
+_INDEX_MAPS = {ldpc._BpPlan: {"to_var", "to_check"},
+               ldpc._ScorePlan: {"keys", "pos", "seg_ptr", "prod_idx", "prev"},
+               ldpc._ScoreRound: {"check_ptr", "var_ptr", "check_idx", "var_idx"}}
+
+
+def _plan_tables(plan, prefix=""):
+    """(name, array) of every table a call on the plan writes into: each
+    ndarray field but the plan's index maps."""
+    names = [f.name for f in dataclasses.fields(plan)]
+    assert _INDEX_MAPS[type(plan)] <= set(names)
+    for name in names:
+        value = getattr(plan, name)
+        if isinstance(value, np.ndarray) and name not in _INDEX_MAPS[type(plan)]:
+            yield prefix + name, value
+
+
 def _written_tables(plan):
     """(name, array) of every table a scorer call writes into."""
-    for name in ("chan", "tanh", "prod", "tmp", "q", "steps"):
-        yield name, getattr(plan, name)
+    yield from _plan_tables(plan)
     for k, rd in enumerate(plan.rounds):
-        for name in ("t", "loo", "suf", "own", "post", "m"):
-            yield f"round {k} {name}", getattr(rd, name)
+        yield from _plan_tables(rd, f"round {k} ")
 
 
 class TestPosterior:
@@ -640,13 +656,6 @@ class TestPosterior:
         assert not np.array_equal(own_first, want)
         if a >= 8:
             assert not np.array_equal(np.ascontiguousarray(inc.T).sum(axis=1) + own, want)
-
-
-def _bp_written_tables(plan):
-    """(name, array) of every table a BP kernel call writes into."""
-    for name in ("tanh", "loo", "suf", "inc", "post", "post_chk", "m", "neg",
-                 "parity", "unsat"):
-        yield name, getattr(plan, name)
 
 
 @st.composite
@@ -745,7 +754,7 @@ class TestShiftScores:
         assert len({id(plan) for plan in bp_plans}) == len(bp_plans)
         # the tables a call writes belong to one (code, depth) or (code, batch size)
         tables = [table for plan in plans for table in _written_tables(plan)]
-        tables += [table for plan in bp_plans for table in _bp_written_tables(plan)]
+        tables += [table for plan in bp_plans for table in _plan_tables(plan)]
         for i, (name_i, table_i) in enumerate(tables):
             for name_j, table_j in tables[i + 1:]:
                 assert not np.shares_memory(table_i, table_j), (name_i, name_j)

@@ -337,6 +337,27 @@ class TestOptimalOracle:
             v, counts = optimal_threshold_oracle(levels, x)
             assert error_counts(x, read_with_threshold(levels, v)) == counts
 
+    @pytest.mark.parametrize("family", ["random", "tied", "constant", "extreme"])
+    def test_read_at_threshold_gives_its_counts(self, family):
+        # sim ber reads the genie at this threshold, like every other strategy,
+        # and counts its errors from that read
+        rng = make_rng((46, ["random", "tied", "constant", "extreme"].index(family)))
+        extremes = np.array([-1.7e308, -1e308, -5e-324, -0.0, 0.0, 5e-324,
+                             2.0 ** 53, 2.0 ** 53 + 2, 1e308, 1.7e308])
+        for _ in range(500):
+            n = 2 * int(rng.integers(1, 100))
+            bits = rng.integers(0, 2, n)
+            if family == "random":
+                levels = rng.normal(np.where(bits == 1, 1.0 - rng.uniform(0, 0.5), 0.0), 0.2)
+            elif family == "tied":
+                levels = rng.integers(0, 5, n) / 4.0
+            elif family == "constant":
+                levels = np.full(n, rng.choice(extremes))
+            else:
+                levels = rng.choice(extremes, n)
+            v, counts = optimal_threshold_oracle(levels, bits)
+            assert error_counts(bits, read_with_threshold(levels, v)) == counts
+
     @given(distinct_levels, st.data())
     @settings(max_examples=80)
     def test_beats_every_cut(self, levels, data):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balmod import bec, channel, em, harness, intervals, ldpc, mlc, partial, thresholds
-from balmod.words import (BalancedWord, BitWord, KnuthCodeword, as_bits, as_whole_number,
-                          as_whole_numbers, balance, decode_prefix, encode_prefix,
-                          find_balancing_index, invert_prefix, knuth_decode, knuth_encode,
-                          prefix_length, weight)
+from balmod.words import (BalancedWord, BitWord, KnuthCodeword, as_bits, as_real,
+                          as_whole_number, as_whole_numbers, balance, bits_to_int,
+                          decode_prefix, encode_prefix, find_balancing_index, int_to_bits,
+                          invert_prefix, knuth_decode, knuth_encode, prefix_length, weight)
 
 
 def bw(s: str) -> BitWord:
@@ -239,6 +239,42 @@ class TestWholeNumberRule:
         for named, call in sites:
             with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
                 call()
+
+
+class TestRealNumberRule:
+    @pytest.mark.parametrize("value", [0.25, np.float64(0.25), np.float32(0.25), 1, np.int64(1),
+                                       True, float("inf")])
+    def test_real_values_read_as_float(self, value):
+        got = as_real(value, "sigma")
+        assert got == float(value) and type(got) is float
+
+    @pytest.mark.parametrize("bad", ["0.2", None, 1j, [0.2]])
+    def test_other_values_named(self, bad):
+        named = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=rf"^sigma {named} is not a real number$"):
+            as_real(bad, "sigma")
+        with pytest.raises(ValueError, match=rf"^p_grid {named} at index 2 is not a real number$"):
+            as_real(bad, "p_grid", 2)
+
+
+class TestBinaryIndex:
+    """The one conversion between an int and its bits, most significant first,
+    shared by the partial-balanced index and the q-ary message codec."""
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 70])
+    def test_round_trip(self, width):
+        drawn = channel.make_rng(width).integers(0, 1 << min(width, 62), 20).tolist()
+        for value in {0, 1, (1 << width) - 1, *drawn}:
+            bits = int_to_bits(value, width)
+            assert bits.dtype == np.uint8 and bits.shape == (width,)
+            assert bits_to_int(bits) == value
+            assert bits.tolist() == [int(ch) for ch in format(value, f"0{width}b")]
+
+    def test_edges(self):
+        assert bits_to_int([]) == 0 and bits_to_int(bw("0110")) == 6
+        assert int_to_bits(6, 0).shape == (0,)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            bits_to_int([1, 2])
 
 
 class TestBitWordEntries:
